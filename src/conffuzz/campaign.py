@@ -37,7 +37,7 @@ from .grammar import (
     unparse,
 )
 from .mutate import DEFAULT_MAX_DEPTH, MutationKind, random_mutation
-from .target import Feedback, OutcomeKind, TargetSpec, execute
+from .target import Feedback, OutcomeKind, TargetSpec, execute, remove_run_inputs
 from .triage import (
     NonReproducibleError,
     dedup_key,
@@ -309,6 +309,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
         else:
             _loop_pooled(run)
     finally:
+        remove_run_inputs(run.run_id)
         # flush whatever was gathered, even on interruption
         run.stats.finished_unix_ms = int(time.time() * 1000)
         run.stats.execs_per_sec = run.throughput()

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Union
 
 __all__ = [
@@ -157,160 +157,158 @@ class ParamPath:
 # ---------------------------------------------------------------------------
 # Parsing
 
-
+# One match per lexeme: the prefix skips whitespace and comments, and the
+# group yields the lexeme itself.  ``\Z`` yields the empty lexeme at the
+# end of input, and the one-character catch-all yields a character no token
+# can start with.  A number with ".", "e" or "E" is a real.  The string rule
+# has no DOTALL, so a backslash before a newline does not continue a string.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<skip>\s+|\#[^\n]*|//[^\n]*)
-    | (?P<real>[+-]?(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?\d+[eE][+-]?\d+)
-    | (?P<int>[+-]?\d+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<str>"(?:[^"\\\n]|\\.)*")
-    | (?P<punct>[={}();,])
+    \s*(?:(?:\#|//)[^\n]*\s*)*
+    (
+      [A-Za-z_][A-Za-z0-9_]*
+    | [={}();,]
+    | [+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?
+    | "(?:[^"\\\n]|\\.)*"
+    | \Z
+    | .
+    )
     """,
     re.VERBOSE,
 )
 
+# spelled out: importing ``string`` would add a millisecond to every
+# start of the validator as an external target
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# a lexeme that is one character no token can start with; every longer
+# lexeme is a well-formed token
+_BAD_LEXEME_RE = re.compile(r"[^={}();,A-Za-z_\d]")
+
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.line_starts.append(i + 1)
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, lexeme, offset)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ConfigSyntaxError(
-                    f"unexpected character {text[pos]!r}", *self.line_col(pos)
-                )
-            if m.lastgroup != "skip":
-                self.tokens.append((m.lastgroup, m.group(), pos))
-            pos = m.end()
-        self.tokens.append(("eof", "", len(text)))
+class _Fail(Exception):
+    """A grammar error at the lexeme the parser consumed last."""
 
-    def line_col(self, offset: int) -> tuple[int, int]:
-        line = bisect_right(self.line_starts, offset)
-        return line, offset - self.line_starts[line - 1] + 1
+    def __init__(self, message: str, duplicate: str | None = None):
+        super().__init__(message)
+        self.duplicate = duplicate
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.scanner = _Scanner(text)
-        self.tokens = self.scanner.tokens
-        self.i = 0
+def _expected(what: str, found: str) -> _Fail:
+    return _Fail(f"expected {what}, found {found or 'end of input'!r}")
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _settings(it: Iterator[str], closer: str) -> tuple[Setting, ...]:
+    """Settings up to and including ``closer``; ``""`` is the end of input."""
+    settings: list[Setting] = []
+    names: set[str] = set()
+    while True:
+        name = next(it)
+        if name == closer:
+            return tuple(settings)
+        if not name:
+            raise _Fail(f"expected {closer!r} before end of input")
+        if name[0] not in _NAME_START:
+            raise _Fail(f"expected setting name, found {name!r}")
+        if name in names:
+            raise _Fail("", duplicate=name)
+        names.add(name)
+        lex = next(it)
+        if lex != "=":
+            raise _expected("'='", lex)
+        value = _value(it, next(it))
+        lex = next(it)
+        if lex != ";":
+            raise _expected("';'", lex)
+        settings.append(Setting(name, value))
 
-    def error(self, message: str, offset: int) -> ConfigSyntaxError:
-        return ConfigSyntaxError(message, *self.scanner.line_col(offset))
 
-    def expect_punct(self, lexeme: str) -> None:
-        kind, lex, off = self.peek()
-        if kind != "punct" or lex != lexeme:
-            raise self.error(f"expected {lexeme!r}, found {lex or 'end of input'!r}", off)
-        self.advance()
-
-    def parse_document(self) -> ConfigDocument:
-        settings = self.parse_settings(closer=None)
-        return ConfigDocument(Group(settings))
-
-    def parse_settings(self, closer: str | None) -> tuple[Setting, ...]:
-        settings: list[Setting] = []
-        names: set[str] = set()
-        while True:
-            kind, lex, off = self.peek()
-            if closer is not None and kind == "punct" and lex == closer:
-                return tuple(settings)
-            if kind == "eof":
-                if closer is None:
-                    return tuple(settings)
-                raise self.error(f"expected {closer!r} before end of input", off)
-            if kind != "name":
-                raise self.error(f"expected setting name, found {lex!r}", off)
-            self.advance()
-            if lex in names:
-                raise DuplicateNameError(lex, *self.scanner.line_col(off))
-            names.add(lex)
-            self.expect_punct("=")
-            value = self.parse_value()
-            self.expect_punct(";")
-            settings.append(Setting(lex, value))
-
-    def parse_value(self) -> Value:
-        kind, lex, off = self.peek()
-        if kind == "punct" and lex == "{":
-            self.advance()
-            settings = self.parse_settings(closer="}")
-            self.expect_punct("}")
-            return Group(settings)
-        if kind == "punct" and lex == "(":
-            self.advance()
-            return self.parse_list()
-        if kind == "int":
-            self.advance()
-            value = int(lex)
-            if not INT64_MIN <= value <= INT64_MAX:
-                raise self.error(f"integer out of 64-bit range: {lex}", off)
-            return value
-        if kind == "real":
-            self.advance()
+def _value(it: Iterator[str], lex: str) -> Value:
+    """The value that starts with ``lex``, the lexeme just consumed."""
+    first = lex[:1]
+    if first == "{":
+        return Group(_settings(it, "}"))
+    if first == "(":
+        return _list(it)
+    if first == '"' and len(lex) > 1:
+        return _unescape(lex)
+    if lex == "true" or lex == "false":
+        return lex == "true"
+    # past names and strings, a longer lexeme is a number; a single
+    # character is one only if it is a digit
+    if (len(lex) > 1 and first not in _NAME_START) or lex.isdecimal():
+        if "." in lex or "e" in lex or "E" in lex:
             return float(lex)
-        if kind == "str":
-            self.advance()
-            return self.unescape(lex, off)
-        if kind == "name" and lex in ("true", "false"):
-            self.advance()
-            return lex == "true"
-        raise self.error(f"expected value, found {lex or 'end of input'!r}", off)
+        value = int(lex)
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise _Fail(f"integer out of 64-bit range: {lex}")
+        return value
+    raise _expected("value", lex)
 
-    def parse_list(self) -> ConfigList:
-        values: list[Value] = []
-        kind, lex, _ = self.peek()
-        if kind == "punct" and lex == ")":
-            self.advance()
-            return ConfigList(())
-        while True:
-            values.append(self.parse_value())
-            kind, lex, off = self.peek()
-            if kind == "punct" and lex == ",":
-                self.advance()
-                continue
-            if kind == "punct" and lex == ")":
-                self.advance()
-                return ConfigList(tuple(values))
-            raise self.error(f"expected ',' or ')', found {lex or 'end of input'!r}", off)
 
-    def unescape(self, lexeme: str, offset: int) -> str:
-        body = lexeme[1:-1]
-        out: list[str] = []
-        i = 0
-        while i < len(body):
-            ch = body[i]
-            if ch == "\\":
-                esc = body[i + 1]
-                if esc not in _ESCAPES:
-                    raise self.error(f"unsupported escape \\{esc}", offset)
-                out.append(_ESCAPES[esc])
-                i += 2
-            else:
-                out.append(ch)
-                i += 1
-        return "".join(out)
+def _list(it: Iterator[str]) -> ConfigList:
+    lex = next(it)
+    if lex == ")":
+        return ConfigList(())
+    values = [_value(it, lex)]
+    while True:
+        lex = next(it)
+        if lex == ",":
+            values.append(_value(it, next(it)))
+        elif lex == ")":
+            return ConfigList(tuple(values))
+        else:
+            raise _expected("',' or ')'", lex)
+
+
+def _unescape(lexeme: str) -> str:
+    body = lexeme[1:-1]
+    out: list[str] = []
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\":
+            esc = body[i + 1]
+            if esc not in _ESCAPES:
+                raise _Fail(f"unsupported escape \\{esc}")
+            out.append(_ESCAPES[esc])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def _located(text: str, lexemes: list[str], failed: int, fail: _Fail) -> ConfigError:
+    """The error to raise for ``fail`` at lexeme ``failed``.
+
+    A character no token starts with is reported first, wherever it is,
+    as if the whole text were tokenized before parsing.
+    """
+    bad = next(
+        (i for i, lex in enumerate(lexemes) if _BAD_LEXEME_RE.fullmatch(lex)), None
+    )
+    index = failed if bad is None else bad
+    offset = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    if bad is not None:
+        return ConfigSyntaxError(f"unexpected character {lexemes[bad]!r}", line, col)
+    if fail.duplicate is not None:
+        return DuplicateNameError(fail.duplicate, line, col)
+    return ConfigSyntaxError(str(fail), line, col)
 
 
 def parse_config(text: str) -> ConfigDocument:
-    return _Parser(text).parse_document()
+    lexemes = _TOKEN_RE.findall(text)
+    it = iter(lexemes)
+    try:
+        return ConfigDocument(Group(_settings(it, "")))
+    except _Fail as fail:
+        # the parser fails on the lexeme it consumed last
+        failed = len(lexemes) - sum(1 for _ in it) - 1
+        raise _located(text, lexemes, failed, fail) from None
 
 
 # ---------------------------------------------------------------------------

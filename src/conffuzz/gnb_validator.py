@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from .configfmt import (
     ConfigDocument,
@@ -353,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: gnb-validator CONFIG_FILE", file=sys.stderr)
         return 1
     try:
-        text = open(args[0], encoding="utf-8").read()
+        text = Path(args[0]).read_text(encoding="utf-8")
     except OSError as e:
         print(f"cannot read {args[0]}: {e}", file=sys.stderr)
         return 1

@@ -36,6 +36,7 @@ __all__ = [
     "generate_tree",
     "minimal_tree",
     "parse_grammar",
+    "replace_subtree",
     "sample_tree",
     "tree_size",
     "unparse",
@@ -45,6 +46,7 @@ __all__ = [
 DEFAULT_START = "<START>"
 
 _TOKEN_NAME_RE = re.compile(r"<[A-Za-z0-9_-]+>")
+_INT_LITERAL_RE = re.compile(r"-?\d+")
 _INF = float("inf")
 
 
@@ -118,6 +120,7 @@ class Grammar:
         self._min_depth, self._rule_depths = _depth_tables(self.productions)
         self._min_size, self._rule_sizes = _size_tables(self.productions)
         self._minimal_cache: dict[str, DerivationTree] = {}
+        self._numeric_steps = _numeric_step_table(self.productions)
         dead = sorted(t for t, d in self._min_depth.items() if d == _INF)
         if dead:
             raise NoFiniteDerivationError(
@@ -137,6 +140,14 @@ class Grammar:
 
     def rule_sizes(self, token: str) -> tuple[float, ...]:
         return self._rule_sizes[token]
+
+    def numeric_steps(self, token: str, rule_index: int) -> tuple[int, ...]:
+        """Rule indices an integer-literal rule may step to, nearest first.
+
+        Empty unless the rule is a single integer literal and the token has
+        another such rule.
+        """
+        return self._numeric_steps.get((token, rule_index), ())
 
 
 def _depth_tables(
@@ -191,6 +202,37 @@ def _size_tables(
         for token, rules in productions.items()
     }
     return size, per_rule
+
+
+def _numeric_step_table(
+    productions: dict[str, tuple[Rule, ...]],
+) -> dict[tuple[str, int], tuple[int, ...]]:
+    # Per integer-literal rule: the next larger and next smaller value, zero,
+    # the minimum and the maximum among the token's other such rules.
+    table: dict[tuple[str, int], tuple[int, ...]] = {}
+    for token, rules in productions.items():
+        literals = {
+            i: int(rule.items[0].text)
+            for i, rule in enumerate(rules)
+            if len(rule.items) == 1
+            and not rule.items[0].is_ref
+            and _INT_LITERAL_RE.fullmatch(rule.items[0].text)
+        }
+        for index, cur in literals.items():
+            others = [(i, v) for i, v in literals.items() if i != index]
+            if not others:
+                continue
+            picks = (
+                min((i for i, v in others if v > cur), key=literals.get, default=None),
+                max((i for i, v in others if v < cur), key=literals.get, default=None),
+                next((i for i, v in others if v == 0), None),
+                min(others, key=lambda iv: iv[1])[0],
+                max(others, key=lambda iv: iv[1])[0],
+            )
+            table[(token, index)] = tuple(
+                dict.fromkeys(p for p in picks if p is not None)
+            )
+    return table
 
 
 def parse_grammar(text: str, strict: bool = True) -> Grammar:
@@ -292,6 +334,22 @@ def minimal_tree(g: Grammar, token: str) -> DerivationTree:
     )
     g._minimal_cache[token] = tree
     return tree
+
+
+def replace_subtree(
+    t: DerivationTree, path: tuple[int, ...], subtree: DerivationTree
+) -> DerivationTree:
+    """``t`` with the node at ``path`` (child indices from the root)
+    replaced by ``subtree``; the nodes off that path are shared."""
+    if not path:
+        return subtree
+    i = path[0]
+    children = (
+        t.children[:i]
+        + (replace_subtree(t.children[i], path[1:], subtree),)
+        + t.children[i + 1 :]
+    )
+    return DerivationTree(t.token, t.rule_index, children)
 
 
 def unparse(t: DerivationTree, g: Grammar) -> str:

@@ -12,11 +12,16 @@ it, which is the per-iteration step of a fuzzing campaign.
 from __future__ import annotations
 
 import enum
-import re
 from random import Random
 from typing import Optional
 
-from .grammar import DerivationTree, Grammar, minimal_tree, sample_tree
+from .grammar import (
+    DerivationTree,
+    Grammar,
+    minimal_tree,
+    replace_subtree,
+    sample_tree,
+)
 
 __all__ = [
     "AllZeroWeightsError",
@@ -31,8 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 64
-
-_INT_LITERAL_RE = re.compile(r"-?\d+")
 
 
 class MutationKind(enum.Enum):
@@ -66,16 +69,6 @@ def _paths(t: DerivationTree) -> list[tuple[tuple[int, ...], DerivationTree]]:
     return out
 
 
-def _replace(
-    t: DerivationTree, path: tuple[int, ...], subtree: DerivationTree
-) -> DerivationTree:
-    if not path:
-        return subtree
-    i = path[0]
-    children = t.children[:i] + (_replace(t.children[i], path[1:], subtree),) + t.children[i + 1 :]
-    return DerivationTree(t.token, t.rule_index, children)
-
-
 def _regenerate(
     t: DerivationTree, g: Grammar, rng: Random, max_depth: int
 ) -> DerivationTree:
@@ -83,7 +76,7 @@ def _regenerate(
     path, node = sites[rng.randrange(len(sites))]
     # never drop below the minimal finite depth, even for deep nodes
     budget = max(max_depth - len(path), g.min_depth(node.token))
-    return _replace(t, path, sample_tree(g, node.token, budget, rng))
+    return replace_subtree(t, path, sample_tree(g, node.token, budget, rng))
 
 
 def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
@@ -100,7 +93,7 @@ def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
     if idx >= node.rule_index:
         idx += 1
     children = tuple(minimal_tree(g, ref) for ref in rules[idx].refs)
-    return _replace(t, path, DerivationTree(node.token, idx, children))
+    return replace_subtree(t, path, DerivationTree(node.token, idx, children))
 
 
 def _splice(
@@ -114,56 +107,20 @@ def _splice(
         return t
     path, node = sites[rng.randrange(len(sites))]
     grafts = pool[node.token]
-    return _replace(t, path, grafts[rng.randrange(len(grafts))])
-
-
-def _int_literal_rules(g: Grammar, token: str) -> list[tuple[int, int]]:
-    """(rule index, value) for rules that are a single integer literal."""
-    out = []
-    for i, rule in enumerate(g.productions[token]):
-        if (
-            len(rule.items) == 1
-            and not rule.items[0].is_ref
-            and _INT_LITERAL_RE.fullmatch(rule.items[0].text)
-        ):
-            out.append((i, int(rule.items[0].text)))
-    return out
-
-
-def _tweak_options(g: Grammar, node: DerivationTree) -> list[int]:
-    """Rule indices a numeric leaf may step to, nearest neighbors first."""
-    literals = dict(_int_literal_rules(g, node.token))
-    if node.rule_index not in literals:
-        return []
-    cur = literals[node.rule_index]
-    others = [(i, v) for i, v in literals.items() if i != node.rule_index]
-    if not others:
-        return []
-    picks: list[Optional[int]] = [
-        min((i for i, v in others if v > cur), key=lambda i: literals[i], default=None),
-        max((i for i, v in others if v < cur), key=lambda i: literals[i], default=None),
-        next((i for i, v in others if v == 0), None),
-        min(others, key=lambda iv: iv[1])[0],
-        max(others, key=lambda iv: iv[1])[0],
-    ]
-    options: list[int] = []
-    for p in picks:
-        if p is not None and p not in options:
-            options.append(p)
-    return options
+    return replace_subtree(t, path, grafts[rng.randrange(len(grafts))])
 
 
 def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
     sites = [
         (path, node, options)
         for path, node in _paths(t)
-        if (options := _tweak_options(g, node))
+        if (options := g.numeric_steps(node.token, node.rule_index))
     ]
     if not sites:
         return t
     path, node, options = sites[rng.randrange(len(sites))]
     idx = options[rng.randrange(len(options))]
-    return _replace(t, path, DerivationTree(node.token, idx))
+    return replace_subtree(t, path, DerivationTree(node.token, idx))
 
 
 def mutate_regenerate(

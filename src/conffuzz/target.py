@@ -19,11 +19,13 @@ import enum
 import hashlib
 import os
 import shlex
+import shutil
 import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -37,6 +39,7 @@ __all__ = [
     "classify_outcome",
     "execute",
     "register_builtin",
+    "remove_run_inputs",
     "stable_hash64",
 ]
 
@@ -104,12 +107,11 @@ class Feedback:
     """Set of branch labels covered by one execution."""
 
     branches: frozenset[str]
-    digest: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "digest", stable_hash64("\n".join(sorted(self.branches)))
-        )
+    @cached_property
+    def digest(self) -> int:
+        """Stable hash of the sorted branch set, computed on first use."""
+        return stable_hash64("\n".join(sorted(self.branches)))
 
     @classmethod
     def of(cls, *branches: str) -> "Feedback":
@@ -205,19 +207,39 @@ def classify_outcome(
     return ExecOutcome.reject(returncode)
 
 
-def _input_path(run_id: Optional[str], seq: int) -> Path:
-    base = Path(os.environ.get("CONFFUZZ_TMPDIR", tempfile.gettempdir()))
-    if run_id is not None:
-        base = base / run_id
-    base.mkdir(parents=True, exist_ok=True)
-    return base / f"{seq}.conf"
+def _tmp_base() -> Path:
+    return Path(os.environ.get("CONFFUZZ_TMPDIR", tempfile.gettempdir()))
+
+
+def _write_input(input_text: str, run_id: Optional[str], seq: int) -> Path:
+    """Write the input where the target can read it.
+
+    A run's inputs go to ``<run_id>/<seq>.conf``; without a run id every
+    call gets a fresh name, so concurrent callers cannot clobber each
+    other's input.
+    """
+    base = _tmp_base()
+    if run_id is None:
+        base.mkdir(parents=True, exist_ok=True)
+        fd, name = tempfile.mkstemp(suffix=".conf", dir=base)
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(input_text)
+        return Path(name)
+    path = base / run_id / f"{seq}.conf"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(input_text, encoding="utf-8")
+    return path
+
+
+def remove_run_inputs(run_id: str) -> None:
+    """Delete the directory that holds a run's inputs, if there is one."""
+    shutil.rmtree(_tmp_base() / run_id, ignore_errors=True)
 
 
 def _execute_external(
     spec: TargetSpec, input_text: str, run_id: Optional[str], seq: int
 ) -> tuple[ExecOutcome, Feedback]:
-    path = _input_path(run_id, seq)
-    path.write_text(input_text, encoding="utf-8")
+    path = _write_input(input_text, run_id, seq)
     argv = [
         tok.replace("{input}", str(path)) for tok in shlex.split(spec.command)
     ]

@@ -29,8 +29,7 @@ from .configfmt import (
     get_param,
     parse_config,
 )
-from .grammar import DerivationTree, Grammar, minimal_tree, unparse
-from .mutate import _replace
+from .grammar import DerivationTree, Grammar, minimal_tree, replace_subtree, unparse
 from .target import ExecOutcome, Feedback, OutcomeKind, TargetSpec, execute, stable_hash64
 
 __all__ = [
@@ -106,7 +105,7 @@ def minimize(
             replacement = minimal_tree(g, node.token)
             if replacement == node:
                 continue
-            candidate = _replace(tree, path, replacement)
+            candidate = replace_subtree(tree, path, replacement)
             if reproduces(candidate):
                 tree = candidate
                 changed = True

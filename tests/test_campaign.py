@@ -1,6 +1,7 @@
 """Campaign loop: scheduling, novelty retention, crash routing, persistence."""
 
 import json
+import sys
 
 import pytest
 
@@ -277,3 +278,17 @@ class TestWorkers:
         assert stats.crashes_unique == len(list((out / "crashes").iterdir()))
         payload = json.loads((out / "stats.json").read_text())
         assert payload["execs"] == 300
+
+
+class TestExternalTargetCleanup:
+    def test_run_leaves_tmpdir_empty(self, gnb_grammar_path, tmp_path, monkeypatch):
+        work = tmp_path / "inputs"
+        monkeypatch.setenv("CONFFUZZ_TMPDIR", str(work))
+        script = tmp_path / "ok.py"
+        script.write_text("import sys\nsys.exit(0)\n")
+        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        stats = run_campaign(
+            CampaignConfig(gnb_grammar_path, spec, tmp_path / "out", max_execs=3)
+        )
+        assert stats.execs == 3
+        assert list(work.iterdir()) == []

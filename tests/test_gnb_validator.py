@@ -12,6 +12,7 @@ from conffuzz.gnb_validator import (
     band_table,
     baseline_document,
     baseline_text,
+    main,
     run_text,
     sample_case_document,
     validate,
@@ -311,3 +312,26 @@ class TestStandaloneExecutable:
     def test_usage_error(self):
         proc = self.run()
         assert proc.returncode == 1
+
+
+class TestMainInProcess:
+    """``main`` without a subprocess, so the suite's warning filters see
+    a file it leaves open."""
+
+    def test_accepts_baseline(self, table1_dir, capsys):
+        assert main([str(table1_dir / "initial.conf")]) == 0
+        assert "##branch:chk:extract:ok" in capsys.readouterr().err
+
+    def test_rejects_garbage(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conf"
+        bad.write_text("?????")
+        assert main([str(bad)]) == 2
+        assert "##branch:chk:parse:fail" in capsys.readouterr().err
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        assert main([str(tmp_path / "missing.conf")]) == 1
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_usage_error(self, capsys):
+        assert main([]) == 1
+        assert "usage:" in capsys.readouterr().err

@@ -240,6 +240,19 @@ class TestExternalExecution:
         assert used == str(sandbox_tmpdir / "run-abc" / "7.conf")
         assert not os.path.exists(used)
 
+    def test_calls_without_run_id_get_distinct_paths(self, tmp_path, sandbox_tmpdir):
+        script = _write_script(
+            tmp_path,
+            "snap.py",
+            "sys.stderr.write(sys.argv[1] + '\\n')\nsys.exit(0)",
+        )
+        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        used = [execute(spec, "x = 1;\n")[0].stderr_excerpt.strip() for _ in range(2)]
+        assert used[0] != used[1]
+        for path in used:
+            assert os.path.dirname(path) == str(sandbox_tmpdir)
+            assert not os.path.exists(path)
+
     def test_stderr_excerpt_truncated(self, tmp_path, sandbox_tmpdir):
         script = _write_script(
             tmp_path, "loud.py", "sys.stderr.write('x' * 10000)\nsys.exit(0)"
