@@ -2,10 +2,10 @@
 
 The accepted language is a libconfig-shaped subset: ``name = value;``
 settings, ``{ ... }`` groups, ``( v, v, ... )`` lists, ``#`` and ``//``
-comments, 64-bit signed integers, decimal reals, double-quoted strings, and
-bare ``true``/``false``.  Serialization is canonical (one setting per line,
-two-space indent), so parse and serialize are exact inverses and document
-equality can be read off the serialized bytes.
+comments, 64-bit signed integers, finite decimal reals, double-quoted
+strings, and bare ``true``/``false``.  Serialization is canonical (one
+setting per line, two-space indent), so parse and serialize are exact
+inverses and document equality can be read off the serialized bytes.
 
 Individual parameters are addressed by dotted paths such as
 ``gNBs[0].servingCellConfigCommon[0].dl_carrierBandwidth``.
@@ -239,12 +239,30 @@ def _value(it: Iterator[str], lex: str) -> Value:
     # character is one only if it is a digit
     if (len(lex) > 1 and first not in _NAME_START) or lex.isdecimal():
         if "." in lex or "e" in lex or "E" in lex:
-            return float(lex)
-        value = int(lex)
+            real = float(lex)
+            if not math.isfinite(real):
+                raise _Fail(f"real out of range: {lex}")
+            return real
+        value = int(lex) if len(lex) <= 20 else _long_int(lex)
         if not INT64_MIN <= value <= INT64_MAX:
             raise _Fail(f"integer out of 64-bit range: {lex}")
         return value
     raise _expected("value", lex)
+
+
+def _long_int(lex: str) -> int:
+    """``int(lex)`` for a lexeme longer than a sign and 19 digits.
+
+    ``int`` refuses more than 4300 digits, leading zeros included, so the
+    zeros go first and a longer rest is out of range anyway.
+    """
+    digits = lex.lstrip("+-")
+    # int() of a single digit in any script is its value
+    start = next((i for i, ch in enumerate(digits) if int(ch)), len(digits))
+    if len(digits) - start > 19:
+        raise _Fail(f"integer out of 64-bit range: {lex}")
+    value = int(digits[start:] or "0")
+    return -value if lex[0] == "-" else value
 
 
 def _list(it: Iterator[str]) -> ConfigList:

@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         text = Path(args[0]).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read {args[0]}: {e}", file=sys.stderr)
         return 1
     outcome, fb = run_text(text)

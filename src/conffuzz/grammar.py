@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 __all__ = [
@@ -109,6 +110,19 @@ class DerivationTree:
     token: str
     rule_index: int
     children: tuple["DerivationTree", ...] = ()
+
+    @cached_property
+    def paths(self) -> tuple[tuple[tuple[int, ...], "DerivationTree"], ...]:
+        """All (path, node) pairs in pre-order, the root path being ();
+        walked once per tree, since a corpus entry is mutated many times."""
+        out: list[tuple[tuple[int, ...], DerivationTree]] = []
+        stack = [((), self)]
+        while stack:
+            path, node = stack.pop()
+            out.append((path, node))
+            for i in range(len(node.children) - 1, -1, -1):
+                stack.append((path + (i,), node.children[i]))
+        return tuple(out)
 
 
 @dataclass

@@ -57,22 +57,10 @@ class AllZeroWeightsError(ValueError):
     pass
 
 
-def _paths(t: DerivationTree) -> list[tuple[tuple[int, ...], DerivationTree]]:
-    """All (path, node) pairs in pre-order; the root path is ()."""
-    out: list[tuple[tuple[int, ...], DerivationTree]] = []
-    stack = [((), t)]
-    while stack:
-        path, node = stack.pop()
-        out.append((path, node))
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((path + (i,), node.children[i]))
-    return out
-
-
 def _regenerate(
     t: DerivationTree, g: Grammar, rng: Random, max_depth: int
 ) -> DerivationTree:
-    sites = _paths(t)
+    sites = t.paths
     path, node = sites[rng.randrange(len(sites))]
     # never drop below the minimal finite depth, even for deep nodes
     budget = max(max_depth - len(path), g.min_depth(node.token))
@@ -82,7 +70,7 @@ def _regenerate(
 def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
     sites = [
         (path, node)
-        for path, node in _paths(t)
+        for path, node in t.paths
         if len(g.productions[node.token]) >= 2
     ]
     if not sites:
@@ -100,9 +88,9 @@ def _splice(
     t: DerivationTree, donor: DerivationTree, g: Grammar, rng: Random
 ) -> DerivationTree:
     pool: dict[str, list[DerivationTree]] = {}
-    for _, node in _paths(donor):
+    for _, node in donor.paths:
         pool.setdefault(node.token, []).append(node)
-    sites = [(path, node) for path, node in _paths(t) if node.token in pool]
+    sites = [(path, node) for path, node in t.paths if node.token in pool]
     if not sites:
         return t
     path, node = sites[rng.randrange(len(sites))]
@@ -113,7 +101,7 @@ def _splice(
 def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
     sites = [
         (path, node, options)
-        for path, node in _paths(t)
+        for path, node in t.paths
         if (options := g.numeric_steps(node.token, node.rule_index))
     ]
     if not sites:

@@ -89,19 +89,35 @@ def minimize(
     Greedy pass in breadth-first order, restarted after every accepted
     replacement, until no node can be swapped for its token's minimal
     derivation.  The result never has more nodes than the input.
+
+    The target must be deterministic: a candidate that failed is not run
+    again while it is unchanged.  A replacement accepted at ``p`` leaves
+    the candidates of ``p``'s ancestors as they were, since each of them
+    swaps out a subtree holding ``p``; every other failed path is tried
+    again.
     """
+    # the key is a function of the crash code and the branch set
+    verdicts: dict[tuple[Optional[int], frozenset[str]], bool] = {}
 
     def reproduces(t: DerivationTree) -> bool:
         outcome, fb = execute(target, unparse(t, g))
-        return outcome.is_crash and dedup_key(outcome, fb) == key
+        if not outcome.is_crash:
+            return False
+        seen = (outcome.code, fb.branches)
+        if seen not in verdicts:
+            verdicts[seen] = dedup_key(outcome, fb) == key
+        return verdicts[seen]
 
     if not reproduces(tree):
         raise NonReproducibleError(f"input does not reproduce key {key}")
 
+    failed: set[tuple[int, ...]] = set()
     changed = True
     while changed:
         changed = False
         for path, node in _bfs_paths(tree):
+            if path in failed:
+                continue
             replacement = minimal_tree(g, node.token)
             if replacement == node:
                 continue
@@ -109,7 +125,9 @@ def minimize(
             if reproduces(candidate):
                 tree = candidate
                 changed = True
+                failed = {q for q in failed if path[: len(q)] == q}
                 break
+            failed.add(path)
     return tree
 
 

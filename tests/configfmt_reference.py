@@ -1,6 +1,8 @@
 """The config parser as it was before the single-pass tokenizer: a scanner
 that matches one token at a time and builds a line index, and a
-recursive-descent parser over its (kind, lexeme, offset) tokens.
+recursive-descent parser over its (kind, lexeme, offset) tokens.  Since
+then both parsers reject integer literals past 64 bits however many
+leading zeros they carry, and reals that overflow to infinity.
 
 Kept only as the reference that ``test_configfmt_differential.py``
 compares ``conffuzz.configfmt.parse_config`` against; the package does not
@@ -9,7 +11,9 @@ use it.
 
 from __future__ import annotations
 
+import math
 import re
+import unicodedata
 from bisect import bisect_right
 
 from conffuzz.configfmt import (
@@ -125,13 +129,23 @@ class _Parser:
             return self.parse_list()
         if kind == "int":
             self.advance()
-            value = int(lex)
+            # int() refuses more than 4300 digits, leading zeros included
+            sign, body = lex[: len(lex) - len(lex.lstrip("+-"))], lex.lstrip("+-")
+            i = 0
+            while i < len(body) - 1 and unicodedata.digit(body[i]) == 0:
+                i += 1
+            if len(body) - i > 19:
+                raise self.error(f"integer out of 64-bit range: {lex}", off)
+            value = int(sign + body[i:])
             if not INT64_MIN <= value <= INT64_MAX:
                 raise self.error(f"integer out of 64-bit range: {lex}", off)
             return value
         if kind == "real":
             self.advance()
-            return float(lex)
+            value = float(lex)
+            if math.isinf(value):
+                raise self.error(f"real out of range: {lex}", off)
+            return value
         if kind == "str":
             self.advance()
             return self.unescape(lex, off)

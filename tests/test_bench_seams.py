@@ -1,0 +1,61 @@
+"""The seams the benchmark in ``perfbench/`` measures the package through.
+
+``perfbench/tracing.py`` replaces functions at the names their callers
+look them up under, and the triage workload counts minimize's executions
+by wrapping ``triage.execute``.  A rename or a changed import in the
+package would silently leave a layer untimed or a count at zero, so these
+tests fail first.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from conffuzz import target, triage
+from conffuzz.grammar import derive_tree, unparse
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+VALIDATOR = target.TargetSpec.builtin("gnb-validator")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_is_the_defining_function():
+    for name, module, attr in load_tracing().TRACED:
+        binding = getattr(importlib.import_module(f"conffuzz.{module}"), attr)
+        assert callable(binding), (module, attr)
+        home, func = name.split(".")
+        defined = getattr(importlib.import_module(f"conffuzz.{home}"), func)
+        assert binding is defined, (name, module, attr)
+
+
+def test_minimize_executes_through_triage_execute(
+    monkeypatch, gnb_grammar, table1_dir
+):
+    text = (table1_dir / "case3.conf").read_text()
+    tree = derive_tree(gnb_grammar, text)
+    key = triage.dedup_key(*target.execute(VALIDATOR, text))
+    real = target.execute
+    runs = []
+
+    def counting(spec, input_text, **kwargs):
+        runs.append(input_text)
+        return real(spec, input_text, **kwargs)
+
+    def elsewhere(*args, **kwargs):
+        raise AssertionError("minimize ran the target past triage.execute")
+
+    monkeypatch.setattr(triage, "execute", counting)
+    monkeypatch.setattr(target, "execute", elsewhere)
+    small = triage.minimize(tree, gnb_grammar, VALIDATOR, key)
+    # the reproduce check, then at least the accepted replacement
+    assert len(runs) >= 2
+    assert runs[0] == text
+    assert unparse(small, gnb_grammar) in runs

@@ -127,6 +127,11 @@ class TestParse:
         assert d.root.settings[0].value == -(2**63)
         assert d.root.settings[1].value == 2**63 - 1
 
+    def test_leading_zeros_past_int_digit_limit(self):
+        # int() alone refuses more than 4300 digits, zeros included
+        d = parse_config("a = " + "0" * 5000 + "1;\nb = -" + "0" * 5000 + "7;\n")
+        assert [s.value for s in d.root.settings] == [1, -7]
+
     def test_whitespace_insensitive(self):
         a = parse_config("a=1;b={c=2;};")
         b = parse_config("a = 1;\nb = {\n  c = 2;\n};\n")
@@ -151,6 +156,10 @@ class TestParseErrors:
             "a = { b = 1; ",
             f"a = {2**63};",
             f"a = {-(2**63) - 1};",
+            pytest.param("a = " + "1" * 5000 + ";", id="5000-digit-int"),
+            pytest.param("a = " + "0" * 5000 + str(2**63) + ";", id="zero-padded-2**63"),
+            "a = 1e999;",
+            "a = -1E999;",
             r'a = "\q";',
         ],
     )

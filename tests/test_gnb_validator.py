@@ -335,3 +335,15 @@ class TestMainInProcess:
     def test_usage_error(self, capsys):
         assert main([]) == 1
         assert "usage:" in capsys.readouterr().err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.conf"
+        bad.write_bytes(b'a = "\xff";\n')
+        assert main([str(bad)]) == 1
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_overlong_integer_is_a_reject(self, tmp_path, capsys):
+        long = tmp_path / "long.conf"
+        long.write_text("a = " + "1" * 5000 + ";\n")
+        assert main([str(long)]) == 2
+        assert "integer out of 64-bit range" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conffuzz.configfmt import parse_config
 from conffuzz.grammar import (
@@ -66,6 +68,49 @@ class TestClosure:
                 mutate_scalar_tweak(base, gnb_grammar, seed),
             ):
                 assert validate_tree(out, gnb_grammar)
+
+
+def preorder(t: DerivationTree, path: tuple[int, ...] = ()):
+    """The (path, node) walk the operators drew their sites from before
+    trees cached it."""
+    yield path, t
+    for i, child in enumerate(t.children):
+        yield from preorder(child, path + (i,))
+
+
+class TestWalkCache:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
+    def test_paths_is_the_preorder_walk(self, seed, max_depth):
+        t = generate_tree(DIGITS, seed, max_depth)
+        assert list(t.paths) == list(preorder(t))
+        assert t.paths is t.paths
+
+    def test_gnb_paths_is_the_preorder_walk(self, gnb_grammar):
+        t = generate_tree(gnb_grammar, seed=11)
+        assert list(t.paths) == list(preorder(t))
+
+    def test_cache_is_not_part_of_equality(self):
+        t = generate_tree(DIGITS, seed=4, max_depth=8)
+        fresh = DerivationTree(t.token, t.rule_index, t.children)
+        t.paths
+        assert fresh == t and hash(fresh) == hash(t)
+        assert "paths" not in repr(t)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
+    def test_nested_operators_stay_valid(self, seed, max_depth):
+        # TestClosure covers the flat gnb grammar; here paths are deep, and
+        # one tree with its walk cached is mutated many times
+        base = generate_tree(DIGITS, seed, max_depth)
+        for s in range(8):
+            for out in (
+                mutate_regenerate(base, DIGITS, s, max_depth),
+                mutate_rule_swap(base, DIGITS, s),
+                mutate_splice(base, base, DIGITS, s),
+                mutate_scalar_tweak(base, DIGITS, s),
+            ):
+                assert validate_tree(out, DIGITS)
 
 
 class TestDeterminism:
