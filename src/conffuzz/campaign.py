@@ -18,10 +18,9 @@ consumes results strictly in submission order.
 from __future__ import annotations
 
 import json
+import os
 import time
-import uuid
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -165,7 +164,8 @@ class _Run:
         self.known_keys: set[str] = set()
         self.scheduler = CorpusScheduler(cfg.energy_per_entry)
         self.stats = CampaignStats(seed=cfg.seed)
-        self.run_id = uuid.uuid4().hex
+        # names the run's input directory only; never written to an artifact
+        self.run_id = os.urandom(16).hex()
         self.t0 = time.monotonic()
 
     def throughput(self) -> float:
@@ -269,6 +269,9 @@ def _loop_serial(run: _Run) -> None:
 
 
 def _loop_pooled(run: _Run) -> None:
+    # imported here so single-worker runs never load the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     window = 2 * cfg.workers

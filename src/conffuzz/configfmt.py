@@ -1,11 +1,12 @@
 """Reader and writer for the gNB-style configuration dialect.
 
 The accepted language is a libconfig-shaped subset: ``name = value;``
-settings, ``{ ... }`` groups, ``( v, v, ... )`` lists, ``#`` and ``//``
-comments, 64-bit signed integers, finite decimal reals, double-quoted
-strings, and bare ``true``/``false``.  Serialization is canonical (one
-setting per line, two-space indent), so parse and serialize are exact
-inverses and document equality can be read off the serialized bytes.
+settings, ``{ ... }`` groups, ``( v, v, ... )`` lists (nested at most
+``MAX_NESTING`` deep), ``#`` and ``//`` comments, 64-bit signed integers,
+finite decimal reals, double-quoted strings, and bare ``true``/``false``.
+Serialization is canonical (one setting per line, two-space indent), so
+parse and serialize are exact inverses and document equality can be read
+off the serialized bytes.
 
 Individual parameters are addressed by dotted paths such as
 ``gNBs[0].servingCellConfigCommon[0].dl_carrierBandwidth``.
@@ -41,6 +42,10 @@ __all__ = [
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+# groups and lists nest at most this deep; the limit keeps the recursive
+# descent far below the interpreter's recursion limit, so a deep input is
+# a syntax error wherever the caller's stack stands
+MAX_NESTING = 100
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -199,8 +204,11 @@ def _expected(what: str, found: str) -> _Fail:
     return _Fail(f"expected {what}, found {found or 'end of input'!r}")
 
 
-def _settings(it: Iterator[str], closer: str) -> tuple[Setting, ...]:
-    """Settings up to and including ``closer``; ``""`` is the end of input."""
+def _settings(it: Iterator[str], closer: str, depth: int) -> tuple[Setting, ...]:
+    """Settings up to and including ``closer``; ``""`` is the end of input.
+
+    ``depth`` counts the groups and lists around them.
+    """
     settings: list[Setting] = []
     names: set[str] = set()
     while True:
@@ -217,20 +225,22 @@ def _settings(it: Iterator[str], closer: str) -> tuple[Setting, ...]:
         lex = next(it)
         if lex != "=":
             raise _expected("'='", lex)
-        value = _value(it, next(it))
+        value = _value(it, next(it), depth)
         lex = next(it)
         if lex != ";":
             raise _expected("';'", lex)
         settings.append(Setting(name, value))
 
 
-def _value(it: Iterator[str], lex: str) -> Value:
+def _value(it: Iterator[str], lex: str, depth: int) -> Value:
     """The value that starts with ``lex``, the lexeme just consumed."""
     first = lex[:1]
-    if first == "{":
-        return Group(_settings(it, "}"))
-    if first == "(":
-        return _list(it)
+    if first == "{" or first == "(":
+        if depth == MAX_NESTING:
+            raise _Fail(f"nesting deeper than {MAX_NESTING} levels")
+        if first == "{":
+            return Group(_settings(it, "}", depth + 1))
+        return _list(it, depth + 1)
     if first == '"' and len(lex) > 1:
         return _unescape(lex)
     if lex == "true" or lex == "false":
@@ -265,15 +275,15 @@ def _long_int(lex: str) -> int:
     return -value if lex[0] == "-" else value
 
 
-def _list(it: Iterator[str]) -> ConfigList:
+def _list(it: Iterator[str], depth: int) -> ConfigList:
     lex = next(it)
     if lex == ")":
         return ConfigList(())
-    values = [_value(it, lex)]
+    values = [_value(it, lex, depth)]
     while True:
         lex = next(it)
         if lex == ",":
-            values.append(_value(it, next(it)))
+            values.append(_value(it, next(it), depth))
         elif lex == ")":
             return ConfigList(tuple(values))
         else:
@@ -322,7 +332,7 @@ def parse_config(text: str) -> ConfigDocument:
     lexemes = _TOKEN_RE.findall(text)
     it = iter(lexemes)
     try:
-        return ConfigDocument(Group(_settings(it, "")))
+        return ConfigDocument(Group(_settings(it, "", 0)))
     except _Fail as fail:
         # the parser fails on the lexeme it consumed last
         failed = len(lexemes) - sum(1 for _ in it) - 1

@@ -14,13 +14,12 @@ are memoized per variable name, never per flag.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union
-
-import requests
 
 __all__ = [
     "BackendError",
@@ -275,24 +274,33 @@ class HttpLLMBackend:
         self.timeout_s = timeout_s
 
     def explain(self, var_name: str, context: str) -> str:
-        headers = {}
+        # imported here so only a run that posts pays for an HTTP client
+        import urllib.error
+        import urllib.request
+
+        headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV_VAR)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         prompt = PROMPT_TEMPLATE.format(name=var_name, context=context)
+        request = urllib.request.Request(
+            self.url,
+            data=json.dumps({"prompt": prompt}).encode("utf-8"),
+            headers=headers,
+            method="POST",
+        )
         try:
-            resp = requests.post(
-                self.url,
-                json={"prompt": prompt},
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as e:
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as e:
+            e.close()
+            status, body = e.code, b""
+        except OSError as e:  # URLError and timeouts are OSErrors
             raise BackendError(f"llm request failed: {e}") from e
-        if resp.status_code != 200:
-            raise BackendError(f"llm endpoint returned {resp.status_code}")
+        if status != 200:
+            raise BackendError(f"llm endpoint returned {status}")
         try:
-            text = resp.json()["text"]
+            text = json.loads(body)["text"]
         except (ValueError, KeyError, TypeError) as e:
             raise BackendError(f"malformed llm response: {e}") from e
         if not isinstance(text, str):

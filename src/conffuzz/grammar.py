@@ -49,6 +49,10 @@ DEFAULT_START = "<START>"
 _TOKEN_NAME_RE = re.compile(r"<[A-Za-z0-9_-]+>")
 _INT_LITERAL_RE = re.compile(r"-?\d+")
 _INF = float("inf")
+# derive_tree gives up past this many nested steps (a derive call or a
+# rule item each), far below the interpreter's recursion limit, so the
+# verdict does not depend on how deep the caller's stack already is
+DERIVE_MAX_DEPTH = 400
 
 
 class GrammarError(Exception):
@@ -437,16 +441,16 @@ def derive_tree(
     """Best-effort exact parse: a derivation tree unparsing to ``text``, or None.
 
     Backtracking search with memoization; gives up (returns None) once
-    ``max_steps`` match attempts are spent, and does not support
-    left-recursive grammars.  Intended for tree-ifying known seed inputs,
-    not as a general CFG parser.
+    ``max_steps`` match attempts are spent or the search nests deeper than
+    ``DERIVE_MAX_DEPTH`` steps, and does not support left-recursive
+    grammars.  Intended for tree-ifying known seed inputs, not as a
+    general CFG parser.
     """
     productions = g.productions
     memo: dict[tuple[str, int], list[tuple[int, DerivationTree]]] = {}
     steps = 0
 
-    def derive(token: str, pos: int) -> list[tuple[int, DerivationTree]]:
-        nonlocal steps
+    def derive(token: str, pos: int, depth: int) -> list[tuple[int, DerivationTree]]:
         key = (token, pos)
         got = memo.get(key)
         if got is not None:
@@ -454,15 +458,15 @@ def derive_tree(
         memo[key] = []  # blocks left-recursive re-entry
         results: list[tuple[int, DerivationTree]] = []
         for idx, rule in enumerate(productions[token]):
-            for end, children in match_items(rule.items, 0, pos):
+            for end, children in match_items(rule.items, 0, pos, depth + 1):
                 results.append((end, DerivationTree(token, idx, children)))
         memo[key] = results
         return results
 
-    def match_items(items, i, pos):
+    def match_items(items, i, pos, depth):
         nonlocal steps
         steps += 1
-        if steps > max_steps:
+        if steps > max_steps or depth > DERIVE_MAX_DEPTH:
             raise _DeriveBudgetExceeded
         if i == len(items):
             yield pos, ()
@@ -470,16 +474,16 @@ def derive_tree(
         item = items[i]
         if not item.is_ref:
             if text.startswith(item.text, pos):
-                yield from match_items(items, i + 1, pos + len(item.text))
+                yield from match_items(items, i + 1, pos + len(item.text), depth + 1)
         else:
-            for end, sub in derive(item.text, pos):
-                for tail_end, rest in match_items(items, i + 1, end):
+            for end, sub in derive(item.text, pos, depth + 1):
+                for tail_end, rest in match_items(items, i + 1, end, depth + 1):
                     yield tail_end, (sub,) + rest
 
     if g.start not in productions:
         return None
     try:
-        for end, tree in derive(g.start, 0):
+        for end, tree in derive(g.start, 0, 0):
             if end == len(text):
                 return tree
     except _DeriveBudgetExceeded:

@@ -18,10 +18,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
-import shlex
 import shutil
-import signal
-import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -239,6 +236,11 @@ def remove_run_inputs(run_id: str) -> None:
 def _execute_external(
     spec: TargetSpec, input_text: str, run_id: Optional[str], seq: int
 ) -> tuple[ExecOutcome, Feedback]:
+    # imported here so in-process (builtin) runs never load them
+    import shlex
+    import signal
+    import subprocess
+
     path = _write_input(input_text, run_id, seq)
     argv = [
         tok.replace("{input}", str(path)) for tok in shlex.split(spec.command)

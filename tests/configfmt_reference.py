@@ -2,7 +2,8 @@
 that matches one token at a time and builds a line index, and a
 recursive-descent parser over its (kind, lexeme, offset) tokens.  Since
 then both parsers reject integer literals past 64 bits however many
-leading zeros they carry, and reals that overflow to infinity.
+leading zeros they carry, reals that overflow to infinity, and groups or
+lists nested deeper than ``MAX_NESTING``.
 
 Kept only as the reference that ``test_configfmt_differential.py``
 compares ``conffuzz.configfmt.parse_config`` against; the package does not
@@ -19,6 +20,7 @@ from bisect import bisect_right
 from conffuzz.configfmt import (
     INT64_MAX,
     INT64_MIN,
+    MAX_NESTING,
     ConfigDocument,
     ConfigList,
     ConfigSyntaxError,
@@ -73,6 +75,7 @@ class _Parser:
         self.scanner = _Scanner(text)
         self.tokens = self.scanner.tokens
         self.i = 0
+        self.depth = 0  # groups and lists open around the current token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -119,14 +122,19 @@ class _Parser:
 
     def parse_value(self) -> Value:
         kind, lex, off = self.peek()
-        if kind == "punct" and lex == "{":
+        if kind == "punct" and lex in ("{", "("):
             self.advance()
-            settings = self.parse_settings(closer="}")
-            self.expect_punct("}")
-            return Group(settings)
-        if kind == "punct" and lex == "(":
-            self.advance()
-            return self.parse_list()
+            if self.depth == MAX_NESTING:
+                raise self.error(f"nesting deeper than {MAX_NESTING} levels", off)
+            self.depth += 1
+            if lex == "{":
+                settings = self.parse_settings(closer="}")
+                self.expect_punct("}")
+                value: Value = Group(settings)
+            else:
+                value = self.parse_list()
+            self.depth -= 1
+            return value
         if kind == "int":
             self.advance()
             # int() refuses more than 4300 digits, leading zeros included

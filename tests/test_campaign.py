@@ -279,6 +279,36 @@ class TestWorkers:
         payload = json.loads((out / "stats.json").read_text())
         assert payload["execs"] == 300
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_same_seed_and_workers_give_same_bytes(
+        self, gnb_grammar_path, tmp_path, workers
+    ):
+        def snapshot(out):
+            run_campaign(
+                CampaignConfig(
+                    gnb_grammar_path,
+                    VALIDATOR,
+                    out,
+                    seed=5,
+                    max_execs=1500,
+                    workers=workers,
+                )
+            )
+            stats = json.loads((out / "stats.json").read_text())
+            for key in ("execs_per_sec", "started_unix_ms", "finished_unix_ms"):
+                del stats[key]
+            files = {
+                str(p.relative_to(out)): p.read_bytes()
+                for sub in ("corpus", "crashes")
+                for p in sorted((out / sub).rglob("*"))
+                if p.is_file()
+            }
+            return stats, files
+
+        first = snapshot(tmp_path / "a")
+        assert first[0]["crashes_unique"] > 0
+        assert first == snapshot(tmp_path / "b")
+
 
 class TestExternalTargetCleanup:
     def test_run_leaves_tmpdir_empty(self, gnb_grammar_path, tmp_path, monkeypatch):

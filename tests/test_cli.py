@@ -10,7 +10,7 @@ import json
 import pytest
 
 from conffuzz import gnb_validator
-from conffuzz.cli import main
+from conffuzz.cli import EXIT_USAGE, main
 from conffuzz.configfmt import ParamPath, parse_config, serialize_config, set_param
 from conffuzz.grammar import parse_grammar
 
@@ -184,6 +184,17 @@ class TestMinimize:
         )
         assert rc == 1
         assert "derived" in capsys.readouterr().err
+
+    def test_too_deep_derivation_is_an_error(self, tmp_path, capsys):
+        grammar = tmp_path / "ones.json"
+        grammar.write_text(
+            json.dumps({"<START>": [["<D>"]], "<D>": [["1"], ["1", "<D>"]]})
+        )
+        conf = tmp_path / "long.conf"
+        conf.write_text("1" * 400)
+        rc = main(["minimize", str(conf), "--grammar", str(grammar)])
+        assert rc == EXIT_USAGE
+        assert "input cannot be derived from the grammar" in capsys.readouterr().err
 
 
 class TestTriage:

@@ -188,6 +188,23 @@ class TestParseErrors:
         with pytest.raises(ConfigSyntaxError):
             parse_config("a = maybe;\n")
 
+    def test_nesting_limit_is_a_syntax_error_at_the_opener(self):
+        deep = "a = " + "{ b = " * 100 + "1;" + " };" * 100
+        assert get_param(
+            parse_config(deep), ParamPath.parse("a" + ".b" * 100)
+        ) == 1
+        lists = parse_config("a = " + "(" * 100 + "1" + ")" * 100 + ";")
+        assert get_param(lists, ParamPath.parse("a" + "[0]" * 100)) == 1
+        for text, col in [
+            ("a = " + "{ b = " * 101 + "1;" + " };" * 101, 5 + 6 * 100),
+            ("a = " + "(" * 101 + ")" * 101 + ";", 5 + 100),
+            ("a = " + "( { b = " * 600, 5 + 8 * 50),
+        ]:
+            with pytest.raises(ConfigSyntaxError) as info:
+                parse_config(text)
+            assert "nesting deeper than 100 levels" in str(info.value)
+            assert (info.value.line, info.value.col) == (1, col)
+
 
 class TestSerialize:
     def test_canonical_bytes(self):

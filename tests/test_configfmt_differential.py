@@ -5,8 +5,9 @@ pool, so nested groups repeat them) with noise spliced in: comments, lone
 signs and dots, ``1e``, unterminated strings, a backslash before a newline
 inside a string, bad escapes, integers just past 64 bits, integers longer
 than ``int()`` converts (with and without leading zeros), reals that
-overflow to infinity, stray characters, and non-ASCII digits and spaces,
-which the token rules' digit and whitespace classes take in.  The two
+overflow to infinity, groups and lists opened past the nesting limit
+(closed or not), stray characters, and non-ASCII digits and spaces, which
+the token rules' digit and whitespace classes take in.  The two
 parsers must agree on every text: equal documents, compared through their
 repr (which shows each scalar's type) and their serialized bytes, or the
 same exception type, message, line and column.
@@ -42,6 +43,8 @@ NOISE = st.sampled_from(
         str(2**63), str(-(2**63) - 1), "99999999999999999999",
         "1" * 5000, "0" * 5000 + "1", "-" + "\u0660" * 4400 + "7", "1e999", "-1E999",
         "{", "}", "(", ")", ",", ";", "=", "maybe", "\u0663", "\u00b2", "\xa0",
+        "{ a = " * 120, "(" * 120, "( {" * 60,
+        "{ a = " * 99 + "1;" + " };" * 99, "(" * 100 + "1" + ")" * 100,
     ]
 )
 
@@ -128,6 +131,13 @@ def _outcome(parse, text: str):
         "a = -1e999; b = @;",
         "x = }",
         "a = { b = 1; ",
+        pytest.param("a = " + "{ b = " * 100 + "1;" + " };" * 100, id="groups-100"),
+        pytest.param("a = " + "{ b = " * 101 + "1;" + " };" * 101, id="groups-101"),
+        pytest.param("a = " + "(" * 100 + ")" * 100 + ";", id="lists-100"),
+        pytest.param("a = " + "(" * 101 + ")" * 101 + ";", id="lists-101"),
+        pytest.param("a = " + "( { b = " * 60, id="mixed-120-unclosed"),
+        pytest.param("a = " + "(" * 5000 + " @", id="lists-5000-bad-char"),
+        pytest.param("a = " + "{ b = " * 600 + "1;" + " };" * 600, id="groups-600"),
     ],
 )
 def test_agrees_on_known_cases(text):

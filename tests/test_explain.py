@@ -1,5 +1,10 @@
 """Explain pipeline: log parsing, source scanning, backends, report bytes."""
 
+import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from conffuzz.explain import (
@@ -282,76 +287,118 @@ class TestGlossaryBackend:
             GlossaryFileBackend(tmp_path / "nope.tsv")
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
+class LLMServer:
+    """A localhost JSON endpoint that records each request it receives.
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+    ``reply`` is the (status, body) every POST gets; ``release``, when set,
+    is waited on before replying, so a test can hold the reply back.
+    """
+
+    def __init__(self, reply=(200, b'{"text": "a meaning"}')):
+        self.reply = reply
+        self.release = None
+        self.received = []
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                server.received.append((self.path, self.headers, body))
+                if server.release is not None:
+                    server.release.wait(5)
+                status, payload = server.reply
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                except OSError:
+                    pass  # the client gave up waiting
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.httpd.server_port}"
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}
+        )
+        self.thread.start()
+
+    def close(self):
+        if self.release is not None:
+            self.release.set()
+        self.httpd.shutdown()
+        self.thread.join(timeout=5)
+        self.httpd.server_close()
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture()
+def llm_server():
+    server = LLMServer()
+    yield server
+    server.close()
+
+
+def _closed_port() -> int:
+    """A localhost port that was just bound and released, so nothing listens."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
 
 
 class TestHttpBackend:
-    def test_posts_prompt_and_returns_text(self, monkeypatch):
-        sent = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            sent.update(url=url, json=json, headers=headers, timeout=timeout)
-            return FakeResponse(payload={"text": "a meaning"})
-
-        monkeypatch.setattr("conffuzz.explain.requests.post", fake_post)
+    def test_posts_prompt_and_returns_text(self, monkeypatch, llm_server):
         monkeypatch.delenv("CONFFUZZ_LLM_TOKEN", raising=False)
-        backend = HttpLLMBackend("http://llm.example/api")
+        backend = HttpLLMBackend(llm_server.url + "/api")
         assert backend.explain("snr0", "case 's': snr0 = 1;") == "a meaning"
-        assert sent["url"] == "http://llm.example/api"
-        assert sent["json"] == {
+        [(path, headers, body)] = llm_server.received
+        assert path == "/api"
+        assert json.loads(body) == {
             "prompt": (
                 "Explain the variable snr0 in the context of 5G gNB "
                 "software: case 's': snr0 = 1;"
             )
         }
-        assert sent["headers"] == {}
-        assert sent["timeout"] == 30.0
+        assert headers["Content-Type"] == "application/json"
+        assert "Authorization" not in headers
+        assert backend.timeout_s == 30.0
 
-    def test_bearer_token_from_env(self, monkeypatch):
-        sent = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            sent["headers"] = headers
-            return FakeResponse(payload={"text": "x"})
-
-        monkeypatch.setattr("conffuzz.explain.requests.post", fake_post)
+    def test_bearer_token_from_env(self, monkeypatch, llm_server):
         monkeypatch.setenv("CONFFUZZ_LLM_TOKEN", "sekrit")
-        HttpLLMBackend("http://llm.example").explain("v", "")
-        assert sent["headers"] == {"Authorization": "Bearer sekrit"}
+        HttpLLMBackend(llm_server.url).explain("v", "")
+        [(_, headers, _)] = llm_server.received
+        assert headers["Authorization"] == "Bearer sekrit"
 
     @pytest.mark.parametrize(
         "response",
         [
-            FakeResponse(status_code=500, payload={"text": "x"}),
-            FakeResponse(payload=None),
-            FakeResponse(payload={"wrong": "shape"}),
-            FakeResponse(payload={"text": 42}),
+            (500, b'{"text": "x"}', "llm endpoint returned 500"),
+            (200, b"not json", "malformed llm response"),
+            (200, b'{"wrong": "shape"}', "malformed llm response"),
+            (200, b'{"text": 42}', "text is not a string"),
+            (404, b"", "llm endpoint returned 404"),
+            (201, b'{"text": "x"}', "llm endpoint returned 201"),
+            (200, b'["text"]', "malformed llm response"),
         ],
     )
-    def test_bad_responses_raise(self, monkeypatch, response):
-        monkeypatch.setattr(
-            "conffuzz.explain.requests.post", lambda *a, **k: response
-        )
-        with pytest.raises(BackendError):
-            HttpLLMBackend("http://llm.example").explain("v", "")
+    def test_bad_responses_raise(self, llm_server, response):
+        status, body, message = response
+        llm_server.reply = (status, body)
+        with pytest.raises(BackendError, match=message):
+            HttpLLMBackend(llm_server.url).explain("v", "")
 
-    def test_network_failure_raises(self, monkeypatch):
-        import requests as requests_mod
+    def test_network_failure_raises(self):
+        url = f"http://127.0.0.1:{_closed_port()}"
+        with pytest.raises(BackendError, match="llm request failed"):
+            HttpLLMBackend(url).explain("v", "")
 
-        def fake_post(*a, **k):
-            raise requests_mod.ConnectionError("no route")
-
-        monkeypatch.setattr("conffuzz.explain.requests.post", fake_post)
-        with pytest.raises(BackendError):
-            HttpLLMBackend("http://llm.example").explain("v", "")
+    def test_timeout_raises(self, llm_server):
+        llm_server.release = threading.Event()
+        backend = HttpLLMBackend(llm_server.url, timeout_s=0.2)
+        with pytest.raises(BackendError, match="llm request failed"):
+            backend.explain("v", "")
 
 
 class TestBackendFromSpec:

@@ -32,6 +32,11 @@ DIGITS_GRAMMAR = json.dumps(
     }
 )
 
+# one derivation level per "1": a run of n ones nests n <D> expansions
+RIGHT_RECURSIVE_GRAMMAR = json.dumps(
+    {"<START>": [["<D>"]], "<D>": [["1"], ["1", "<D>"]]}
+)
+
 
 class TestParseGrammar:
     def test_two_token_grammar(self):
@@ -227,3 +232,16 @@ class TestDeriveTree:
         t = derive_tree(g, "do_CSIRS = 1;")
         assert t is not None
         assert t.children[0].rule_index == 1
+
+    def test_deep_derivation_gives_up_whatever_the_caller_stack(self):
+        g = parse_grammar(RIGHT_RECURSIVE_GRAMMAR)
+
+        def from_depth(frames, text):
+            if frames == 0:
+                return derive_tree(g, text)
+            return from_depth(frames - 1, text)
+
+        for frames in (0, 300):
+            t = from_depth(frames, "1" * 100)
+            assert t is not None and unparse(t, g) == "1" * 100
+            assert from_depth(frames, "1" * 400) is None

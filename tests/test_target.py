@@ -152,6 +152,13 @@ class TestBuiltinDispatch:
         outcome, fb = execute(TargetSpec.builtin("gnb-validator"), "not a config")
         assert outcome.kind is OutcomeKind.REJECT
 
+    @pytest.mark.parametrize("opener", ["{ b = ", "("])
+    def test_deep_nesting_is_a_reject(self, opener):
+        text = "a = " + opener * 600
+        outcome, _ = execute(TargetSpec.builtin("gnb-validator"), text)
+        assert outcome.kind is OutcomeKind.REJECT
+        assert "nesting deeper than 100 levels" in outcome.stderr_excerpt
+
 
 def _write_script(tmp_path, name, body):
     path = tmp_path / name
