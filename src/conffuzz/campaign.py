@@ -10,9 +10,12 @@ Scheduling is round-robin with an energy budget: each corpus entry gets
 ``energy_per_entry`` consecutive picks per round, and an entry whose round
 produced novel coverage earns one bonus round on the spot.
 
-With ``workers > 1`` mutation and execution are fanned out to a thread
-pool while corpus and crash-store updates stay in the coordinator, which
-consumes results strictly in submission order.
+One loop drives every run: tasks are drawn from the scheduler and a
+per-worker random stream in submission order, mutated and executed, and
+their results consumed in that same order, so corpus and crash-store
+updates stay in the coordinator.  One worker runs each task inline as it
+is submitted; more workers keep a window of ``2 * workers`` tasks on a
+thread pool.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from typing import Callable, Optional, Union
@@ -69,8 +72,6 @@ class CorpusEntry:
     tree: DerivationTree
     text: str
     feedback_digest: int
-    discovered_at: int
-    energy: int
 
 
 @dataclass
@@ -108,17 +109,8 @@ class CampaignStats:
     finished_unix_ms: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "execs": self.execs,
-            "crashes_total": self.crashes_total,
-            "crashes_unique": self.crashes_unique,
-            "timeouts": self.timeouts,
-            "corpus_size": self.corpus_size,
-            "execs_per_sec": self.execs_per_sec,
-            "seed": self.seed,
-            "started_unix_ms": self.started_unix_ms,
-            "finished_unix_ms": self.finished_unix_ms,
-        }
+        # stats.json's key order is the field order
+        return asdict(self)
 
 
 def should_keep(feedback: Feedback, seen: set[str]) -> bool:
@@ -144,7 +136,7 @@ class CorpusScheduler:
             else:
                 self._idx += 1
             self._idx %= len(corpus)
-            self._picks_left = corpus[self._idx].energy
+            self._picks_left = self.energy_per_entry
         self._picks_left -= 1
         return corpus[self._idx]
 
@@ -153,7 +145,10 @@ class CorpusScheduler:
 
 
 class _Run:
-    """Mutable campaign state shared by the serial and pooled loops."""
+    """Mutable campaign state: corpus, seen branches, known crash keys,
+    scheduler and stats.  Only the coordinator changes it, in the order
+    results are consumed; pooled workers read nothing but the config,
+    the grammar and the run id."""
 
     def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path):
         self.cfg = cfg
@@ -178,8 +173,6 @@ class _Run:
             tree=tree,
             text=text,
             feedback_digest=fb.digest,
-            discovered_at=self.stats.execs,
-            energy=self.cfg.energy_per_entry,
         )
         self.corpus.append(entry)
         self.stats.corpus_size = len(self.corpus)
@@ -261,40 +254,44 @@ def _apply(run: _Run, tree, donor, mut_seed, seq):
     return mutated, text, outcome, fb
 
 
-def _loop_serial(run: _Run) -> None:
-    rng = Random(run.cfg.seed)
-    while run.stats.execs < run.cfg.max_execs:
-        tree, donor, mut_seed = _next_task(run, rng)
-        run.consume(*_apply(run, tree, donor, mut_seed, run.stats.execs))
+class _Inline:
+    """A task run on the spot, read back like a finished future."""
+
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
 
 
-def _loop_pooled(run: _Run) -> None:
-    # imported here so single-worker runs never load the thread pool
-    from concurrent.futures import ThreadPoolExecutor
-
+def _loop(run: _Run) -> None:
+    # Tasks are scheduled, seeded and consumed in submission order, task
+    # ``n`` drawing from stream ``n % workers``; one worker is a window of
+    # one run inline, so nothing is submitted ahead of a consume.
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
-    window = 2 * cfg.workers
     submitted = run.stats.execs
     pending: deque = deque()
+    if cfg.workers == 1:
+        pool, submit, window = None, _Inline, 1
+    else:
+        # imported here so single-worker runs never load the thread pool
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-
-        def submit_one():
-            nonlocal submitted
-            rng = streams[submitted % cfg.workers]
-            tree, donor, mut_seed = _next_task(run, rng)
-            pending.append(
-                pool.submit(_apply, run, tree, donor, mut_seed, submitted)
-            )
-            submitted += 1
-
-        while submitted < cfg.max_execs and len(pending) < window:
-            submit_one()
-        while pending:
+        pool = ThreadPoolExecutor(max_workers=cfg.workers)
+        submit, window = pool.submit, 2 * cfg.workers
+    try:
+        while submitted < cfg.max_execs or pending:
+            while submitted < cfg.max_execs and len(pending) < window:
+                rng = streams[submitted % cfg.workers]
+                tree, donor, mut_seed = _next_task(run, rng)
+                pending.append(submit(_apply, run, tree, donor, mut_seed, submitted))
+                submitted += 1
             run.consume(*pending.popleft().result())
-            if submitted < cfg.max_execs:
-                submit_one()
+    finally:
+        if pool is not None:
+            # an interrupted run drops the queued tasks it will not consume
+            pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
@@ -307,10 +304,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     run.stats.started_unix_ms = int(time.time() * 1000)
     try:
         _seed_corpus(run)
-        if cfg.workers == 1:
-            _loop_serial(run)
-        else:
-            _loop_pooled(run)
+        _loop(run)
     finally:
         remove_run_inputs(run.run_id)
         # flush whatever was gathered, even on interruption

@@ -14,10 +14,12 @@ token's minimal depth, only depth-minimal rules stay eligible.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
+from typing import Callable
 
 __all__ = [
     "DEFAULT_START",
@@ -135,8 +137,8 @@ class Grammar:
     start: str = DEFAULT_START
 
     def __post_init__(self) -> None:
-        self._min_depth, self._rule_depths = _depth_tables(self.productions)
-        self._min_size, self._rule_sizes = _size_tables(self.productions)
+        self._min_depth, self._rule_depths = _cost_tables(self.productions, max)
+        _, self._rule_sizes = _cost_tables(self.productions, operator.add)
         self._minimal_cache: dict[str, DerivationTree] = {}
         self._numeric_steps = _numeric_step_table(self.productions)
         dead = sorted(t for t, d in self._min_depth.items() if d == _INF)
@@ -152,10 +154,6 @@ class Grammar:
     def rule_depths(self, token: str) -> tuple[float, ...]:
         return self._rule_depths[token]
 
-    def min_size(self, token: str) -> int:
-        """Node count of the smallest finite derivation of token."""
-        return self._min_size[token]
-
     def rule_sizes(self, token: str) -> tuple[float, ...]:
         return self._rule_sizes[token]
 
@@ -168,58 +166,33 @@ class Grammar:
         return self._numeric_steps.get((token, rule_index), ())
 
 
-def _depth_tables(
+def _cost_tables(
     productions: dict[str, tuple[Rule, ...]],
+    combine: Callable[[float, float], float],
 ) -> tuple[dict[str, float], dict[str, tuple[float, ...]]]:
-    # Fixpoint over depth[t] = min over rules of 1 + max(depth of refs).
-    depth: dict[str, float] = {t: _INF for t in productions}
+    # Fixpoint over cost[t] = min over rules of 1 + combine(costs of refs):
+    # combine = max gives the minimal derivation depth, add the node count.
+    cost: dict[str, float] = {t: _INF for t in productions}
 
-    def rule_depth(rule: Rule) -> float:
-        worst = 0.0
+    def rule_cost(rule: Rule) -> float:
+        acc = 0.0
         for ref in rule.refs:
-            worst = max(worst, depth.get(ref, _INF))
-        return 1.0 + worst
+            acc = combine(acc, cost.get(ref, _INF))
+        return 1.0 + acc
 
     changed = True
     while changed:
         changed = False
         for token, rules in productions.items():
-            best = min((rule_depth(r) for r in rules), default=_INF)
-            if best < depth[token]:
-                depth[token] = best
+            best = min((rule_cost(r) for r in rules), default=_INF)
+            if best < cost[token]:
+                cost[token] = best
                 changed = True
     per_rule = {
-        token: tuple(rule_depth(r) for r in rules)
+        token: tuple(rule_cost(r) for r in rules)
         for token, rules in productions.items()
     }
-    return depth, per_rule
-
-
-def _size_tables(
-    productions: dict[str, tuple[Rule, ...]],
-) -> tuple[dict[str, float], dict[str, tuple[float, ...]]]:
-    # Fixpoint over size[t] = min over rules of 1 + sum(size of refs).
-    size: dict[str, float] = {t: _INF for t in productions}
-
-    def rule_size(rule: Rule) -> float:
-        total = 1.0
-        for ref in rule.refs:
-            total += size.get(ref, _INF)
-        return total
-
-    changed = True
-    while changed:
-        changed = False
-        for token, rules in productions.items():
-            best = min((rule_size(r) for r in rules), default=_INF)
-            if best < size[token]:
-                size[token] = best
-                changed = True
-    per_rule = {
-        token: tuple(rule_size(r) for r in rules)
-        for token, rules in productions.items()
-    }
-    return size, per_rule
+    return cost, per_rule
 
 
 def _numeric_step_table(
@@ -404,31 +377,19 @@ def _unparse_into(t: DerivationTree, g: Grammar, out: list[str]) -> None:
 
 def validate_tree(t: DerivationTree, g: Grammar) -> bool:
     """Total check that every node's rule index and child arity are consistent."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
+    for _, node in t.paths:
         rules = g.productions.get(node.token)
         if rules is None or not 0 <= node.rule_index < len(rules):
             return False
         refs = rules[node.rule_index].refs
-        if len(node.children) != len(refs):
+        if tuple(child.token for child in node.children) != refs:
             return False
-        for child, ref in zip(node.children, refs):
-            if child.token != ref:
-                return False
-        stack.extend(node.children)
     return True
 
 
 def tree_size(t: DerivationTree) -> int:
     """Total node count of the tree."""
-    count = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(node.children)
-    return count
+    return len(t.paths)
 
 
 class _DeriveBudgetExceeded(Exception):

@@ -6,7 +6,8 @@ Operators draw all randomness from a seeded generator and fall back to
 returning the input unchanged when no applicable mutation site exists.
 
 ``random_mutation`` picks one operator by configurable weight and applies
-it, which is the per-iteration step of a fuzzing campaign.
+it, which is the per-iteration step of a fuzzing campaign; a single-entry
+weight dict such as ``{MutationKind.SPLICE: 1}`` forces one operator.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ __all__ = [
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_WEIGHTS",
     "MutationKind",
-    "mutate_regenerate",
-    "mutate_rule_swap",
-    "mutate_scalar_tweak",
-    "mutate_splice",
     "random_mutation",
 ]
 
@@ -109,26 +106,6 @@ def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
     path, node, options = sites[rng.randrange(len(sites))]
     idx = options[rng.randrange(len(options))]
     return replace_subtree(t, path, DerivationTree(node.token, idx))
-
-
-def mutate_regenerate(
-    t: DerivationTree, g: Grammar, seed: int, max_depth: int = DEFAULT_MAX_DEPTH
-) -> DerivationTree:
-    return _regenerate(t, g, Random(seed), max_depth)
-
-
-def mutate_rule_swap(t: DerivationTree, g: Grammar, seed: int) -> DerivationTree:
-    return _rule_swap(t, g, Random(seed))
-
-
-def mutate_splice(
-    t: DerivationTree, donor: DerivationTree, g: Grammar, seed: int
-) -> DerivationTree:
-    return _splice(t, donor, g, Random(seed))
-
-
-def mutate_scalar_tweak(t: DerivationTree, g: Grammar, seed: int) -> DerivationTree:
-    return _scalar_tweak(t, g, Random(seed))
 
 
 def random_mutation(

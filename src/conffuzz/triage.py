@@ -189,23 +189,54 @@ def store_crash_report(root: Path, report: CrashReport) -> Path:
 
 
 def load_crash_report(crash_dir: Path) -> CrashReport:
-    payload = json.loads((crash_dir / "report.json").read_text(encoding="utf-8"))
-    outcome = ExecOutcome(
-        OutcomeKind(payload["outcome"]["class"]),
-        payload["outcome"]["code"],
-        payload.get("stderr_excerpt", ""),
-    )
-    diff = tuple(
-        (ParamPath.parse(d["path"]), d["initial"], d["crash"])
-        for d in payload["param_diff"]
-    )
+    """Read back the report ``store_crash_report`` wrote under crash_dir.
+
+    A report.json that is not a JSON object, or lacks a field or holds
+    one of the wrong type or value, raises ValueError naming the file and
+    the field.
+    """
+    where = crash_dir / "report.json"
+
+    def field(obj, key: str, kind: type | tuple, name: str = ""):
+        name = name or key
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{where}: missing field {name!r}")
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"{where}: field {name!r} has the wrong type")
+        return obj[key]
+
+    try:
+        payload = json.loads(where.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where}: not valid JSON: {e}") from e
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    out = field(payload, "outcome", dict)
+    kind = field(out, "class", str, "outcome.class")
+    code = field(out, "code", (int, type(None)), "outcome.code")
+    try:
+        outcome = ExecOutcome(
+            OutcomeKind(kind), code, payload.get("stderr_excerpt", "")
+        )
+    except ValueError as e:
+        raise ValueError(f"{where}: field 'outcome': {e}") from e
+    diff = []
+    for i, d in enumerate(field(payload, "param_diff", list)):
+        name = f"param_diff[{i}]"
+        path = field(d, "path", str, f"{name}.path")
+        try:
+            parsed = ParamPath.parse(path)
+        except ValueError as e:
+            raise ValueError(f"{where}: field {name + '.path'!r}: {e}") from e
+        initial = field(d, "initial", object, f"{name}.initial")
+        diff.append((parsed, initial, field(d, "crash", object, f"{name}.crash")))
     return CrashReport(
-        payload["dedup_key"],
+        field(payload, "dedup_key", str),
         outcome,
         (crash_dir / "input.conf").read_text(encoding="utf-8"),
         (crash_dir / "minimized.conf").read_text(encoding="utf-8"),
-        diff,
-        payload["first_seen_exec"],
+        tuple(diff),
+        field(payload, "first_seen_exec", int),
     )
 
 

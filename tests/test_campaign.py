@@ -28,10 +28,8 @@ def gnb_grammar_path():
     return GRAMMAR_PATH
 
 
-def stub_entry(i: int, energy: int = 2) -> CorpusEntry:
-    return CorpusEntry(
-        id=i, tree=None, text="", feedback_digest=0, discovered_at=0, energy=energy
-    )
+def stub_entry(i: int) -> CorpusEntry:
+    return CorpusEntry(id=i, tree=None, text="", feedback_digest=0)
 
 
 class TestShouldKeep:
@@ -55,7 +53,7 @@ class TestScheduler:
 
     def test_single_entry_always_chosen(self):
         sched = CorpusScheduler(3)
-        corpus = [stub_entry(0, energy=3)]
+        corpus = [stub_entry(0)]
         assert [sched.schedule_next(corpus).id for _ in range(7)] == [0] * 7
 
     def test_round_robin_with_energy(self):
@@ -74,7 +72,7 @@ class TestScheduler:
 
     def test_bonus_rounds_can_chain(self):
         sched = CorpusScheduler(1)
-        corpus = [stub_entry(0, energy=1), stub_entry(1, energy=1)]
+        corpus = [stub_entry(0), stub_entry(1)]
         picks = []
         for _ in range(3):
             picks.append(sched.schedule_next(corpus).id)
@@ -84,9 +82,9 @@ class TestScheduler:
 
     def test_new_entries_join_rotation(self):
         sched = CorpusScheduler(1)
-        corpus = [stub_entry(0, energy=1)]
+        corpus = [stub_entry(0)]
         assert sched.schedule_next(corpus).id == 0
-        corpus.append(stub_entry(1, energy=1))
+        corpus.append(stub_entry(1))
         assert [sched.schedule_next(corpus).id for _ in range(4)] == [1, 0, 1, 0]
 
 
@@ -232,7 +230,7 @@ class TestCorpusReproducibility:
     def test_retained_digests_reexecute(self, gnb_grammar_path, tmp_path):
         from pathlib import Path
 
-        from conffuzz.campaign import _Run, _loop_serial, _seed_corpus
+        from conffuzz.campaign import _loop, _Run, _seed_corpus
         from conffuzz.grammar import parse_grammar
 
         out = tmp_path / "out"
@@ -242,7 +240,7 @@ class TestCorpusReproducibility:
         g = parse_grammar(Path(gnb_grammar_path).read_text())
         run = _Run(cfg, g, out)
         _seed_corpus(run)
-        _loop_serial(run)
+        _loop(run)
         assert len(run.corpus) > 11  # novelty retention happened
         for entry in run.corpus:
             _, fb = execute(VALIDATOR, entry.text)
@@ -262,6 +260,32 @@ class TestProgressCallback:
         )
         run_campaign(cfg)
         assert seen == [256, 512]
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stats_flushed_on_keyboard_interrupt(
+        self, gnb_grammar_path, tmp_path, workers
+    ):
+        def interrupt(stats):
+            if stats.execs == 256:
+                raise KeyboardInterrupt
+
+        out = tmp_path / "out"
+        cfg = CampaignConfig(
+            gnb_grammar_path,
+            VALIDATOR,
+            out,
+            seed=1,
+            max_execs=2000,
+            workers=workers,
+            progress=interrupt,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(cfg)
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["execs"] == 256
+        assert stats["corpus_size"] == len(list((out / "corpus").iterdir()))
 
 
 class TestWorkers:

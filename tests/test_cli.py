@@ -257,6 +257,41 @@ class TestTriage:
         n_dirs = sum(1 for d in (out / "crashes").iterdir() if d.is_dir())
         assert len(lines[0].split()) == 2 + n_dirs
 
+    @pytest.mark.parametrize(
+        "edit, complaint",
+        [
+            (
+                lambda p: json.dumps({k: v for k, v in p.items() if k != "outcome"}),
+                "missing field 'outcome'",
+            ),
+            (lambda p: json.dumps([p]), "not a JSON object"),
+            (lambda p: json.dumps(p)[:-2], "not valid JSON"),
+            (
+                lambda p: json.dumps({**p, "first_seen_exec": "7"}),
+                "field 'first_seen_exec' has the wrong type",
+            ),
+        ],
+        ids=["missing-outcome", "list", "invalid-json", "ill-typed"],
+    )
+    def test_bad_report_json_is_a_usage_error(
+        self, tmp_path, capsys, edit, complaint
+    ):
+        from conffuzz.target import TargetSpec, execute
+        from conffuzz.triage import dedup_key, make_crash_report, store_crash_report
+
+        text = (TABLE1_DIR / "case5.conf").read_text()
+        outcome, fb = execute(TargetSpec.builtin("gnb-validator"), text)
+        report = make_crash_report(dedup_key(outcome, fb), outcome, text, text, 1)
+        crash_dir = store_crash_report(tmp_path, report)
+        payload = json.loads((crash_dir / "report.json").read_text())
+        (crash_dir / "report.json").write_text(edit(payload))
+        rc = main(["triage", "--crashes", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(crash_dir) in err
+        assert complaint in err
+        assert "internal error" not in err
+
 
 class TestFuzz:
     def test_small_campaign(self, tmp_path, capsys):

@@ -20,12 +20,13 @@ from conffuzz.mutate import (
     DEFAULT_WEIGHTS,
     AllZeroWeightsError,
     MutationKind,
-    mutate_regenerate,
-    mutate_rule_swap,
-    mutate_scalar_tweak,
-    mutate_splice,
     random_mutation,
 )
+
+REGENERATE = {MutationKind.REGENERATE: 1}
+RULE_SWAP = {MutationKind.RULE_SWAP: 1}
+SPLICE = {MutationKind.SPLICE: 1}
+SCALAR_TWEAK = {MutationKind.SCALAR_TWEAK: 1}
 
 BIT = parse_grammar(
     json.dumps({"<START>": [["v = ", "<BIT>", ";"]], "<BIT>": [["0"], ["1"]]})
@@ -62,10 +63,10 @@ class TestClosure:
         donor = generate_tree(gnb_grammar, seed=8)
         for seed in range(50):
             for out in (
-                mutate_regenerate(base, gnb_grammar, seed),
-                mutate_rule_swap(base, gnb_grammar, seed),
-                mutate_splice(base, donor, gnb_grammar, seed),
-                mutate_scalar_tweak(base, gnb_grammar, seed),
+                random_mutation(base, gnb_grammar, seed, REGENERATE)[0],
+                random_mutation(base, gnb_grammar, seed, RULE_SWAP)[0],
+                random_mutation(base, gnb_grammar, seed, SPLICE, donor=donor)[0],
+                random_mutation(base, gnb_grammar, seed, SCALAR_TWEAK)[0],
             ):
                 assert validate_tree(out, gnb_grammar)
 
@@ -105,10 +106,12 @@ class TestWalkCache:
         base = generate_tree(DIGITS, seed, max_depth)
         for s in range(8):
             for out in (
-                mutate_regenerate(base, DIGITS, s, max_depth),
-                mutate_rule_swap(base, DIGITS, s),
-                mutate_splice(base, base, DIGITS, s),
-                mutate_scalar_tweak(base, DIGITS, s),
+                random_mutation(
+                    base, DIGITS, s, REGENERATE, max_depth=max_depth
+                )[0],
+                random_mutation(base, DIGITS, s, RULE_SWAP)[0],
+                random_mutation(base, DIGITS, s, SPLICE, donor=base)[0],
+                random_mutation(base, DIGITS, s, SCALAR_TWEAK)[0],
             ):
                 assert validate_tree(out, DIGITS)
 
@@ -118,12 +121,12 @@ class TestDeterminism:
         base = generate_tree(gnb_grammar, seed=3)
         donor = generate_tree(gnb_grammar, seed=4)
         for seed in (0, 1, 99):
-            assert mutate_regenerate(base, gnb_grammar, seed) == mutate_regenerate(
-                base, gnb_grammar, seed
-            )
-            assert mutate_splice(base, donor, gnb_grammar, seed) == mutate_splice(
-                base, donor, gnb_grammar, seed
-            )
+            assert random_mutation(
+                base, gnb_grammar, seed, REGENERATE
+            ) == random_mutation(base, gnb_grammar, seed, REGENERATE)
+            assert random_mutation(
+                base, gnb_grammar, seed, SPLICE, donor=donor
+            ) == random_mutation(base, gnb_grammar, seed, SPLICE, donor=donor)
             assert random_mutation(base, gnb_grammar, seed) == random_mutation(
                 base, gnb_grammar, seed
             )
@@ -133,23 +136,23 @@ class TestRegenerate:
     def test_respects_depth_budget(self):
         t = minimal_tree(DIGITS, "<START>")
         for seed in range(100):
-            out = mutate_regenerate(t, DIGITS, seed, max_depth=3)
+            out = random_mutation(t, DIGITS, seed, REGENERATE, max_depth=3)[0]
             assert depth(out) <= 3
             assert len(unparse(out, DIGITS)) == 1
 
     def test_can_grow_within_budget(self):
         t = minimal_tree(DIGITS, "<START>")
-        grew = any(
-            len(unparse(mutate_regenerate(t, DIGITS, seed, max_depth=16), DIGITS)) > 1
+        outs = [
+            random_mutation(t, DIGITS, seed, REGENERATE, max_depth=16)[0]
             for seed in range(50)
-        )
-        assert grew
+        ]
+        assert any(len(unparse(out, DIGITS)) > 1 for out in outs)
 
     def test_deep_node_keeps_minimal_escape(self):
         # budget never starves a node below its own minimal depth
         t = generate_tree(DIGITS, seed=5, max_depth=30)
         for seed in range(50):
-            out = mutate_regenerate(t, DIGITS, seed, max_depth=2)
+            out = random_mutation(t, DIGITS, seed, REGENERATE, max_depth=2)[0]
             assert validate_tree(out, DIGITS)
 
 
@@ -158,17 +161,18 @@ class TestRuleSwap:
         t = minimal_tree(BIT, "<START>")
         assert unparse(t, BIT) == "v = 0;"
         for seed in range(20):
-            assert unparse(mutate_rule_swap(t, BIT, seed), BIT) == "v = 1;"
+            out = random_mutation(t, BIT, seed, RULE_SWAP)[0]
+            assert unparse(out, BIT) == "v = 1;"
 
     def test_identity_when_no_alternatives(self):
         t = minimal_tree(FIXED, "<START>")
-        assert mutate_rule_swap(t, FIXED, seed=0) is t
+        assert random_mutation(t, FIXED, 0, RULE_SWAP)[0] is t
 
     def test_new_children_are_minimal(self):
         t = minimal_tree(DIGITS, "<DIGITS>")
         swapped = False
         for seed in range(50):
-            out = mutate_rule_swap(t, DIGITS, seed)
+            out = random_mutation(t, DIGITS, seed, RULE_SWAP)[0]
             assert validate_tree(out, DIGITS)
             # the two-child rule fills the recursive slot minimally
             if out.token == "<DIGITS>" and out.rule_index == 1:
@@ -180,19 +184,28 @@ class TestRuleSwap:
 class TestSplice:
     def test_moves_donor_material(self):
         t = minimal_tree(BIT, "<START>")  # v = 0;
-        donor = mutate_rule_swap(t, BIT, 0)  # v = 1;
+        donor = random_mutation(t, BIT, 0, RULE_SWAP)[0]  # v = 1;
         # every donor subtree carries the 1, so any graft site flips it
-        seen = {unparse(mutate_splice(t, donor, BIT, s), BIT) for s in range(40)}
+        seen = {
+            unparse(random_mutation(t, BIT, s, SPLICE, donor=donor)[0], BIT)
+            for s in range(40)
+        }
         assert seen == {"v = 1;"}
 
     def test_mixes_values_across_slots(self, gnb_grammar):
         from conffuzz.grammar import derive_tree
 
         base = minimal_tree(gnb_grammar, gnb_grammar.start)
-        donor = mutate_regenerate(base, gnb_grammar, seed=10)
+        donor = generate_tree(gnb_grammar, seed=10)
         assert unparse(donor, gnb_grammar) != unparse(base, gnb_grammar)
+        # the root's children are the value slots; a single-slot graft can
+        # only differ from both trees when they differ in two slots or more
+        assert sum(a != b for a, b in zip(base.children, donor.children)) >= 2
         outputs = {
-            unparse(mutate_splice(base, donor, gnb_grammar, s), gnb_grammar)
+            unparse(
+                random_mutation(base, gnb_grammar, s, SPLICE, donor=donor)[0],
+                gnb_grammar,
+            )
             for s in range(60)
         }
         # grafting hits single slots as well as whole-tree replacement
@@ -205,7 +218,7 @@ class TestSplice:
     def test_self_splice_is_identity_on_unique_slots(self, gnb_grammar):
         t = minimal_tree(gnb_grammar, gnb_grammar.start)
         for seed in range(20):
-            out = mutate_splice(t, t, gnb_grammar, seed)
+            out = random_mutation(t, gnb_grammar, seed, SPLICE, donor=t)[0]
             assert unparse(out, gnb_grammar) == unparse(t, gnb_grammar)
 
     def test_identity_when_tokens_disjoint(self):
@@ -213,7 +226,7 @@ class TestSplice:
         donor_grammar = parse_grammar(json.dumps({"<START>": [["other"]]}))
         donor = minimal_tree(donor_grammar, "<START>")
         # same token name, so the root is swappable; different name is not
-        out = mutate_splice(t, donor, FIXED, 0)
+        out = random_mutation(t, FIXED, 0, SPLICE, donor=donor)[0]
         assert out.token == "<START>"
 
 
@@ -224,19 +237,25 @@ class TestScalarTweak:
     def test_steps_from_five(self):
         t = minimal_tree(NUM, "<START>")
         assert self.leaf_value(t) == "5"
-        seen = {self.leaf_value(mutate_scalar_tweak(t, NUM, s)) for s in range(200)}
+        seen = {
+            self.leaf_value(random_mutation(t, NUM, s, SCALAR_TWEAK)[0])
+            for s in range(200)
+        }
         # nearest above, nearest below, zero, min, max
         assert seen == {"7", "1", "0", "9"}
 
     def test_steps_from_zero(self):
         zero = DerivationTree("<START>", 0, (DerivationTree("<N>", 3),))
         assert self.leaf_value(zero) == "0"
-        seen = {self.leaf_value(mutate_scalar_tweak(zero, NUM, s)) for s in range(200)}
+        seen = {
+            self.leaf_value(random_mutation(zero, NUM, s, SCALAR_TWEAK)[0])
+            for s in range(200)
+        }
         assert seen == {"1", "9"}
 
     def test_identity_without_numeric_leaves(self):
         t = minimal_tree(FIXED, "<START>")
-        assert mutate_scalar_tweak(t, FIXED, 0) is t
+        assert random_mutation(t, FIXED, 0, SCALAR_TWEAK)[0] is t
 
     def test_gnb_bandwidth_steps(self, gnb_grammar):
         # <BW_RB> alternatives are 106, 25, 24, 273, 5; from 106 a tweak
@@ -244,7 +263,7 @@ class TestScalarTweak:
         t = minimal_tree(gnb_grammar, gnb_grammar.start)
         values = set()
         for seed in range(500):
-            out = mutate_scalar_tweak(t, gnb_grammar, seed)
+            out = random_mutation(t, gnb_grammar, seed, SCALAR_TWEAK)[0]
             text = unparse(out, gnb_grammar)
             for line in text.splitlines():
                 if "dl_carrierBandwidth" in line:
@@ -282,7 +301,7 @@ class TestRandomMutation:
 
     def test_explicit_donor_used_for_splice(self):
         t = minimal_tree(BIT, "<START>")
-        donor = mutate_rule_swap(t, BIT, 0)
+        donor = random_mutation(t, BIT, 0, RULE_SWAP)[0]
         seen = set()
         for seed in range(40):
             out, kind = random_mutation(
