@@ -21,7 +21,6 @@ thread pool.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -39,7 +38,7 @@ from .grammar import (
     unparse,
 )
 from .mutate import DEFAULT_MAX_DEPTH, MutationKind, random_mutation
-from .target import Feedback, OutcomeKind, TargetSpec, execute, remove_run_inputs
+from .target import Feedback, OutcomeKind, TargetSpec, execute
 from .triage import (
     NonReproducibleError,
     dedup_key,
@@ -51,7 +50,6 @@ from .triage import (
 __all__ = [
     "CampaignConfig",
     "CampaignStats",
-    "CorpusEntry",
     "CorpusScheduler",
     "EmptyCorpusError",
     "run_campaign",
@@ -64,14 +62,6 @@ PROGRESS_EVERY = 256
 
 class EmptyCorpusError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: int
-    tree: DerivationTree
-    text: str
-    feedback_digest: int
 
 
 @dataclass
@@ -127,7 +117,7 @@ class CorpusScheduler:
         self._picks_left = 0
         self._bonus = False
 
-    def schedule_next(self, corpus: list[CorpusEntry]) -> CorpusEntry:
+    def schedule_next(self, corpus: list[DerivationTree]) -> DerivationTree:
         if not corpus:
             raise EmptyCorpusError("cannot schedule from an empty corpus")
         if self._picks_left <= 0:
@@ -147,38 +137,30 @@ class CorpusScheduler:
 class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
     scheduler and stats.  Only the coordinator changes it, in the order
-    results are consumed; pooled workers read nothing but the config,
-    the grammar and the run id."""
+    results are consumed; pooled workers read nothing but the config and
+    the grammar."""
 
     def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path):
         self.cfg = cfg
         self.g = g
         self.out = out
-        self.corpus: list[CorpusEntry] = []
+        self.corpus: list[DerivationTree] = []
         self.seen: set[str] = set()
         self.known_keys: set[str] = set()
         self.scheduler = CorpusScheduler(cfg.energy_per_entry)
         self.stats = CampaignStats(seed=cfg.seed)
-        # names the run's input directory only; never written to an artifact
-        self.run_id = os.urandom(16).hex()
         self.t0 = time.monotonic()
 
     def throughput(self) -> float:
         elapsed = max(time.monotonic() - self.t0, 1e-9)
         return round(self.stats.execs / elapsed, 1)
 
-    def retain(self, tree: DerivationTree, text: str, fb: Feedback) -> None:
-        entry = CorpusEntry(
-            id=len(self.corpus),
-            tree=tree,
-            text=text,
-            feedback_digest=fb.digest,
-        )
-        self.corpus.append(entry)
-        self.stats.corpus_size = len(self.corpus)
-        (self.out / "corpus" / f"{entry.id}.conf").write_text(
+    def retain(self, tree: DerivationTree, text: str) -> None:
+        (self.out / "corpus" / f"{len(self.corpus)}.conf").write_text(
             text, encoding="utf-8"
         )
+        self.corpus.append(tree)
+        self.stats.corpus_size = len(self.corpus)
 
     def route_crash(self, outcome, fb, tree, text) -> None:
         key = dedup_key(outcome, fb)
@@ -207,7 +189,7 @@ class _Run:
             self.seen |= fb.branches
             self.scheduler.record_novelty()
         if novel or retain_always:
-            self.retain(tree, text, fb)
+            self.retain(tree, text)
         if self.cfg.progress and self.stats.execs % PROGRESS_EVERY == 0:
             self.stats.execs_per_sec = self.throughput()
             self.cfg.progress(self.stats)
@@ -228,19 +210,17 @@ def _seed_corpus(run: _Run) -> None:
         if run.stats.execs >= cfg.max_execs:
             break
         text = unparse(tree, run.g)
-        outcome, fb = execute(
-            cfg.target, text, run_id=run.run_id, seq=run.stats.execs
-        )
+        outcome, fb = execute(cfg.target, text)
         run.consume(tree, text, outcome, fb, retain_always=True)
 
 
 def _next_task(run: _Run, rng: Random):
-    entry = run.scheduler.schedule_next(run.corpus)
-    donor = run.corpus[rng.randrange(len(run.corpus))].tree
-    return entry.tree, donor, rng.getrandbits(63)
+    tree = run.scheduler.schedule_next(run.corpus)
+    donor = run.corpus[rng.randrange(len(run.corpus))]
+    return tree, donor, rng.getrandbits(63)
 
 
-def _apply(run: _Run, tree, donor, mut_seed, seq):
+def _apply(run: _Run, tree, donor, mut_seed):
     mutated, _ = random_mutation(
         tree,
         run.g,
@@ -250,7 +230,7 @@ def _apply(run: _Run, tree, donor, mut_seed, seq):
         max_depth=run.cfg.max_depth,
     )
     text = unparse(mutated, run.g)
-    outcome, fb = execute(run.cfg.target, text, run_id=run.run_id, seq=seq)
+    outcome, fb = execute(run.cfg.target, text)
     return mutated, text, outcome, fb
 
 
@@ -285,7 +265,7 @@ def _loop(run: _Run) -> None:
             while submitted < cfg.max_execs and len(pending) < window:
                 rng = streams[submitted % cfg.workers]
                 tree, donor, mut_seed = _next_task(run, rng)
-                pending.append(submit(_apply, run, tree, donor, mut_seed, submitted))
+                pending.append(submit(_apply, run, tree, donor, mut_seed))
                 submitted += 1
             run.consume(*pending.popleft().result())
     finally:
@@ -306,7 +286,6 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
         _seed_corpus(run)
         _loop(run)
     finally:
-        remove_run_inputs(run.run_id)
         # flush whatever was gathered, even on interruption
         run.stats.finished_unix_ms = int(time.time() * 1000)
         run.stats.execs_per_sec = run.throughput()

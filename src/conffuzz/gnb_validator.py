@@ -106,24 +106,11 @@ WATCH_PATHS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class ValidatorView:
-    """The eight parameters the validator actually reads."""
-
-    do_CSIRS: int
-    do_SRS: int
-    controlResourceSetZero: int
-    searchSpaceZero: int
-    absoluteFrequencySSB: int
-    dl_frequencyBand: int
-    dl_absoluteFrequencyPointA: int
-    dl_carrierBandwidth: int
-
-
 def _extract_view(
     d: ConfigDocument, branches: set[str]
-) -> ValidatorView | None:
-    values = []
+) -> dict[str, int] | None:
+    """The eight parameters the validator reads, keyed by name."""
+    view = {}
     for path in WATCH_PATHS:
         name = path.segments[-1]
         try:
@@ -135,9 +122,9 @@ def _extract_view(
         if type(v) is not int:
             branches.add(f"chk:extract:{name}:fail")
             return None
-        values.append(v)
+        view[name] = v
     branches.add("chk:extract:ok")
-    return ValidatorView(*values)
+    return view
 
 
 _DOMAIN_CHECKS = (
@@ -145,6 +132,52 @@ _DOMAIN_CHECKS = (
     ("do_SRS", 0, 1),
     ("controlResourceSetZero", 0, 15),
     ("searchSpaceZero", 0, 15),
+)
+
+# (branch when the rule holds, branch when it is violated, crash code,
+# holds(view, band), message template over the view and the band ``b``).
+# Rules 1..3 need a known band, so rule 4 is checked first; the rest keep
+# the order of the module docstring.
+_CRASH_RULES = (
+    (
+        "chk:band:known",
+        "chk:band:unknown",
+        CRASH_UNKNOWN_BAND,
+        lambda v, b: b is not None,
+        "unknown NR band {dl_frequencyBand}",
+    ),
+    (
+        "chk:ssb_in_band:ok",
+        "chk:ssb_in_band:viol",
+        CRASH_SSB_OUT_OF_BAND,
+        lambda v, b: b.contains(v["absoluteFrequencySSB"]),
+        "SSB ARFCN {absoluteFrequencySSB} outside band {b.band} range "
+        "[{b.arfcn_lo}, {b.arfcn_hi}]",
+    ),
+    (
+        "chk:pointa_in_band:ok",
+        "chk:pointa_in_band:viol",
+        CRASH_POINTA_OUT_OF_BAND,
+        lambda v, b: b.contains(v["dl_absoluteFrequencyPointA"]),
+        "pointA ARFCN {dl_absoluteFrequencyPointA} outside band {b.band} "
+        "range [{b.arfcn_lo}, {b.arfcn_hi}]",
+    ),
+    (
+        "chk:min_bw:ok",
+        "chk:min_bw:viol",
+        CRASH_MIN_BW,
+        lambda v, b: v["dl_carrierBandwidth"] >= b.min_bw_rb,
+        "carrier bandwidth {dl_carrierBandwidth} RB below minimum "
+        "{b.min_bw_rb} for band {b.band}",
+    ),
+    (
+        "chk:coreset0_bug:ok",
+        "chk:coreset0_bug:viol",
+        CRASH_CORESET0_BUG,
+        lambda v, b: not 13 <= v["controlResourceSetZero"] <= 15,
+        "coreset0 index {controlResourceSetZero} hits table bug window "
+        "[13, 15]",
+    ),
 )
 
 
@@ -159,7 +192,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
         )
 
     for name, lo, hi in _DOMAIN_CHECKS:
-        value = getattr(view, name)
+        value = view[name]
         if lo <= value <= hi:
             branches.add(f"chk:{name}:ok")
         else:
@@ -172,73 +205,19 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
             )
 
     band = next(
-        (b for b in _BANDS if b.band == view.dl_frequencyBand), None
+        (b for b in _BANDS if b.band == view["dl_frequencyBand"]), None
     )
-    if band is None:
-        branches.add("chk:band:unknown")
-        return (
-            ExecOutcome.crash(
-                CRASH_UNKNOWN_BAND,
-                f"FATAL[{CRASH_UNKNOWN_BAND}]: unknown NR band "
-                f"{view.dl_frequencyBand}",
-            ),
-            Feedback(frozenset(branches)),
-        )
-    branches.add("chk:band:known")
-
-    if band.contains(view.absoluteFrequencySSB):
-        branches.add("chk:ssb_in_band:ok")
-    else:
-        branches.add("chk:ssb_in_band:viol")
-        return (
-            ExecOutcome.crash(
-                CRASH_SSB_OUT_OF_BAND,
-                f"FATAL[{CRASH_SSB_OUT_OF_BAND}]: SSB ARFCN "
-                f"{view.absoluteFrequencySSB} outside band {band.band} range "
-                f"[{band.arfcn_lo}, {band.arfcn_hi}]",
-            ),
-            Feedback(frozenset(branches)),
-        )
-
-    if band.contains(view.dl_absoluteFrequencyPointA):
-        branches.add("chk:pointa_in_band:ok")
-    else:
-        branches.add("chk:pointa_in_band:viol")
-        return (
-            ExecOutcome.crash(
-                CRASH_POINTA_OUT_OF_BAND,
-                f"FATAL[{CRASH_POINTA_OUT_OF_BAND}]: pointA ARFCN "
-                f"{view.dl_absoluteFrequencyPointA} outside band {band.band} "
-                f"range [{band.arfcn_lo}, {band.arfcn_hi}]",
-            ),
-            Feedback(frozenset(branches)),
-        )
-
-    if view.dl_carrierBandwidth >= band.min_bw_rb:
-        branches.add("chk:min_bw:ok")
-    else:
-        branches.add("chk:min_bw:viol")
-        return (
-            ExecOutcome.crash(
-                CRASH_MIN_BW,
-                f"FATAL[{CRASH_MIN_BW}]: carrier bandwidth "
-                f"{view.dl_carrierBandwidth} RB below minimum {band.min_bw_rb} "
-                f"for band {band.band}",
-            ),
-            Feedback(frozenset(branches)),
-        )
-
-    if 13 <= view.controlResourceSetZero <= 15:
-        branches.add("chk:coreset0_bug:viol")
-        return (
-            ExecOutcome.crash(
-                CRASH_CORESET0_BUG,
-                f"FATAL[{CRASH_CORESET0_BUG}]: coreset0 index "
-                f"{view.controlResourceSetZero} hits table bug window [13, 15]",
-            ),
-            Feedback(frozenset(branches)),
-        )
-    branches.add("chk:coreset0_bug:ok")
+    for held, violated, code, holds, message in _CRASH_RULES:
+        if holds(view, band):
+            branches.add(held)
+        else:
+            branches.add(violated)
+            return (
+                ExecOutcome.crash(
+                    code, f"FATAL[{code}]: " + message.format(b=band, **view)
+                ),
+                Feedback(frozenset(branches)),
+            )
 
     return ExecOutcome.ok(), Feedback(frozenset(branches))
 
@@ -253,7 +232,7 @@ def run_text(text: str) -> tuple[ExecOutcome, Feedback]:
             Feedback.of("chk:parse:fail"),
         )
     outcome, fb = validate(doc)
-    return outcome, fb.union(Feedback.of("chk:parse:ok"))
+    return outcome, Feedback(fb.branches | {"chk:parse:ok"})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
-import shutil
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -36,7 +35,6 @@ __all__ = [
     "classify_outcome",
     "execute",
     "register_builtin",
-    "remove_run_inputs",
     "stable_hash64",
 ]
 
@@ -114,9 +112,6 @@ class Feedback:
     def of(cls, *branches: str) -> "Feedback":
         return cls(frozenset(branches))
 
-    def union(self, other: "Feedback") -> "Feedback":
-        return Feedback(self.branches | other.branches)
-
 
 class TargetKind(enum.Enum):
     BUILTIN = "builtin"
@@ -162,6 +157,15 @@ class TargetSpec:
                 raise ValueError(
                     "external command must contain {input} exactly once"
                 )
+            # imported here so in-process (builtin) runs never load it
+            import shlex
+
+            try:
+                shlex.split(self.command)
+            except ValueError as e:
+                raise ValueError(
+                    f"cannot split external command {self.command!r}: {e}"
+                ) from None
 
     @classmethod
     def builtin(cls, name: str, timeout_ms: int = 10_000) -> "TargetSpec":
@@ -208,55 +212,31 @@ def _tmp_base() -> Path:
     return Path(os.environ.get("CONFFUZZ_TMPDIR", tempfile.gettempdir()))
 
 
-def _write_input(input_text: str, run_id: Optional[str], seq: int) -> Path:
-    """Write the input where the target can read it.
-
-    A run's inputs go to ``<run_id>/<seq>.conf``; without a run id every
-    call gets a fresh name, so concurrent callers cannot clobber each
-    other's input.
-    """
-    base = _tmp_base()
-    if run_id is None:
-        base.mkdir(parents=True, exist_ok=True)
-        fd, name = tempfile.mkstemp(suffix=".conf", dir=base)
-        with open(fd, "w", encoding="utf-8") as f:
-            f.write(input_text)
-        return Path(name)
-    path = base / run_id / f"{seq}.conf"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(input_text, encoding="utf-8")
-    return path
-
-
-def remove_run_inputs(run_id: str) -> None:
-    """Delete the directory that holds a run's inputs, if there is one."""
-    shutil.rmtree(_tmp_base() / run_id, ignore_errors=True)
-
-
-def _execute_external(
-    spec: TargetSpec, input_text: str, run_id: Optional[str], seq: int
-) -> tuple[ExecOutcome, Feedback]:
+def _execute_external(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, Feedback]:
     # imported here so in-process (builtin) runs never load them
     import shlex
     import signal
     import subprocess
 
-    path = _write_input(input_text, run_id, seq)
-    argv = [
-        tok.replace("{input}", str(path)) for tok in shlex.split(spec.command)
-    ]
-    started = time.monotonic()
+    # a fresh name per call, so concurrent callers cannot clobber each
+    # other's input; nothing outlives the call, even a failed write or spawn
+    base = _tmp_base()
+    base.mkdir(parents=True, exist_ok=True)
+    fd, path = tempfile.mkstemp(suffix=".conf", dir=base)
     try:
-        proc = subprocess.Popen(
-            argv,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        )
-    except OSError as e:
-        path.unlink(missing_ok=True)
-        raise SpawnFailureError(f"cannot start {argv[0]!r}: {e}") from e
-    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(input_text)
+        argv = [tok.replace("{input}", path) for tok in shlex.split(spec.command)]
+        started = time.monotonic()
+        try:
+            proc = subprocess.Popen(
+                argv,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        except OSError as e:
+            raise SpawnFailureError(f"cannot start {argv[0]!r}: {e}") from e
         try:
             _, err = proc.communicate(timeout=spec.timeout_ms / 1000.0)
         except subprocess.TimeoutExpired:
@@ -266,13 +246,12 @@ def _execute_external(
             except ProcessLookupError:
                 pass
             _, err = proc.communicate()
-            elapsed_ms = (time.monotonic() - started) * 1000.0
             outcome = ExecOutcome.timeout()
         else:
             elapsed_ms = (time.monotonic() - started) * 1000.0
             outcome = classify_outcome(proc.returncode, elapsed_ms, spec.timeout_ms)
     finally:
-        path.unlink(missing_ok=True)
+        Path(path).unlink(missing_ok=True)
     err = err or b""
     branches = frozenset(
         line[len(BRANCH_PREFIX) :].decode("utf-8", "replace").strip()
@@ -283,15 +262,9 @@ def _execute_external(
     return replace(outcome, stderr_excerpt=excerpt), Feedback(branches)
 
 
-def execute(
-    spec: TargetSpec,
-    input_text: str,
-    *,
-    run_id: Optional[str] = None,
-    seq: int = 0,
-) -> tuple[ExecOutcome, Feedback]:
+def execute(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, Feedback]:
     """Run the target once on ``input_text``."""
     if spec.kind is TargetKind.BUILTIN:
         fn = _lookup_builtin(spec.command)
         return fn(input_text)
-    return _execute_external(spec, input_text, run_id, seq)
+    return _execute_external(spec, input_text)

@@ -18,7 +18,7 @@ def _loop_serial(run: _Run) -> None:
     rng = Random(run.cfg.seed)
     while run.stats.execs < run.cfg.max_execs:
         tree, donor, mut_seed = _next_task(run, rng)
-        run.consume(*_apply(run, tree, donor, mut_seed, run.stats.execs))
+        run.consume(*_apply(run, tree, donor, mut_seed))
 
 
 def _loop_pooled(run: _Run) -> None:
@@ -38,7 +38,7 @@ def _loop_pooled(run: _Run) -> None:
             rng = streams[submitted % cfg.workers]
             tree, donor, mut_seed = _next_task(run, rng)
             pending.append(
-                pool.submit(_apply, run, tree, donor, mut_seed, submitted)
+                pool.submit(_apply, run, tree, donor, mut_seed)
             )
             submitted += 1
 

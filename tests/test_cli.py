@@ -128,6 +128,17 @@ class TestValidate:
         rc = main(["validate", str(TABLE1_DIR / "initial.conf"), "--target", "bogus"])
         assert rc == 1
 
+    def test_unsplittable_template_writes_no_input(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        work = tmp_path / "inputs"
+        monkeypatch.setenv("CONFFUZZ_TMPDIR", str(work))
+        target = "exec:cat '{input}"
+        rc = main(["validate", str(TABLE1_DIR / "initial.conf"), "--target", target])
+        assert rc == EXIT_USAGE
+        assert "cat '{input}" in capsys.readouterr().err
+        assert not work.exists() or list(work.iterdir()) == []
+
 
 class TestMinimize:
     def test_case3_shrinks_to_band_change(self, capsys):

@@ -112,3 +112,34 @@ def test_no_private_imports_between_modules(name):
         if imported.startswith("_") or module.startswith("_")
     ]
     assert private == []
+
+
+def _private_top_level_names(tree: ast.Module):
+    """Underscore-prefixed, non-dunder functions, classes and constants
+    bound at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_private_names_are_used_in_their_module(name):
+    # nothing outside a module may use its private names, so one that its
+    # own module never reads is dead code
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = [n for n in _private_top_level_names(tree) if n not in read]
+    assert unused == []

@@ -73,10 +73,6 @@ class TestFeedback:
         fb = Feedback.of("chk:b", "chk:a")
         assert fb.digest == stable_hash64("chk:a\nchk:b")
 
-    def test_union(self):
-        fb = Feedback.of("a").union(Feedback.of("b"))
-        assert fb.branches == frozenset({"a", "b"})
-
 
 class TestClassifyOutcome:
     @pytest.mark.parametrize(
@@ -124,6 +120,14 @@ class TestTargetSpec:
     def test_external_requires_single_placeholder(self, template):
         with pytest.raises(ValueError):
             TargetSpec.external(template)
+
+    @pytest.mark.parametrize(
+        "template", ["cat '{input}", 'cat "{input}', "cat {input} \\"]
+    )
+    def test_external_template_must_split(self, template):
+        with pytest.raises(ValueError, match="cannot split") as info:
+            TargetSpec.parse(f"exec:{template}")
+        assert repr(template) in str(info.value)
 
     def test_timeout_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -184,7 +188,7 @@ class TestExternalExecution:
             "sys.exit(0)",
         )
         spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
-        outcome, fb = execute(spec, "hello = 1;\n", run_id="t1", seq=3)
+        outcome, fb = execute(spec, "hello = 1;\n")
         assert outcome.kind is OutcomeKind.OK
         assert fb.branches == frozenset({"chk:a", "chk:b"})
         assert "hello = 1;" in outcome.stderr_excerpt
@@ -236,16 +240,22 @@ class TestExternalExecution:
         assert "chk:pre" in fb.branches
 
     def test_input_file_under_tmpdir_and_removed(self, tmp_path, sandbox_tmpdir):
+        # the call's input lives directly under CONFFUZZ_TMPDIR, holds the
+        # text and is gone once the call returns
         script = _write_script(
             tmp_path,
             "snap.py",
-            "sys.stderr.write(sys.argv[1] + '\\n')\nsys.exit(0)",
+            "sys.stderr.write(sys.argv[1] + '\\n' + open(sys.argv[1]).read())\n"
+            "sys.exit(0)",
         )
         spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
-        outcome, _ = execute(spec, "x = 1;\n", run_id="run-abc", seq=7)
-        used = outcome.stderr_excerpt.strip()
-        assert used == str(sandbox_tmpdir / "run-abc" / "7.conf")
+        outcome, _ = execute(spec, "x = 1;\n")
+        used, content = outcome.stderr_excerpt.split("\n", 1)
+        assert content == "x = 1;\n"
+        assert os.path.dirname(used) == str(sandbox_tmpdir)
+        assert used.endswith(".conf")
         assert not os.path.exists(used)
+        assert list(sandbox_tmpdir.iterdir()) == []
 
     def test_calls_without_run_id_get_distinct_paths(self, tmp_path, sandbox_tmpdir):
         script = _write_script(
@@ -260,6 +270,13 @@ class TestExternalExecution:
             assert os.path.dirname(path) == str(sandbox_tmpdir)
             assert not os.path.exists(path)
 
+    def test_failed_write_leaves_no_file(self, sandbox_tmpdir):
+        # a lone surrogate cannot be encoded, so writing the input fails
+        spec = TargetSpec.external(f"{sys.executable} -c pass {{input}}")
+        with pytest.raises(UnicodeEncodeError):
+            execute(spec, "x = \udc80;\n")
+        assert list(sandbox_tmpdir.iterdir()) == []
+
     def test_stderr_excerpt_truncated(self, tmp_path, sandbox_tmpdir):
         script = _write_script(
             tmp_path, "loud.py", "sys.stderr.write('x' * 10000)\nsys.exit(0)"
@@ -272,3 +289,4 @@ class TestExternalExecution:
         spec = TargetSpec.external("/no/such/binary {input}")
         with pytest.raises(SpawnFailureError):
             execute(spec, "x")
+        assert list(sandbox_tmpdir.iterdir()) == []
