@@ -30,6 +30,7 @@ from typing import Callable, Optional, Union
 
 from . import gnb_validator
 from .grammar import (
+    DEFAULT_MAX_DEPTH,
     DerivationTree,
     Grammar,
     derive_tree,
@@ -37,7 +38,7 @@ from .grammar import (
     parse_grammar,
     unparse,
 )
-from .mutate import DEFAULT_MAX_DEPTH, MutationKind, random_mutation
+from .mutate import random_mutation
 from .target import Feedback, OutcomeKind, TargetSpec, execute
 from .triage import (
     NonReproducibleError,
@@ -72,7 +73,6 @@ class CampaignConfig:
     seed: int = 1
     max_execs: int = 10_000
     workers: int = 1
-    weights: Optional[dict[MutationKind, float]] = None
     energy_per_entry: int = 64
     max_depth: int = DEFAULT_MAX_DEPTH
     progress: Optional[Callable[["CampaignStats"], None]] = None
@@ -111,7 +111,7 @@ def should_keep(feedback: Feedback, seen: set[str]) -> bool:
 class CorpusScheduler:
     """Round-robin over corpus entries with a per-entry pick budget."""
 
-    def __init__(self, energy_per_entry: int = 64):
+    def __init__(self, energy_per_entry: int):
         self.energy_per_entry = energy_per_entry
         self._idx = -1
         self._picks_left = 0
@@ -222,12 +222,7 @@ def _next_task(run: _Run, rng: Random):
 
 def _apply(run: _Run, tree, donor, mut_seed):
     mutated, _ = random_mutation(
-        tree,
-        run.g,
-        mut_seed,
-        run.cfg.weights,
-        donor=donor,
-        max_depth=run.cfg.max_depth,
+        tree, run.g, mut_seed, donor=donor, max_depth=run.cfg.max_depth
     )
     text = unparse(mutated, run.g)
     outcome, fb = execute(run.cfg.target, text)

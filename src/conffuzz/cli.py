@@ -34,7 +34,15 @@ from .explain import (
     parse_test_log,
     write_report,
 )
-from .grammar import GrammarError, derive_tree, generate_tree, parse_grammar, unparse
+from .grammar import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_START,
+    GrammarError,
+    derive_tree,
+    generate_tree,
+    parse_grammar,
+    unparse,
+)
 from .target import OutcomeKind, SpawnFailureError, TargetSpec, execute
 from .triage import (
     NonReproducibleError,
@@ -55,6 +63,9 @@ EXIT_CRASH = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_TARGET = "builtin:gnb-validator"
+# the integer fields of CampaignConfig that ``fuzz`` takes as flags of the
+# same name, with the config's defaults
+_CAMPAIGN_FLAGS = ("seed", "workers", "max_execs", "max_depth", "energy_per_entry")
 PROGRESS_INTERVAL_S = 2.0
 
 
@@ -72,19 +83,18 @@ def _read(path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _add_target_flags(sub, with_timeout: bool = True) -> None:
+def _add_target_flags(sub) -> None:
     sub.add_argument(
         "--target",
         default=DEFAULT_TARGET,
         help="builtin:NAME or exec:TEMPLATE with {input} (default: %(default)s)",
     )
-    if with_timeout:
-        sub.add_argument(
-            "--timeout-ms",
-            type=int,
-            default=10_000,
-            help="per-execution budget (default: %(default)s)",
-        )
+    sub.add_argument(
+        "--timeout-ms",
+        type=int,
+        default=TargetSpec.timeout_ms,
+        help="per-execution budget (default: %(default)s)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,17 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fuzz", help="run a fuzzing campaign")
     p.add_argument("--grammar", required=True)
     p.add_argument("--out", default="fuzz-out", help="campaign directory")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-execs", type=int, default=10_000)
-    p.add_argument("--max-depth", type=int, default=64)
-    p.add_argument("--energy-per-entry", type=int, default=64)
+    for name in _CAMPAIGN_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        p.add_argument(flag, type=int, default=getattr(CampaignConfig, name))
     _add_target_flags(p)
     p.set_defaults(func=cmd_fuzz)
 
@@ -154,8 +162,8 @@ def cmd_grammar_check(args) -> int:
     rules = sum(len(r) for r in g.productions.values())
     print(f"tokens: {len(g.productions)}")
     print(f"rules: {rules}")
-    print(f"start: {g.start}")
-    print(f"min-depth: {int(g.min_depth(g.start))}")
+    print(f"start: {DEFAULT_START}")
+    print(f"min-depth: {int(g.min_depth(DEFAULT_START))}")
     return EXIT_OK
 
 
@@ -189,12 +197,8 @@ def cmd_fuzz(args) -> int:
         grammar_path=args.grammar,
         target=TargetSpec.parse(args.target, args.timeout_ms),
         out_dir=args.out,
-        seed=args.seed,
-        max_execs=args.max_execs,
-        workers=args.workers,
-        energy_per_entry=args.energy_per_entry,
-        max_depth=args.max_depth,
         progress=progress,
+        **{name: getattr(args, name) for name in _CAMPAIGN_FLAGS},
     )
     stats = run_campaign(cfg)
     print(json.dumps(stats.as_dict(), indent=2))

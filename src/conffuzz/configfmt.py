@@ -190,6 +190,8 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _BAD_LEXEME_RE = re.compile(r"[^={}();,A-Za-z_\d]")
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+# the writer's side of the same alphabet: each character to its escape
+_ESCAPE_TABLE = str.maketrans({ch: "\\" + esc for esc, ch in _ESCAPES.items()})
 
 
 class _Fail(Exception):
@@ -355,22 +357,7 @@ def format_scalar(v: Scalar) -> str:
             raise ValueError(f"non-finite real not representable: {v!r}")
         return repr(v)
     if isinstance(v, str):
-        out = ['"']
-        for ch in v:
-            if ch == "\\":
-                out.append("\\\\")
-            elif ch == '"':
-                out.append('\\"')
-            elif ch == "\n":
-                out.append("\\n")
-            elif ch == "\t":
-                out.append("\\t")
-            elif ch == "\r":
-                out.append("\\r")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + v.translate(_ESCAPE_TABLE) + '"'
     raise ValueError(f"not a scalar: {v!r}")
 
 

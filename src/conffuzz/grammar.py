@@ -22,6 +22,7 @@ from random import Random
 from typing import Callable
 
 __all__ = [
+    "DEFAULT_MAX_DEPTH",
     "DEFAULT_START",
     "BadTokenNameError",
     "DepthInfeasibleError",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_START = "<START>"
+# the depth budget of a generated tree and of a regenerated subtree
+DEFAULT_MAX_DEPTH = 64
 
 _TOKEN_NAME_RE = re.compile(r"<[A-Za-z0-9_-]+>")
 _INT_LITERAL_RE = re.compile(r"-?\d+")
@@ -55,6 +58,8 @@ _INF = float("inf")
 # rule item each), far below the interpreter's recursion limit, so the
 # verdict does not depend on how deep the caller's stack already is
 DERIVE_MAX_DEPTH = 400
+# and past this many match attempts in all
+DERIVE_MAX_STEPS = 200_000
 
 
 class GrammarError(Exception):
@@ -134,7 +139,6 @@ class DerivationTree:
 @dataclass
 class Grammar:
     productions: dict[str, tuple[Rule, ...]]
-    start: str = DEFAULT_START
 
     def __post_init__(self) -> None:
         self._min_depth, self._rule_depths = _cost_tables(self.productions, max)
@@ -300,16 +304,18 @@ def sample_tree(g: Grammar, token: str, budget: int, rng: Random) -> DerivationT
     return DerivationTree(token, idx, children)
 
 
-def generate_tree(g: Grammar, seed: int, max_depth: int = 64) -> DerivationTree:
+def generate_tree(
+    g: Grammar, seed: int, max_depth: int = DEFAULT_MAX_DEPTH
+) -> DerivationTree:
     """Deterministically sample a tree rooted at the start token."""
-    if g.start not in g.productions:
-        raise MissingStartError(f"grammar does not define {g.start!r}")
-    need = g.min_depth(g.start)
+    if DEFAULT_START not in g.productions:
+        raise MissingStartError(f"grammar does not define {DEFAULT_START!r}")
+    need = g.min_depth(DEFAULT_START)
     if max_depth < need:
         raise DepthInfeasibleError(
             f"max_depth {max_depth} below minimal derivation depth {need}"
         )
-    return sample_tree(g, g.start, max_depth, Random(seed))
+    return sample_tree(g, DEFAULT_START, max_depth, Random(seed))
 
 
 def minimal_tree(g: Grammar, token: str) -> DerivationTree:
@@ -396,16 +402,14 @@ class _DeriveBudgetExceeded(Exception):
     pass
 
 
-def derive_tree(
-    g: Grammar, text: str, max_steps: int = 200_000
-) -> DerivationTree | None:
+def derive_tree(g: Grammar, text: str) -> DerivationTree | None:
     """Best-effort exact parse: a derivation tree unparsing to ``text``, or None.
 
     Backtracking search with memoization; gives up (returns None) once
-    ``max_steps`` match attempts are spent or the search nests deeper than
-    ``DERIVE_MAX_DEPTH`` steps, and does not support left-recursive
-    grammars.  Intended for tree-ifying known seed inputs, not as a
-    general CFG parser.
+    ``DERIVE_MAX_STEPS`` match attempts are spent or the search nests
+    deeper than ``DERIVE_MAX_DEPTH`` steps, and does not support
+    left-recursive grammars.  Intended for tree-ifying known seed inputs,
+    not as a general CFG parser.
     """
     productions = g.productions
     memo: dict[tuple[str, int], list[tuple[int, DerivationTree]]] = {}
@@ -427,7 +431,7 @@ def derive_tree(
     def match_items(items, i, pos, depth):
         nonlocal steps
         steps += 1
-        if steps > max_steps or depth > DERIVE_MAX_DEPTH:
+        if steps > DERIVE_MAX_STEPS or depth > DERIVE_MAX_DEPTH:
             raise _DeriveBudgetExceeded
         if i == len(items):
             yield pos, ()
@@ -441,10 +445,10 @@ def derive_tree(
                 for tail_end, rest in match_items(items, i + 1, end, depth + 1):
                     yield tail_end, (sub,) + rest
 
-    if g.start not in productions:
+    if DEFAULT_START not in productions:
         return None
     try:
-        for end, tree in derive(g.start, 0, 0):
+        for end, tree in derive(DEFAULT_START, 0, 0):
             if end == len(text):
                 return tree
     except _DeriveBudgetExceeded:

@@ -17,6 +17,7 @@ from random import Random
 from typing import Optional
 
 from .grammar import (
+    DEFAULT_MAX_DEPTH,
     DerivationTree,
     Grammar,
     minimal_tree,
@@ -26,14 +27,10 @@ from .grammar import (
 
 __all__ = [
     "AllZeroWeightsError",
-    "DEFAULT_MAX_DEPTH",
     "DEFAULT_WEIGHTS",
     "MutationKind",
     "random_mutation",
 ]
-
-DEFAULT_MAX_DEPTH = 64
-
 
 class MutationKind(enum.Enum):
     REGENERATE = "regenerate"

@@ -38,6 +38,7 @@ __all__ = [
     "stable_hash64",
 ]
 
+DEFAULT_TIMEOUT_MS = 10_000
 STDERR_EXCERPT_BYTES = 4096
 BRANCH_PREFIX = b"##branch:"
 
@@ -89,8 +90,8 @@ class ExecOutcome:
         return cls(OutcomeKind.CRASH, code, stderr_excerpt)
 
     @classmethod
-    def timeout(cls, stderr_excerpt: str = "") -> "ExecOutcome":
-        return cls(OutcomeKind.TIMEOUT, None, stderr_excerpt)
+    def timeout(cls) -> "ExecOutcome":
+        return cls(OutcomeKind.TIMEOUT)
 
     @property
     def is_crash(self) -> bool:
@@ -147,7 +148,7 @@ class TargetSpec:
 
     kind: TargetKind
     command: str
-    timeout_ms: int = 10_000
+    timeout_ms: int = DEFAULT_TIMEOUT_MS
 
     def __post_init__(self) -> None:
         if self.timeout_ms <= 0:
@@ -168,15 +169,19 @@ class TargetSpec:
                 ) from None
 
     @classmethod
-    def builtin(cls, name: str, timeout_ms: int = 10_000) -> "TargetSpec":
+    def builtin(cls, name: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> "TargetSpec":
         return cls(TargetKind.BUILTIN, name, timeout_ms)
 
     @classmethod
-    def external(cls, template: str, timeout_ms: int = 10_000) -> "TargetSpec":
+    def external(
+        cls, template: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
+    ) -> "TargetSpec":
         return cls(TargetKind.EXTERNAL, template, timeout_ms)
 
     @classmethod
-    def parse(cls, text: str, timeout_ms: int = 10_000) -> "TargetSpec":
+    def parse(
+        cls, text: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
+    ) -> "TargetSpec":
         """Parse a CLI target spec: ``builtin:NAME`` or ``exec:TEMPLATE``."""
         scheme, sep, rest = text.partition(":")
         if not sep or not rest:
@@ -239,13 +244,17 @@ def _execute_external(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, F
             raise SpawnFailureError(f"cannot start {argv[0]!r}: {e}") from e
         try:
             _, err = proc.communicate(timeout=spec.timeout_ms / 1000.0)
-        except subprocess.TimeoutExpired:
-            # kill the whole session so timed-out children cannot linger
+        except BaseException as e:
+            # kill the whole session so timed-out children cannot linger;
+            # an interrupt never reaches a target in its own session, so
+            # it is killed and reaped here before the interrupt goes on
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             _, err = proc.communicate()
+            if not isinstance(e, subprocess.TimeoutExpired):
+                raise
             outcome = ExecOutcome.timeout()
         else:
             elapsed_ms = (time.monotonic() - started) * 1000.0

@@ -147,17 +147,14 @@ def make_crash_report(
     input_text: str,
     minimized_text: str,
     first_seen_exec: int,
-    initial: Optional[ConfigDocument] = None,
 ) -> CrashReport:
     """Assemble a report, diffing the input against the initial config."""
-    if initial is None:
-        initial = gnb_validator.baseline_document()
     try:
         crashed = parse_config(input_text)
     except ConfigError:
         diff: tuple = ()
     else:
-        diff = tuple(diff_params(initial, crashed))
+        diff = tuple(diff_params(gnb_validator.baseline_document(), crashed))
     return CrashReport(key, outcome, input_text, minimized_text, diff, first_seen_exec)
 
 
@@ -201,9 +198,13 @@ def load_crash_report(crash_dir: Path) -> CrashReport:
         name = name or key
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f"{where}: missing field {name!r}")
-        if not isinstance(obj[key], kind):
+        value = obj[key]
+        # bool subclasses int, but no typed field holds true or false
+        if not isinstance(value, kind) or (
+            isinstance(value, bool) and kind is not object
+        ):
             raise ValueError(f"{where}: field {name!r} has the wrong type")
-        return obj[key]
+        return value
 
     try:
         payload = json.loads(where.read_text(encoding="utf-8"))

@@ -21,6 +21,7 @@ from conffuzz.campaign import CampaignConfig, run_campaign
 from conffuzz.cli import main
 from conffuzz.configfmt import parse_config
 from conffuzz.grammar import (
+    DEFAULT_START,
     derive_tree,
     generate_tree,
     minimal_tree,
@@ -155,7 +156,7 @@ def test_criterion_05_generation_robustness(gnb_grammar, capfd):
 
 
 def test_criterion_06_mutation_closure(gnb_grammar, capfd):
-    tree = minimal_tree(gnb_grammar, gnb_grammar.start)
+    tree = minimal_tree(gnb_grammar, DEFAULT_START)
     t0 = time.monotonic()
     for seed in range(10_000):
         tree, _ = random_mutation(tree, gnb_grammar, seed)

@@ -46,7 +46,7 @@ class TestScheduler:
     # the derivation trees and name the entry they are
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
-            CorpusScheduler().schedule_next([])
+            CorpusScheduler(1).schedule_next([])
 
     def test_single_entry_always_chosen(self):
         sched = CorpusScheduler(3)
@@ -300,12 +300,13 @@ class TestInterrupt:
 
 
 class TestTargetFault:
-    # A builtin target that raises aborts the campaign (a known gap, see
+    # A builtin target that raises, or returns something other than an
+    # (outcome, feedback) pair, aborts the campaign (a known gap, see
     # ROADMAP); until it is handled, the exception must reach the caller
     # and stats.json must still count exactly the results consumed.
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_raise_propagates_and_stats_flushed(
-        self, gnb_grammar_path, tmp_path, monkeypatch, workers
+    @staticmethod
+    def check_fault_on_50th_call(
+        fault, expected, match, grammar_path, out, monkeypatch, workers
     ):
         import itertools
 
@@ -317,7 +318,7 @@ class TestTargetFault:
 
         def faulty(text):
             if next(calls) == 50:
-                raise RuntimeError("target fault")
+                return fault(text)
             return run_text(text)
 
         register_builtin("faulty-on-50th-call", faulty)
@@ -329,20 +330,45 @@ class TestTargetFault:
             return consume(self, *args, **kwargs)
 
         monkeypatch.setattr(campaign._Run, "consume", counting)
-        out = tmp_path / "out"
         cfg = CampaignConfig(
-            gnb_grammar_path,
+            grammar_path,
             TargetSpec.builtin("faulty-on-50th-call"),
             out,
             seed=1,
             max_execs=2000,
             workers=workers,
         )
-        with pytest.raises(RuntimeError, match="target fault"):
+        with pytest.raises(expected, match=match):
             run_campaign(cfg)
         stats = json.loads((out / "stats.json").read_text())
         assert 0 < stats["execs"] == next(consumed) < 50
         assert stats["corpus_size"] == len(list((out / "corpus").iterdir()))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raise_propagates_and_stats_flushed(
+        self, gnb_grammar_path, tmp_path, monkeypatch, workers
+    ):
+        def fault(text):
+            raise RuntimeError("target fault")
+
+        self.check_fault_on_50th_call(
+            fault, RuntimeError, "target fault",
+            gnb_grammar_path, tmp_path / "out", monkeypatch, workers,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_outcome_propagates_and_stats_flushed(
+        self, gnb_grammar_path, tmp_path, monkeypatch, workers
+    ):
+        from conffuzz.gnb_validator import run_text
+
+        def fault(text):
+            return run_text(text)[0]  # the outcome without its feedback
+
+        self.check_fault_on_50th_call(
+            fault, TypeError, "cannot unpack",
+            gnb_grammar_path, tmp_path / "out", monkeypatch, workers,
+        )
 
 
 class TestWorkers:

@@ -281,8 +281,23 @@ class TestTriage:
                 lambda p: json.dumps({**p, "first_seen_exec": "7"}),
                 "field 'first_seen_exec' has the wrong type",
             ),
+            (
+                lambda p: json.dumps({**p, "first_seen_exec": True}),
+                "field 'first_seen_exec' has the wrong type",
+            ),
+            (
+                lambda p: json.dumps({**p, "outcome": {**p["outcome"], "code": True}}),
+                "field 'outcome.code' has the wrong type",
+            ),
         ],
-        ids=["missing-outcome", "list", "invalid-json", "ill-typed"],
+        ids=[
+            "missing-outcome",
+            "list",
+            "invalid-json",
+            "ill-typed",
+            "bool-exec",
+            "bool-code",
+        ],
     )
     def test_bad_report_json_is_a_usage_error(
         self, tmp_path, capsys, edit, complaint

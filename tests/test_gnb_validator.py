@@ -17,7 +17,7 @@ from conffuzz.gnb_validator import (
     sample_case_document,
     validate,
 )
-from conffuzz.grammar import derive_tree, minimal_tree, unparse
+from conffuzz.grammar import DEFAULT_START, derive_tree, minimal_tree, unparse
 from conffuzz.target import OutcomeKind
 
 # Expected parameter values per scenario, row order matching WATCH_PATHS.
@@ -258,7 +258,7 @@ class TestBranches:
 
 class TestGrammarIntegration:
     def test_minimal_tree_is_baseline(self, gnb_grammar, table1_dir):
-        t = minimal_tree(gnb_grammar, gnb_grammar.start)
+        t = minimal_tree(gnb_grammar, DEFAULT_START)
         assert unparse(t, gnb_grammar) == (table1_dir / "initial.conf").read_text()
 
     @pytest.mark.parametrize(

@@ -43,7 +43,6 @@ class TestParseGrammar:
         g = parse_grammar(BIT_GRAMMAR)
         assert list(g.productions) == ["<START>", "<BIT>"]
         assert len(g.productions["<BIT>"]) == 2
-        assert g.start == "<START>"
 
     def test_rule_items_classified(self):
         g = parse_grammar(BIT_GRAMMAR)

@@ -1,8 +1,10 @@
 """Imports: what the package loads, and what its modules export and share.
 
-The thread pool, the subprocess machinery and a UUID generator serve only
-pooled runs and ``exec:`` targets, and an HTTP client serves only the
-HTTP explain backend; each is imported where it is used.  Every start-up
+The thread pool serves only pooled runs, the subprocess machinery only
+``exec:`` targets, and an HTTP client only the HTTP explain backend; each
+is imported where it is used.  Nothing in the package imports ``uuid``;
+it stays in ``POOL_AND_SPAWN`` so that a start-up path that loads it
+again fails here.  Every start-up
 check runs in a fresh interpreter and compares against a bare one, so
 modules the interpreter loads at start-up on its own do not count.
 

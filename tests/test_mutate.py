@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conffuzz.configfmt import parse_config
 from conffuzz.grammar import (
+    DEFAULT_START,
     DerivationTree,
     generate_tree,
     minimal_tree,
@@ -52,7 +53,7 @@ def depth(t: DerivationTree) -> int:
 
 class TestClosure:
     def test_random_mutation_stays_in_language(self, gnb_grammar):
-        tree = minimal_tree(gnb_grammar, gnb_grammar.start)
+        tree = minimal_tree(gnb_grammar, DEFAULT_START)
         for seed in range(300):
             tree, _ = random_mutation(tree, gnb_grammar, seed)
             assert validate_tree(tree, gnb_grammar)
@@ -195,7 +196,7 @@ class TestSplice:
     def test_mixes_values_across_slots(self, gnb_grammar):
         from conffuzz.grammar import derive_tree
 
-        base = minimal_tree(gnb_grammar, gnb_grammar.start)
+        base = minimal_tree(gnb_grammar, DEFAULT_START)
         donor = generate_tree(gnb_grammar, seed=10)
         assert unparse(donor, gnb_grammar) != unparse(base, gnb_grammar)
         # the root's children are the value slots; a single-slot graft can
@@ -216,7 +217,7 @@ class TestSplice:
             assert derive_tree(gnb_grammar, text) is not None
 
     def test_self_splice_is_identity_on_unique_slots(self, gnb_grammar):
-        t = minimal_tree(gnb_grammar, gnb_grammar.start)
+        t = minimal_tree(gnb_grammar, DEFAULT_START)
         for seed in range(20):
             out = random_mutation(t, gnb_grammar, seed, SPLICE, donor=t)[0]
             assert unparse(out, gnb_grammar) == unparse(t, gnb_grammar)
@@ -260,7 +261,7 @@ class TestScalarTweak:
     def test_gnb_bandwidth_steps(self, gnb_grammar):
         # <BW_RB> alternatives are 106, 25, 24, 273, 5; from 106 a tweak
         # may reach 273 (above), 25 (below), 5 (min), or 273 (max)
-        t = minimal_tree(gnb_grammar, gnb_grammar.start)
+        t = minimal_tree(gnb_grammar, DEFAULT_START)
         values = set()
         for seed in range(500):
             out = random_mutation(t, gnb_grammar, seed, SCALAR_TWEAK)[0]
@@ -273,7 +274,7 @@ class TestScalarTweak:
 
 class TestRandomMutation:
     def test_default_weight_frequencies(self, gnb_grammar):
-        t = minimal_tree(gnb_grammar, gnb_grammar.start)
+        t = minimal_tree(gnb_grammar, DEFAULT_START)
         n = 100_000
         counts = Counter(random_mutation(t, gnb_grammar, seed)[1] for seed in range(n))
         total_weight = sum(DEFAULT_WEIGHTS.values())
@@ -281,21 +282,21 @@ class TestRandomMutation:
             assert abs(counts[kind] / n - w / total_weight) < 0.02, kind
 
     def test_single_entry_weights_force_kind(self, gnb_grammar):
-        t = minimal_tree(gnb_grammar, gnb_grammar.start)
+        t = minimal_tree(gnb_grammar, DEFAULT_START)
         for kind in MutationKind:
             for seed in range(10):
                 _, chosen = random_mutation(t, gnb_grammar, seed, {kind: 1})
                 assert chosen is kind
 
     def test_zero_weights_rejected(self, gnb_grammar):
-        t = minimal_tree(gnb_grammar, gnb_grammar.start)
+        t = minimal_tree(gnb_grammar, DEFAULT_START)
         with pytest.raises(AllZeroWeightsError):
             random_mutation(t, gnb_grammar, 0, {})
         with pytest.raises(AllZeroWeightsError):
             random_mutation(t, gnb_grammar, 0, {MutationKind.SPLICE: 0})
 
     def test_negative_weight_rejected(self, gnb_grammar):
-        t = minimal_tree(gnb_grammar, gnb_grammar.start)
+        t = minimal_tree(gnb_grammar, DEFAULT_START)
         with pytest.raises(ValueError):
             random_mutation(t, gnb_grammar, 0, {MutationKind.SPLICE: -1})
 

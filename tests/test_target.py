@@ -3,6 +3,7 @@
 import os
 import signal
 import stat
+import subprocess
 import sys
 import time
 
@@ -20,6 +21,8 @@ from conffuzz.target import (
     register_builtin,
     stable_hash64,
 )
+
+from conftest import REPO_ROOT
 
 
 class TestStableHash:
@@ -238,6 +241,65 @@ class TestExternalExecution:
         else:
             pytest.fail(f"timed-out target {pid} still alive")
         assert "chk:pre" in fb.branches
+
+    def test_interrupt_kills_and_reaps_target(self, tmp_path, sandbox_tmpdir):
+        # SIGINT reaches the interpreter but not the target, which runs in
+        # its own session; the interrupted call must kill and reap it
+        pidfile = tmp_path / "pid"
+        script = _write_script(
+            tmp_path,
+            "hang.py",
+            f"open({str(pidfile)!r}, 'w').write(str(os.getpid()))\n"
+            "time.sleep(60)",
+        )
+        caller = (
+            "import gc\n"
+            "from conffuzz.target import TargetSpec, execute\n"
+            f"spec = TargetSpec.external({f'{sys.executable} {script} {{input}}'!r})\n"
+            "try:\n"
+            "    execute(spec, 'x')\n"
+            "except KeyboardInterrupt:\n"
+            "    print('interrupted')\n"
+            "gc.collect()\n"
+        )
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-W", "always::ResourceWarning", "-c", caller],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        pid = None
+        try:
+            deadline = time.monotonic() + 10
+            while not (pidfile.exists() and pidfile.read_text()):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "target never started"
+                time.sleep(0.02)
+            pid = int(pidfile.read_text())
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+            for _ in range(40):
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail(f"interrupted target {pid} still alive")
+            assert out == b"interrupted\n"
+            assert b"ResourceWarning" not in err, err.decode()
+        finally:
+            if pid is not None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert list(sandbox_tmpdir.iterdir()) == []
 
     def test_input_file_under_tmpdir_and_removed(self, tmp_path, sandbox_tmpdir):
         # the call's input lives directly under CONFFUZZ_TMPDIR, holds the
