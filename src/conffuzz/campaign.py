@@ -39,7 +39,7 @@ from .grammar import (
     unparse,
 )
 from .mutate import random_mutation
-from .target import Feedback, OutcomeKind, TargetSpec, execute
+from .target import OutcomeKind, TargetSpec, execute
 from .triage import (
     NonReproducibleError,
     dedup_key,
@@ -103,9 +103,9 @@ class CampaignStats:
         return asdict(self)
 
 
-def should_keep(feedback: Feedback, seen: set[str]) -> bool:
-    """True iff the feedback covers at least one branch not seen before."""
-    return not feedback.branches <= seen
+def should_keep(branches: frozenset[str], seen: set[str]) -> bool:
+    """True iff ``branches`` holds at least one branch not seen before."""
+    return not branches <= seen
 
 
 class CorpusScheduler:
@@ -162,8 +162,8 @@ class _Run:
         self.corpus.append(tree)
         self.stats.corpus_size = len(self.corpus)
 
-    def route_crash(self, outcome, fb, tree, text) -> None:
-        key = dedup_key(outcome, fb)
+    def route_crash(self, outcome, branches, tree, text) -> None:
+        key = dedup_key(outcome, branches)
         if key in self.known_keys:
             return
         self.known_keys.add(key)
@@ -177,16 +177,16 @@ class _Run:
         report = make_crash_report(key, outcome, text, minimized, self.stats.execs)
         store_crash_report(self.out / "crashes", report)
 
-    def consume(self, tree, text, outcome, fb, *, retain_always=False) -> None:
+    def consume(self, tree, text, outcome, branches, *, retain_always=False) -> None:
         self.stats.execs += 1
         if outcome.kind is OutcomeKind.TIMEOUT:
             self.stats.timeouts += 1
         if outcome.kind is OutcomeKind.CRASH:
             self.stats.crashes_total += 1
-            self.route_crash(outcome, fb, tree, text)
-        novel = should_keep(fb, self.seen)
+            self.route_crash(outcome, branches, tree, text)
+        novel = should_keep(branches, self.seen)
         if novel:
-            self.seen |= fb.branches
+            self.seen |= branches
             self.scheduler.record_novelty()
         if novel or retain_always:
             self.retain(tree, text)
@@ -210,8 +210,8 @@ def _seed_corpus(run: _Run) -> None:
         if run.stats.execs >= cfg.max_execs:
             break
         text = unparse(tree, run.g)
-        outcome, fb = execute(cfg.target, text)
-        run.consume(tree, text, outcome, fb, retain_always=True)
+        outcome, branches = execute(cfg.target, text)
+        run.consume(tree, text, outcome, branches, retain_always=True)
 
 
 def _next_task(run: _Run, rng: Random):
@@ -225,8 +225,8 @@ def _apply(run: _Run, tree, donor, mut_seed):
         tree, run.g, mut_seed, donor=donor, max_depth=run.cfg.max_depth
     )
     text = unparse(mutated, run.g)
-    outcome, fb = execute(run.cfg.target, text)
-    return mutated, text, outcome, fb
+    outcome, branches = execute(run.cfg.target, text)
+    return mutated, text, outcome, branches
 
 
 class _Inline:

@@ -232,12 +232,12 @@ def cmd_minimize(args) -> int:
     if tree is None:
         raise UsageError(f"{args.config}: input cannot be derived from the grammar")
     spec = TargetSpec.parse(args.target, args.timeout_ms)
-    outcome, fb = execute(spec, text)
+    outcome, branches = execute(spec, text)
     if not outcome.is_crash:
         raise UsageError(
             f"{args.config}: target did not crash (outcome: {outcome.kind.value})"
         )
-    key = dedup_key(outcome, fb)
+    key = dedup_key(outcome, branches)
     minimized = unparse(minimize(tree, g, spec, key), g)
     if args.out:
         Path(args.out).write_text(minimized, encoding="utf-8")
@@ -264,13 +264,13 @@ def cmd_triage(args) -> int:
         reports = []
         for i, case in enumerate(args.cases):
             text = _read(case)
-            outcome, fb = execute(spec, text)
+            outcome, branches = execute(spec, text)
             if not outcome.is_crash:
                 raise UsageError(
                     f"{case}: target did not crash (outcome: {outcome.kind.value})"
                 )
             reports.append(
-                make_crash_report(dedup_key(outcome, fb), outcome, text, text, i)
+                make_crash_report(dedup_key(outcome, branches), outcome, text, text, i)
             )
         names = [Path(c).stem for c in args.cases]
 

@@ -39,7 +39,7 @@ from .configfmt import (
     serialize_config,
     set_param,
 )
-from .target import ExecOutcome, Feedback, register_builtin
+from .target import ExecOutcome, OutcomeKind, register_builtin
 
 __all__ = [
     "BandSpec",
@@ -181,14 +181,14 @@ _CRASH_RULES = (
 )
 
 
-def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
+def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     """Check one parsed document, emitting a branch per decision."""
     branches: set[str] = set()
     view = _extract_view(d, branches)
     if view is None:
         return (
             ExecOutcome.reject(REJECT_BAD_INPUT, "missing or non-integer parameter"),
-            Feedback(frozenset(branches)),
+            frozenset(branches),
         )
 
     for name, lo, hi in _DOMAIN_CHECKS:
@@ -201,7 +201,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 ExecOutcome.reject(
                     REJECT_BAD_INPUT, f"{name} = {value} outside [{lo}, {hi}]"
                 ),
-                Feedback(frozenset(branches)),
+                frozenset(branches),
             )
 
     band = next(
@@ -216,23 +216,23 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 ExecOutcome.crash(
                     code, f"FATAL[{code}]: " + message.format(b=band, **view)
                 ),
-                Feedback(frozenset(branches)),
+                frozenset(branches),
             )
 
-    return ExecOutcome.ok(), Feedback(frozenset(branches))
+    return ExecOutcome.ok(), frozenset(branches)
 
 
-def run_text(text: str) -> tuple[ExecOutcome, Feedback]:
+def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
     """Parse then validate raw config text: the builtin target entry point."""
     try:
         doc = parse_config(text)
     except ConfigError as e:
         return (
             ExecOutcome.reject(REJECT_BAD_INPUT, str(e)),
-            Feedback.of("chk:parse:fail"),
+            frozenset({"chk:parse:fail"}),
         )
-    outcome, fb = validate(doc)
-    return outcome, Feedback(fb.branches | {"chk:parse:ok"})
+    outcome, branches = validate(doc)
+    return outcome, branches | {"chk:parse:ok"}
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +337,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read {args[0]}: {e}", file=sys.stderr)
         return 1
-    outcome, fb = run_text(text)
-    for branch in sorted(fb.branches):
+    outcome, branches = run_text(text)
+    for branch in sorted(branches):
         print(f"##branch:{branch}", file=sys.stderr)
     if outcome.stderr_excerpt:
         print(outcome.stderr_excerpt, file=sys.stderr)
     sys.stderr.flush()
-    if outcome.kind.value == "crash":
+    if outcome.kind is OutcomeKind.CRASH:
         os.abort()
-    return 0 if outcome.kind.value == "ok" else REJECT_BAD_INPUT
+    return 0 if outcome.kind is OutcomeKind.OK else REJECT_BAD_INPUT
 
 
 def entry() -> None:

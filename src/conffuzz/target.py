@@ -8,9 +8,9 @@ with its path, and branch labels are harvested from stderr lines of the
 form ``##branch:<label>``.
 
 Every execution yields an :class:`ExecOutcome` (ok, reject, crash, or
-timeout) plus a :class:`Feedback` whose digest is a stable 64-bit hash of
-the sorted branch set, so identical coverage always maps to the same
-digest across runs and processes.
+timeout) plus the frozenset of branch labels it covered.  A builtin is a
+function from the input text to that pair.  Turning an outcome and its
+branch set into a crash bucket is :func:`conffuzz.triage.dedup_key`'s job.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
 __all__ = [
     "ExecOutcome",
-    "Feedback",
     "OutcomeKind",
     "SpawnFailureError",
     "TargetKind",
@@ -98,22 +96,6 @@ class ExecOutcome:
         return self.kind in (OutcomeKind.CRASH, OutcomeKind.TIMEOUT)
 
 
-@dataclass(frozen=True)
-class Feedback:
-    """Set of branch labels covered by one execution."""
-
-    branches: frozenset[str]
-
-    @cached_property
-    def digest(self) -> int:
-        """Stable hash of the sorted branch set, computed on first use."""
-        return stable_hash64("\n".join(sorted(self.branches)))
-
-    @classmethod
-    def of(cls, *branches: str) -> "Feedback":
-        return cls(frozenset(branches))
-
-
 class TargetKind(enum.Enum):
     BUILTIN = "builtin"
     EXTERNAL = "external"
@@ -123,7 +105,7 @@ class SpawnFailureError(Exception):
     """The external command could not be started at all."""
 
 
-BuiltinFn = Callable[[str], tuple[ExecOutcome, Feedback]]
+BuiltinFn = Callable[[str], tuple[ExecOutcome, frozenset[str]]]
 
 _BUILTINS: dict[str, BuiltinFn] = {}
 
@@ -169,16 +151,6 @@ class TargetSpec:
                 ) from None
 
     @classmethod
-    def builtin(cls, name: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> "TargetSpec":
-        return cls(TargetKind.BUILTIN, name, timeout_ms)
-
-    @classmethod
-    def external(
-        cls, template: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
-    ) -> "TargetSpec":
-        return cls(TargetKind.EXTERNAL, template, timeout_ms)
-
-    @classmethod
     def parse(
         cls, text: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
     ) -> "TargetSpec":
@@ -187,9 +159,9 @@ class TargetSpec:
         if not sep or not rest:
             raise ValueError(f"malformed target spec: {text!r}")
         if scheme == "builtin":
-            return cls.builtin(rest, timeout_ms)
+            return cls(TargetKind.BUILTIN, rest, timeout_ms)
         if scheme == "exec":
-            return cls.external(rest, timeout_ms)
+            return cls(TargetKind.EXTERNAL, rest, timeout_ms)
         raise ValueError(f"unknown target scheme: {scheme!r}")
 
 
@@ -217,7 +189,9 @@ def _tmp_base() -> Path:
     return Path(os.environ.get("CONFFUZZ_TMPDIR", tempfile.gettempdir()))
 
 
-def _execute_external(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, Feedback]:
+def _execute_external(
+    spec: TargetSpec, input_text: str
+) -> tuple[ExecOutcome, frozenset[str]]:
     # imported here so in-process (builtin) runs never load them
     import shlex
     import signal
@@ -268,11 +242,11 @@ def _execute_external(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, F
         if line.startswith(BRANCH_PREFIX)
     )
     excerpt = err[:STDERR_EXCERPT_BYTES].decode("utf-8", "replace")
-    return replace(outcome, stderr_excerpt=excerpt), Feedback(branches)
+    return replace(outcome, stderr_excerpt=excerpt), branches
 
 
-def execute(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, Feedback]:
-    """Run the target once on ``input_text``."""
+def execute(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, frozenset[str]]:
+    """Run the target once on ``input_text``: its outcome and branch set."""
     if spec.kind is TargetKind.BUILTIN:
         fn = _lookup_builtin(spec.command)
         return fn(input_text)

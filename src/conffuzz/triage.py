@@ -30,7 +30,7 @@ from .configfmt import (
     parse_config,
 )
 from .grammar import DerivationTree, Grammar, minimal_tree, replace_subtree, unparse
-from .target import ExecOutcome, Feedback, OutcomeKind, TargetSpec, execute, stable_hash64
+from .target import ExecOutcome, OutcomeKind, TargetSpec, execute, stable_hash64
 
 __all__ = [
     "CrashReport",
@@ -57,15 +57,19 @@ class NonReproducibleError(Exception):
     """The input no longer triggers the crash it was filed under."""
 
 
-def dedup_key(outcome: ExecOutcome, feedback: Feedback) -> str:
+def dedup_key(outcome: ExecOutcome, branches: frozenset[str]) -> str:
     """16-char lowercase hex key over (crash id, coverage digest).
 
-    Feedback-free targets collapse to a constant digest, so their crashes
-    dedup on the crash id alone.
+    The coverage digest is a stable 64-bit hash of the sorted labels
+    joined by newlines, so the key depends neither on the set's iteration
+    order nor on the interpreter's hash seed.  Targets that report no
+    branches collapse to a constant digest, so their crashes dedup on the
+    crash id alone.
     """
     if not outcome.is_crash:
         raise NotACrashError(f"cannot dedup a {outcome.kind.value} outcome")
-    return f"{stable_hash64(f'{outcome.code}|{feedback.digest:016x}'):016x}"
+    digest = stable_hash64("\n".join(sorted(branches)))
+    return f"{stable_hash64(f'{outcome.code}|{digest:016x}'):016x}"
 
 
 def _bfs_paths(
@@ -100,12 +104,12 @@ def minimize(
     verdicts: dict[tuple[Optional[int], frozenset[str]], bool] = {}
 
     def reproduces(t: DerivationTree) -> bool:
-        outcome, fb = execute(target, unparse(t, g))
+        outcome, branches = execute(target, unparse(t, g))
         if not outcome.is_crash:
             return False
-        seen = (outcome.code, fb.branches)
+        seen = (outcome.code, branches)
         if seen not in verdicts:
-            verdicts[seen] = dedup_key(outcome, fb) == key
+            verdicts[seen] = dedup_key(outcome, branches) == key
         return verdicts[seen]
 
     if not reproduces(tree):
@@ -215,10 +219,9 @@ def load_crash_report(crash_dir: Path) -> CrashReport:
     out = field(payload, "outcome", dict)
     kind = field(out, "class", str, "outcome.class")
     code = field(out, "code", (int, type(None)), "outcome.code")
+    excerpt = field(payload, "stderr_excerpt", str)
     try:
-        outcome = ExecOutcome(
-            OutcomeKind(kind), code, payload.get("stderr_excerpt", "")
-        )
+        outcome = ExecOutcome(OutcomeKind(kind), code, excerpt)
     except ValueError as e:
         raise ValueError(f"{where}: field 'outcome': {e}") from e
     diff = []

@@ -25,7 +25,7 @@ from conffuzz.gnb_validator import (
     WATCH_PATHS,
     band_table,
 )
-from conffuzz.target import ExecOutcome, Feedback
+from conffuzz.target import ExecOutcome
 
 _BANDS = band_table()
 
@@ -72,14 +72,14 @@ _DOMAIN_CHECKS = (
 )
 
 
-def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
+def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     """Check one parsed document, emitting a branch per decision."""
     branches: set[str] = set()
     view = _extract_view(d, branches)
     if view is None:
         return (
             ExecOutcome.reject(REJECT_BAD_INPUT, "missing or non-integer parameter"),
-            Feedback(frozenset(branches)),
+            frozenset(branches),
         )
 
     for name, lo, hi in _DOMAIN_CHECKS:
@@ -92,7 +92,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 ExecOutcome.reject(
                     REJECT_BAD_INPUT, f"{name} = {value} outside [{lo}, {hi}]"
                 ),
-                Feedback(frozenset(branches)),
+                frozenset(branches),
             )
 
     band = next(
@@ -106,7 +106,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 f"FATAL[{CRASH_UNKNOWN_BAND}]: unknown NR band "
                 f"{view.dl_frequencyBand}",
             ),
-            Feedback(frozenset(branches)),
+            frozenset(branches),
         )
     branches.add("chk:band:known")
 
@@ -121,7 +121,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 f"{view.absoluteFrequencySSB} outside band {band.band} range "
                 f"[{band.arfcn_lo}, {band.arfcn_hi}]",
             ),
-            Feedback(frozenset(branches)),
+            frozenset(branches),
         )
 
     if band.contains(view.dl_absoluteFrequencyPointA):
@@ -135,7 +135,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 f"{view.dl_absoluteFrequencyPointA} outside band {band.band} "
                 f"range [{band.arfcn_lo}, {band.arfcn_hi}]",
             ),
-            Feedback(frozenset(branches)),
+            frozenset(branches),
         )
 
     if view.dl_carrierBandwidth >= band.min_bw_rb:
@@ -149,7 +149,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 f"{view.dl_carrierBandwidth} RB below minimum {band.min_bw_rb} "
                 f"for band {band.band}",
             ),
-            Feedback(frozenset(branches)),
+            frozenset(branches),
         )
 
     if 13 <= view.controlResourceSetZero <= 15:
@@ -160,21 +160,21 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, Feedback]:
                 f"FATAL[{CRASH_CORESET0_BUG}]: coreset0 index "
                 f"{view.controlResourceSetZero} hits table bug window [13, 15]",
             ),
-            Feedback(frozenset(branches)),
+            frozenset(branches),
         )
     branches.add("chk:coreset0_bug:ok")
 
-    return ExecOutcome.ok(), Feedback(frozenset(branches))
+    return ExecOutcome.ok(), frozenset(branches)
 
 
-def run_text(text: str) -> tuple[ExecOutcome, Feedback]:
+def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
     """Parse then validate raw config text: the builtin target entry point."""
     try:
         doc = parse_config(text)
     except ConfigError as e:
         return (
             ExecOutcome.reject(REJECT_BAD_INPUT, str(e)),
-            Feedback.of("chk:parse:fail"),
+            frozenset({"chk:parse:fail"}),
         )
-    outcome, fb = validate(doc)
-    return outcome, Feedback(fb.branches | {"chk:parse:ok"})
+    outcome, branches = validate(doc)
+    return outcome, branches | {"chk:parse:ok"}

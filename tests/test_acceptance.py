@@ -68,7 +68,7 @@ def campaign_runs(tmp_path_factory):
         out = tmp_path_factory.mktemp(f"reference-{tag}")
         cfg = CampaignConfig(
             grammar_path=GRAMMAR_PATH,
-            target=TargetSpec.builtin(gnb_validator.BUILTIN_NAME),
+            target=TargetSpec.parse(f"builtin:{gnb_validator.BUILTIN_NAME}"),
             out_dir=out,
             seed=1,
             max_execs=200_000,
@@ -168,7 +168,7 @@ def test_criterion_06_mutation_closure(gnb_grammar, capfd):
 
 def test_criterion_07_minimized_inputs_reproduce(campaign_runs, gnb_grammar, capfd):
     out_dir, _, _ = campaign_runs[0]
-    spec = TargetSpec.builtin(gnb_validator.BUILTIN_NAME)
+    spec = TargetSpec.parse(f"builtin:{gnb_validator.BUILTIN_NAME}")
     checked = 0
     for d in crash_dirs(out_dir):
         report = json.loads((d / "report.json").read_text())
@@ -245,7 +245,7 @@ def test_criterion_10_repeat_crash_stored_once(tmp_path, capfd):
     out = tmp_path / "run"
     cfg = CampaignConfig(
         grammar_path=gpath,
-        target=TargetSpec.builtin(gnb_validator.BUILTIN_NAME),
+        target=TargetSpec.parse(f"builtin:{gnb_validator.BUILTIN_NAME}"),
         out_dir=out,
         seed=1,
         max_execs=40,

@@ -4,7 +4,8 @@
 look them up under, and the triage workload counts minimize's executions
 by wrapping ``triage.execute``.  A rename or a changed import in the
 package would silently leave a layer untimed or a count at zero, so these
-tests fail first.
+tests fail first.  The tracing hooks and ``perfbench/checks.py`` also
+unpack what the package returns, so one traced campaign runs them here.
 """
 
 from __future__ import annotations
@@ -13,22 +14,25 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from conffuzz import target, triage
+from conffuzz import campaign, gnb_validator, grammar, target, triage
 from conffuzz.grammar import derive_tree, unparse
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-VALIDATOR = target.TargetSpec.builtin("gnb-validator")
+from conftest import GRAMMAR_PATH
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+VALIDATOR = target.TargetSpec.parse("builtin:gnb-validator")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_binding_is_the_defining_function():
-    for name, module, attr in load_tracing().TRACED:
+    for name, module, attr in load_perfbench("tracing").TRACED:
         binding = getattr(importlib.import_module(f"conffuzz.{module}"), attr)
         assert callable(binding), (module, attr)
         home, func = name.split(".")
@@ -59,3 +63,29 @@ def test_minimize_executes_through_triage_execute(
     assert len(runs) >= 2
     assert runs[0] == text
     assert unparse(small, gnb_grammar) in runs
+
+
+def test_traced_campaign_feeds_the_hooks_and_checks(gnb_grammar, tmp_path):
+    tracing, checks = load_perfbench("tracing"), load_perfbench("checks")
+    m = {
+        "campaign": campaign,
+        "gnb_validator": gnb_validator,
+        "grammar": grammar,
+        "target": target,
+        "triage": triage,
+    }
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, m)
+    out = tmp_path / "out"
+    try:
+        # seed 1 first sees all five planted crashes by exec 607
+        campaign.run_campaign(
+            campaign.CampaignConfig(GRAMMAR_PATH, VALIDATOR, out, max_execs=700)
+        )
+    finally:
+        uninstall()
+    assert tracer.counts["triage.minimize_reproduced"] > 0
+    crash_dirs = sorted((out / "crashes").iterdir())
+    assert len(crash_dirs) == 5
+    for crash_dir in crash_dirs:
+        assert checks.check_crash_dir(crash_dir, gnb_grammar, VALIDATOR, m) == []

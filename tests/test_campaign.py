@@ -13,9 +13,9 @@ from conffuzz.campaign import (
     should_keep,
 )
 from conffuzz.gnb_validator import baseline_text
-from conffuzz.target import Feedback, TargetSpec, execute
+from conffuzz.target import TargetSpec, execute
 
-VALIDATOR = TargetSpec.builtin("gnb-validator")
+VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
 
 GRAMMAR_PATH = None  # set by fixture
 
@@ -29,16 +29,16 @@ def gnb_grammar_path():
 
 class TestShouldKeep:
     def test_first_feedback_is_novel(self):
-        assert should_keep(Feedback.of("chk:a"), set())
+        assert should_keep(frozenset({"chk:a"}), set())
 
     def test_exact_repeat_is_not(self):
-        assert not should_keep(Feedback.of("chk:a"), {"chk:a", "chk:b"})
+        assert not should_keep(frozenset({"chk:a"}), {"chk:a", "chk:b"})
 
     def test_one_new_branch_suffices(self):
-        assert should_keep(Feedback.of("chk:a", "chk:new"), {"chk:a", "chk:b"})
+        assert should_keep(frozenset({"chk:a", "chk:new"}), {"chk:a", "chk:b"})
 
     def test_empty_feedback_never_kept(self):
-        assert not should_keep(Feedback.of(), set())
+        assert not should_keep(frozenset(), set())
 
 
 class TestScheduler:
@@ -183,9 +183,9 @@ class TestCrashRouting:
         )
         for crash_dir in (out / "crashes").iterdir():
             minimized = (crash_dir / "minimized.conf").read_text()
-            outcome, fb = execute(VALIDATOR, minimized)
+            outcome, branches = execute(VALIDATOR, minimized)
             assert outcome.is_crash
-            assert dedup_key(outcome, fb) == crash_dir.name
+            assert dedup_key(outcome, branches) == crash_dir.name
 
     def test_identical_crashes_dedup_to_one_report(self, tmp_path, table1_dir):
         # a grammar whose whole language is one crashing config
@@ -231,13 +231,13 @@ class TestCorpusReproducibility:
         from conffuzz.campaign import _loop, _Run, _seed_corpus
         from conffuzz.grammar import parse_grammar, unparse
 
-        # the digest each input had when the campaign ran it
-        digests: dict[str, int] = {}
+        # the branch set each input had when the campaign ran it
+        seen: dict[str, frozenset[str]] = {}
 
         def recording(spec, text):
-            outcome, fb = execute(spec, text)
-            assert digests.setdefault(text, fb.digest) == fb.digest
-            return outcome, fb
+            outcome, branches = execute(spec, text)
+            assert seen.setdefault(text, branches) == branches
+            return outcome, branches
 
         monkeypatch.setattr(campaign, "execute", recording)
         out = tmp_path / "out"
@@ -254,8 +254,8 @@ class TestCorpusReproducibility:
         for tree, path in zip(run.corpus, files):
             text = path.read_text()
             assert unparse(tree, g) == text
-            _, fb = execute(VALIDATOR, text)
-            assert fb.digest == digests[text]
+            _, branches = execute(VALIDATOR, text)
+            assert branches == seen[text]
 
 
 class TestProgressCallback:
@@ -301,7 +301,7 @@ class TestInterrupt:
 
 class TestTargetFault:
     # A builtin target that raises, or returns something other than an
-    # (outcome, feedback) pair, aborts the campaign (a known gap, see
+    # (outcome, branch set) pair, aborts the campaign (a known gap, see
     # ROADMAP); until it is handled, the exception must reach the caller
     # and stats.json must still count exactly the results consumed.
     @staticmethod
@@ -332,7 +332,7 @@ class TestTargetFault:
         monkeypatch.setattr(campaign._Run, "consume", counting)
         cfg = CampaignConfig(
             grammar_path,
-            TargetSpec.builtin("faulty-on-50th-call"),
+            TargetSpec.parse("builtin:faulty-on-50th-call"),
             out,
             seed=1,
             max_execs=2000,
@@ -363,7 +363,7 @@ class TestTargetFault:
         from conffuzz.gnb_validator import run_text
 
         def fault(text):
-            return run_text(text)[0]  # the outcome without its feedback
+            return run_text(text)[0]  # the outcome without its branch set
 
         self.check_fault_on_50th_call(
             fault, TypeError, "cannot unpack",
@@ -423,7 +423,7 @@ class TestExternalTargetCleanup:
         monkeypatch.setenv("CONFFUZZ_TMPDIR", str(work))
         script = tmp_path / "ok.py"
         script.write_text("import sys\nsys.exit(0)\n")
-        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         stats = run_campaign(
             CampaignConfig(gnb_grammar_path, spec, tmp_path / "out", max_execs=3)
         )

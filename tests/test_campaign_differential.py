@@ -21,7 +21,7 @@ from conffuzz.target import TargetSpec
 
 from conftest import GRAMMAR_PATH
 
-VALIDATOR = TargetSpec.builtin("gnb-validator")
+VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
 WALL_CLOCK_KEYS = ("execs_per_sec", "started_unix_ms", "finished_unix_ms")
 
 

@@ -289,6 +289,16 @@ class TestTriage:
                 lambda p: json.dumps({**p, "outcome": {**p["outcome"], "code": True}}),
                 "field 'outcome.code' has the wrong type",
             ),
+            (
+                lambda p: json.dumps({**p, "stderr_excerpt": 5}),
+                "field 'stderr_excerpt' has the wrong type",
+            ),
+            (
+                lambda p: json.dumps(
+                    {k: v for k, v in p.items() if k != "stderr_excerpt"}
+                ),
+                "missing field 'stderr_excerpt'",
+            ),
         ],
         ids=[
             "missing-outcome",
@@ -297,6 +307,8 @@ class TestTriage:
             "ill-typed",
             "bool-exec",
             "bool-code",
+            "ill-typed-excerpt",
+            "missing-excerpt",
         ],
     )
     def test_bad_report_json_is_a_usage_error(
@@ -306,8 +318,8 @@ class TestTriage:
         from conffuzz.triage import dedup_key, make_crash_report, store_crash_report
 
         text = (TABLE1_DIR / "case5.conf").read_text()
-        outcome, fb = execute(TargetSpec.builtin("gnb-validator"), text)
-        report = make_crash_report(dedup_key(outcome, fb), outcome, text, text, 1)
+        outcome, branches = execute(TargetSpec.parse("builtin:gnb-validator"), text)
+        report = make_crash_report(dedup_key(outcome, branches), outcome, text, text, 1)
         crash_dir = store_crash_report(tmp_path, report)
         payload = json.loads((crash_dir / "report.json").read_text())
         (crash_dir / "report.json").write_text(edit(payload))

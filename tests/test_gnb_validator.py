@@ -119,38 +119,38 @@ class TestSampleCases:
 class TestCrashRules:
     def test_rule1_ssb_out_of_band(self):
         doc = with_param(baseline_document(), f"{CELL}.absoluteFrequencySSB", 619999)
-        outcome, fb = validate(doc)
+        outcome, branches = validate(doc)
         assert outcome.code == 101
-        assert "chk:ssb_in_band:viol" in fb.branches
+        assert "chk:ssb_in_band:viol" in branches
 
     def test_rule2_pointa_out_of_band(self):
         doc = with_param(
             baseline_document(), f"{CELL}.dl_absoluteFrequencyPointA", 999999
         )
-        outcome, fb = validate(doc)
+        outcome, branches = validate(doc)
         assert outcome.code == 102
-        assert "chk:pointa_in_band:viol" in fb.branches
+        assert "chk:pointa_in_band:viol" in branches
 
     def test_rule3_bandwidth_below_minimum(self):
         doc = with_param(baseline_document(), f"{CELL}.dl_carrierBandwidth", 24)
-        outcome, fb = validate(doc)
+        outcome, branches = validate(doc)
         assert outcome.code == 103
-        assert "chk:min_bw:viol" in fb.branches
+        assert "chk:min_bw:viol" in branches
 
     def test_rule4_unknown_band(self):
         doc = with_param(baseline_document(), f"{CELL}.dl_frequencyBand", 1)
-        outcome, fb = validate(doc)
+        outcome, branches = validate(doc)
         assert outcome.code == 104
-        assert "chk:band:unknown" in fb.branches
+        assert "chk:band:unknown" in branches
 
     def test_rule5_coreset_zero_bug_window(self):
         for idx in (13, 14, 15):
             doc = with_param(
                 baseline_document(), f"{CELL}.controlResourceSetZero", idx
             )
-            outcome, fb = validate(doc)
+            outcome, branches = validate(doc)
             assert outcome.code == 105, idx
-            assert "chk:coreset0_bug:viol" in fb.branches
+            assert "chk:coreset0_bug:viol" in branches
 
     def test_rule1_beats_rule2(self):
         # case3 has both frequencies outside band 41
@@ -167,9 +167,9 @@ class TestCrashRules:
         doc = with_param(doc, f"{CELL}.dl_frequencyBand", 257)
         doc = with_param(doc, f"{CELL}.absoluteFrequencySSB", 1)
         doc = with_param(doc, f"{CELL}.dl_carrierBandwidth", 1)
-        outcome, fb = validate(doc)
+        outcome, branches = validate(doc)
         assert outcome.code == 104
-        assert not any("in_band" in b for b in fb.branches)
+        assert not any("in_band" in b for b in branches)
 
     @pytest.mark.parametrize("arfcn", [620000, 653333])
     def test_band78_edges_inclusive(self, arfcn):
@@ -190,10 +190,10 @@ class TestDomainRejects:
         ],
     )
     def test_out_of_domain_rejects(self, path, value, label):
-        outcome, fb = validate(with_param(baseline_document(), path, value))
+        outcome, branches = validate(with_param(baseline_document(), path, value))
         assert outcome.kind is OutcomeKind.REJECT
         assert outcome.code == 2
-        assert label in fb.branches
+        assert label in branches
 
     def test_coreset_sixteen_rejects_before_bug_window(self):
         doc = with_param(baseline_document(), f"{CELL}.controlResourceSetZero", 16)
@@ -204,21 +204,21 @@ class TestDomainRejects:
         text = baseline_text().replace(
             "        dl_carrierBandwidth = 106;\n", ""
         )
-        outcome, fb = run_text(text)
+        outcome, branches = run_text(text)
         assert outcome.kind is OutcomeKind.REJECT
-        assert "chk:extract:dl_carrierBandwidth:fail" in fb.branches
+        assert "chk:extract:dl_carrierBandwidth:fail" in branches
 
     def test_wrong_type_rejects(self):
         doc = with_param(baseline_document(), "gNBs[0].do_CSIRS", True)
-        outcome, fb = validate(doc)
+        outcome, branches = validate(doc)
         assert outcome.kind is OutcomeKind.REJECT
-        assert "chk:extract:do_CSIRS:fail" in fb.branches
+        assert "chk:extract:do_CSIRS:fail" in branches
 
 
 class TestBranches:
     def test_baseline_branch_set_frozen(self):
-        _, fb = validate(baseline_document())
-        assert fb.branches == frozenset(
+        _, branches = validate(baseline_document())
+        assert branches == frozenset(
             {
                 "chk:extract:ok",
                 "chk:do_CSIRS:ok",
@@ -234,22 +234,22 @@ class TestBranches:
         )
 
     def test_run_text_adds_parse_branch(self):
-        _, fb = run_text(baseline_text())
-        assert "chk:parse:ok" in fb.branches
+        _, branches = run_text(baseline_text())
+        assert "chk:parse:ok" in branches
 
     def test_parse_failure_branch(self):
-        outcome, fb = run_text("not a config {{{")
+        outcome, branches = run_text("not a config {{{")
         assert outcome.kind is OutcomeKind.REJECT
-        assert fb.branches == frozenset({"chk:parse:fail"})
+        assert branches == frozenset({"chk:parse:fail"})
 
     def test_digest_tracks_decision_path(self):
         # case1/case3 crash on the same rule and case2/case4 on the same
         # rule, so the five cases fold into three distinct branch sets
-        digests = {}
+        groups = {}
         for name in SAMPLE_CASES:
-            _, fb = validate(sample_case_document(name))
-            digests.setdefault(fb.digest, set()).add(name)
-        assert sorted(map(sorted, digests.values())) == [
+            _, branches = validate(sample_case_document(name))
+            groups.setdefault(branches, set()).add(name)
+        assert sorted(map(sorted, groups.values())) == [
             ["case1", "case3"],
             ["case2", "case4"],
             ["case5"],

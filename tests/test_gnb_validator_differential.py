@@ -95,8 +95,8 @@ def _drop(doc: ConfigDocument, name: str) -> ConfigDocument:
 
 
 def _view(result):
-    outcome, fb = result
-    return outcome.kind, outcome.code, outcome.stderr_excerpt, fb.branches
+    outcome, branches = result
+    return outcome.kind, outcome.code, outcome.stderr_excerpt, branches
 
 
 def _assert_same(doc: ConfigDocument):

@@ -74,7 +74,7 @@ def test_single_worker_run_loads_no_pool(bare, tmp_path):
         "from conffuzz.campaign import CampaignConfig, run_campaign\n"
         "from conffuzz.target import TargetSpec\n"
         f"run_campaign(CampaignConfig({str(GRAMMAR_PATH)!r}, "
-        f"TargetSpec.builtin('gnb-validator'), {str(tmp_path / 'out')!r}, "
+        f"TargetSpec.parse('builtin:gnb-validator'), {str(tmp_path / 'out')!r}, "
         "max_execs=300))"
     )
     added = _loaded_by(code) - bare

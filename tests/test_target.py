@@ -1,4 +1,4 @@
-"""Target execution: outcome classification, feedback, subprocess control."""
+"""Target execution: outcome classification, branch sets, subprocess control."""
 
 import os
 import signal
@@ -11,7 +11,6 @@ import pytest
 
 from conffuzz.target import (
     ExecOutcome,
-    Feedback,
     OutcomeKind,
     SpawnFailureError,
     TargetKind,
@@ -64,19 +63,6 @@ class TestExecOutcome:
         assert not ExecOutcome.reject(2).is_crash
 
 
-class TestFeedback:
-    def test_digest_order_independent(self):
-        assert Feedback.of("a", "b").digest == Feedback.of("b", "a").digest
-
-    def test_digest_distinguishes_sets(self):
-        assert Feedback.of("a").digest != Feedback.of("b").digest
-        assert Feedback.of().digest != Feedback.of("a").digest
-
-    def test_digest_matches_sorted_join(self):
-        fb = Feedback.of("chk:b", "chk:a")
-        assert fb.digest == stable_hash64("chk:a\nchk:b")
-
-
 class TestClassifyOutcome:
     @pytest.mark.parametrize(
         "rc,elapsed,expected",
@@ -122,7 +108,7 @@ class TestTargetSpec:
     )
     def test_external_requires_single_placeholder(self, template):
         with pytest.raises(ValueError):
-            TargetSpec.external(template)
+            TargetSpec.parse(f"exec:{template}")
 
     @pytest.mark.parametrize(
         "template", ["cat '{input}", 'cat "{input}', "cat {input} \\"]
@@ -134,7 +120,7 @@ class TestTargetSpec:
 
     def test_timeout_must_be_positive(self):
         with pytest.raises(ValueError):
-            TargetSpec.builtin("x", timeout_ms=0)
+            TargetSpec.parse("builtin:x", timeout_ms=0)
 
 
 class TestBuiltinDispatch:
@@ -143,26 +129,26 @@ class TestBuiltinDispatch:
 
         def fake(text):
             seen.append(text)
-            return ExecOutcome.ok(), Feedback.of("chk:fake")
+            return ExecOutcome.ok(), frozenset({"chk:fake"})
 
         register_builtin("fake-target", fake)
-        outcome, fb = execute(TargetSpec.builtin("fake-target"), "payload")
+        outcome, branches = execute(TargetSpec.parse("builtin:fake-target"), "payload")
         assert seen == ["payload"]
         assert outcome == ExecOutcome.ok()
-        assert fb.branches == frozenset({"chk:fake"})
+        assert branches == frozenset({"chk:fake"})
 
     def test_unknown_builtin_raises(self):
         with pytest.raises(ValueError):
-            execute(TargetSpec.builtin("no-such-target"), "x")
+            execute(TargetSpec.parse("builtin:no-such-target"), "x")
 
     def test_default_builtin_is_importable(self):
-        outcome, fb = execute(TargetSpec.builtin("gnb-validator"), "not a config")
+        outcome, _ = execute(TargetSpec.parse("builtin:gnb-validator"), "not a config")
         assert outcome.kind is OutcomeKind.REJECT
 
     @pytest.mark.parametrize("opener", ["{ b = ", "("])
     def test_deep_nesting_is_a_reject(self, opener):
         text = "a = " + opener * 600
-        outcome, _ = execute(TargetSpec.builtin("gnb-validator"), text)
+        outcome, _ = execute(TargetSpec.parse("builtin:gnb-validator"), text)
         assert outcome.kind is OutcomeKind.REJECT
         assert "nesting deeper than 100 levels" in outcome.stderr_excerpt
 
@@ -190,16 +176,16 @@ class TestExternalExecution:
             "sys.stderr.write('##branch:chk:a\\n##branch:chk:b\\nnoise line\\n')\n"
             "sys.exit(0)",
         )
-        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
-        outcome, fb = execute(spec, "hello = 1;\n")
+        spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
+        outcome, branches = execute(spec, "hello = 1;\n")
         assert outcome.kind is OutcomeKind.OK
-        assert fb.branches == frozenset({"chk:a", "chk:b"})
+        assert branches == frozenset({"chk:a", "chk:b"})
         assert "hello = 1;" in outcome.stderr_excerpt
         assert "noise line" in outcome.stderr_excerpt
 
     def test_reject_exit_code(self, tmp_path, sandbox_tmpdir):
         script = _write_script(tmp_path, "rej.py", "sys.exit(3)")
-        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         outcome, _ = execute(spec, "x")
         assert outcome == ExecOutcome.reject(3)
 
@@ -207,7 +193,7 @@ class TestExternalExecution:
         script = _write_script(
             tmp_path, "seg.py", "os.kill(os.getpid(), signal.SIGSEGV)"
         )
-        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         outcome, _ = execute(spec, "x")
         assert outcome.kind is OutcomeKind.CRASH
         assert outcome.code == signal.SIGSEGV
@@ -222,11 +208,11 @@ class TestExternalExecution:
             "sys.stderr.flush()\n"
             "time.sleep(60)",
         )
-        spec = TargetSpec.external(
-            f"{sys.executable} {script} {{input}}", timeout_ms=500
+        spec = TargetSpec.parse(
+            f"exec:{sys.executable} {script} {{input}}", timeout_ms=500
         )
         started = time.monotonic()
-        outcome, fb = execute(spec, "x")
+        outcome, branches = execute(spec, "x")
         elapsed = time.monotonic() - started
         assert outcome.kind is OutcomeKind.TIMEOUT
         assert elapsed < 5.0
@@ -240,7 +226,7 @@ class TestExternalExecution:
             time.sleep(0.05)
         else:
             pytest.fail(f"timed-out target {pid} still alive")
-        assert "chk:pre" in fb.branches
+        assert "chk:pre" in branches
 
     def test_interrupt_kills_and_reaps_target(self, tmp_path, sandbox_tmpdir):
         # SIGINT reaches the interpreter but not the target, which runs in
@@ -252,10 +238,11 @@ class TestExternalExecution:
             f"open({str(pidfile)!r}, 'w').write(str(os.getpid()))\n"
             "time.sleep(60)",
         )
+        spec_text = f"exec:{sys.executable} {script} {{input}}"
         caller = (
             "import gc\n"
             "from conffuzz.target import TargetSpec, execute\n"
-            f"spec = TargetSpec.external({f'{sys.executable} {script} {{input}}'!r})\n"
+            f"spec = TargetSpec.parse({spec_text!r})\n"
             "try:\n"
             "    execute(spec, 'x')\n"
             "except KeyboardInterrupt:\n"
@@ -310,7 +297,7 @@ class TestExternalExecution:
             "sys.stderr.write(sys.argv[1] + '\\n' + open(sys.argv[1]).read())\n"
             "sys.exit(0)",
         )
-        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         outcome, _ = execute(spec, "x = 1;\n")
         used, content = outcome.stderr_excerpt.split("\n", 1)
         assert content == "x = 1;\n"
@@ -325,7 +312,7 @@ class TestExternalExecution:
             "snap.py",
             "sys.stderr.write(sys.argv[1] + '\\n')\nsys.exit(0)",
         )
-        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         used = [execute(spec, "x = 1;\n")[0].stderr_excerpt.strip() for _ in range(2)]
         assert used[0] != used[1]
         for path in used:
@@ -334,7 +321,7 @@ class TestExternalExecution:
 
     def test_failed_write_leaves_no_file(self, sandbox_tmpdir):
         # a lone surrogate cannot be encoded, so writing the input fails
-        spec = TargetSpec.external(f"{sys.executable} -c pass {{input}}")
+        spec = TargetSpec.parse(f"exec:{sys.executable} -c pass {{input}}")
         with pytest.raises(UnicodeEncodeError):
             execute(spec, "x = \udc80;\n")
         assert list(sandbox_tmpdir.iterdir()) == []
@@ -343,12 +330,12 @@ class TestExternalExecution:
         script = _write_script(
             tmp_path, "loud.py", "sys.stderr.write('x' * 10000)\nsys.exit(0)"
         )
-        spec = TargetSpec.external(f"{sys.executable} {script} {{input}}")
+        spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         outcome, _ = execute(spec, "x")
         assert len(outcome.stderr_excerpt.encode()) == 4096
 
     def test_spawn_failure(self, sandbox_tmpdir):
-        spec = TargetSpec.external("/no/such/binary {input}")
+        spec = TargetSpec.parse("exec:/no/such/binary {input}")
         with pytest.raises(SpawnFailureError):
             execute(spec, "x")
         assert list(sandbox_tmpdir.iterdir()) == []

@@ -1,14 +1,20 @@
 """Triage: dedup keys, minimization, crash store, parameter tables."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conffuzz.configfmt import ParamPath, parse_config, serialize_config, set_param
 from conffuzz.gnb_validator import WATCH_PATHS, baseline_document, run_text
 from conffuzz.grammar import derive_tree, tree_size, unparse
-from conffuzz.target import ExecOutcome, Feedback, TargetSpec
+from conffuzz.target import ExecOutcome, TargetSpec
 from conffuzz.triage import (
     CrashReport,
     NonReproducibleError,
@@ -23,52 +29,132 @@ from conffuzz.triage import (
     store_crash_report,
 )
 
+from conftest import REPO_ROOT
 from test_gnb_validator import CELL, PARAM_MATRIX
 
-VALIDATOR = TargetSpec.builtin("gnb-validator")
+VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
 
 
 def crash_and_key(text):
-    outcome, fb = run_text(text)
-    return outcome, dedup_key(outcome, fb)
+    outcome, branches = run_text(text)
+    return outcome, dedup_key(outcome, branches)
 
 
 class TestDedupKey:
     def test_frozen_values(self):
         # independently computed from the blake2b construction
-        fb = Feedback.of("chk:a")
-        assert dedup_key(ExecOutcome.crash(101), fb) == "e4508d3cc2515672"
-        assert dedup_key(ExecOutcome.crash(102), fb) == "d6a24f57201f8462"
+        branches = frozenset({"chk:a"})
+        assert dedup_key(ExecOutcome.crash(101), branches) == "e4508d3cc2515672"
+        assert dedup_key(ExecOutcome.crash(102), branches) == "d6a24f57201f8462"
 
     def test_format(self):
-        key = dedup_key(ExecOutcome.crash(104), Feedback.of())
+        key = dedup_key(ExecOutcome.crash(104), frozenset())
         assert re.fullmatch(r"[0-9a-f]{16}", key)
 
     def test_stable_and_discriminating(self):
-        fb = Feedback.of("chk:x", "chk:y")
-        assert dedup_key(ExecOutcome.crash(101), fb) == dedup_key(
-            ExecOutcome.crash(101), Feedback.of("chk:y", "chk:x")
+        branches = frozenset({"chk:x", "chk:y"})
+        assert dedup_key(ExecOutcome.crash(101), branches) == dedup_key(
+            ExecOutcome.crash(101), frozenset({"chk:y", "chk:x"})
         )
-        assert dedup_key(ExecOutcome.crash(101), fb) != dedup_key(
-            ExecOutcome.crash(102), fb
+        assert dedup_key(ExecOutcome.crash(101), branches) != dedup_key(
+            ExecOutcome.crash(102), branches
         )
-        assert dedup_key(ExecOutcome.crash(101), fb) != dedup_key(
-            ExecOutcome.crash(101), Feedback.of("chk:x")
+        assert dedup_key(ExecOutcome.crash(101), branches) != dedup_key(
+            ExecOutcome.crash(101), frozenset({"chk:x"})
         )
 
+    def test_digest_order_independent(self):
+        crash = ExecOutcome.crash(101)
+        assert dedup_key(crash, frozenset(["a", "b"])) == dedup_key(
+            crash, frozenset(["b", "a"])
+        )
+
+    def test_digest_distinguishes_sets(self):
+        crash = ExecOutcome.crash(101)
+        assert dedup_key(crash, frozenset({"a"})) != dedup_key(crash, frozenset({"b"}))
+        assert dedup_key(crash, frozenset()) != dedup_key(crash, frozenset({"a"}))
+
+    def test_digest_matches_sorted_join(self):
+        def blake(s):
+            return int.from_bytes(
+                hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big"
+            )
+
+        digest = blake("chk:a\nchk:b")
+        key = dedup_key(ExecOutcome.crash(101), frozenset({"chk:b", "chk:a"}))
+        assert key == f"{blake(f'101|{digest:016x}'):016x}"
+
     def test_feedback_free_targets_dedup_on_id(self):
-        assert dedup_key(ExecOutcome.crash(11), Feedback.of()) == dedup_key(
-            ExecOutcome.crash(11), Feedback.of()
+        assert dedup_key(ExecOutcome.crash(11), frozenset()) == dedup_key(
+            ExecOutcome.crash(11), frozenset()
         )
 
     def test_timeout_outcomes_have_keys(self):
-        key = dedup_key(ExecOutcome.timeout(), Feedback.of())
+        key = dedup_key(ExecOutcome.timeout(), frozenset())
         assert re.fullmatch(r"[0-9a-f]{16}", key)
 
     @pytest.mark.parametrize("outcome", [ExecOutcome.ok(), ExecOutcome.reject(2)])
     def test_non_crash_rejected(self, outcome):
         with pytest.raises(NotACrashError):
-            dedup_key(outcome, Feedback.of())
+            dedup_key(outcome, frozenset())
+
+
+# Labels never hold a newline: the digest joins on it, so {"a\nb"} and
+# {"a", "b"} would share a key, and external labels are split on lines.
+LABELS = st.lists(
+    st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=6),
+    unique=True,
+    max_size=8,
+)
+# a crash code, or None for a timeout
+CODES = st.one_of(st.none(), st.integers(0, 300))
+
+
+def _crash(code):
+    return ExecOutcome.timeout() if code is None else ExecOutcome.crash(code)
+
+
+_FRESH_KEYS = """\
+import json, sys
+from conffuzz.target import ExecOutcome
+from conffuzz.triage import dedup_key
+for code, labels in json.load(sys.stdin):
+    outcome = ExecOutcome.timeout() if code is None else ExecOutcome.crash(code)
+    print(dedup_key(outcome, frozenset(labels)))
+"""
+
+
+class TestDedupKeyStability:
+    @given(CODES, LABELS, st.randoms(use_true_random=False))
+    def test_insertion_order_does_not_matter(self, code, labels, rnd):
+        shuffled = list(labels)
+        rnd.shuffle(shuffled)
+        assert dedup_key(_crash(code), frozenset(labels)) == dedup_key(
+            _crash(code), frozenset(shuffled)
+        )
+
+    # one interpreter per batch of label sets, not one per set; shrinking
+    # would start one per attempt, so a failing batch is shown as drawn
+    @settings(max_examples=3, deadline=None, phases=[Phase.generate])
+    @given(st.lists(st.tuples(CODES, LABELS), min_size=30, max_size=30))
+    def test_fresh_interpreter_with_another_hash_seed_agrees(self, batch):
+        here = [dedup_key(_crash(code), frozenset(labels)) for code, labels in batch]
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join(p for p in path if p),
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_KEYS],
+            input=json.dumps(batch),
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert fresh.stdout.split() == here
 
 
 class TestMinimize:

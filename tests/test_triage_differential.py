@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from conffuzz import triage
 from conffuzz.grammar import derive_tree, generate_tree, parse_grammar, tree_size, unparse
-from conffuzz.target import ExecOutcome, Feedback, TargetSpec, execute, register_builtin
+from conffuzz.target import ExecOutcome, TargetSpec, execute, register_builtin
 
 NESTED = parse_grammar(
     json.dumps(
@@ -38,7 +38,7 @@ NESTED = parse_grammar(
 )
 
 
-def _nesting_probe(text: str) -> tuple[ExecOutcome, Feedback]:
+def _nesting_probe(text: str) -> tuple[ExecOutcome, frozenset[str]]:
     """Crashes on a digit from 7 to 9, the first one being the crash id,
     like the first failing check in the demo validator.  The one branch
     is the parenthesis depth, capped at 2."""
@@ -46,9 +46,9 @@ def _nesting_probe(text: str) -> tuple[ExecOutcome, Feedback]:
     for ch in text:
         depth += (ch == "(") - (ch == ")")
         deepest = max(deepest, depth)
-    fb = Feedback.of(f"depth:{min(deepest, 2)}")
+    branches = frozenset({f"depth:{min(deepest, 2)}"})
     first = next((int(ch) for ch in text if ch in "789"), 0)
-    return (ExecOutcome.crash(first) if first else ExecOutcome.ok()), fb
+    return (ExecOutcome.crash(first) if first else ExecOutcome.ok()), branches
 
 
 # texts of NESTED, with a crashing digit in about every other item
@@ -63,17 +63,17 @@ NESTED_TEXTS = st.lists(ITEMS, min_size=1, max_size=5).map(" ".join)
 
 
 register_builtin("nesting-probe", _nesting_probe)
-PROBE = TargetSpec.builtin("nesting-probe")
-VALIDATOR = TargetSpec.builtin("gnb-validator")
+PROBE = TargetSpec.parse("builtin:nesting-probe")
+VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
 
 
 def crashing_tree(g, seed):
     """The first generated tree from ``seed`` on that crashes the validator."""
     for s in range(seed, seed + 1000):
         tree = generate_tree(g, s)
-        outcome, fb = execute(VALIDATOR, unparse(tree, g))
+        outcome, branches = execute(VALIDATOR, unparse(tree, g))
         if outcome.is_crash:
-            return tree, triage.dedup_key(outcome, fb)
+            return tree, triage.dedup_key(outcome, branches)
     raise AssertionError(f"no crashing tree from seed {seed}")
 
 
@@ -103,18 +103,18 @@ def check_against_reference(tree, g, spec, key):
     assert new == ref
     assert len(new_runs) <= len(ref_runs)
     assert tree_size(new) <= tree_size(tree)
-    outcome, fb = execute(spec, unparse(new, g))
-    assert outcome.is_crash and triage.dedup_key(outcome, fb) == key
+    outcome, branches = execute(spec, unparse(new, g))
+    assert outcome.is_crash and triage.dedup_key(outcome, branches) == key
     return ref_runs, new_runs
 
 
 @settings(max_examples=200, deadline=None)
 @given(NESTED_TEXTS)
 def test_nested_grammar_agrees(text):
-    outcome, fb = execute(PROBE, text)
+    outcome, branches = execute(PROBE, text)
     assume(outcome.is_crash)
     tree = derive_tree(NESTED, text)
-    check_against_reference(tree, NESTED, PROBE, triage.dedup_key(outcome, fb))
+    check_against_reference(tree, NESTED, PROBE, triage.dedup_key(outcome, branches))
 
 
 @settings(max_examples=25, deadline=None)
