@@ -10,11 +10,13 @@ Scheduling is round-robin with an energy budget: each corpus entry gets
 ``energy_per_entry`` consecutive picks per round, and an entry whose round
 produced novel coverage earns one bonus round on the spot.
 
-One loop drives every run: tasks are drawn from the scheduler and a
-per-worker random stream in submission order, mutated and executed, and
-their results consumed in that same order, so corpus and crash-store
-updates stay in the coordinator.  One worker runs each task inline as it
-is submitted; more workers keep a window of ``2 * workers`` tasks on a
+One loop drives every run.  The coordinator owns every tree and every
+draw: it schedules an entry, draws from a per-worker random stream,
+mutates and unparses in submission order, and consumes the results in
+that same order, so corpus and crash-store updates stay with it too.  A
+worker receives nothing but the target spec and the input text, and runs
+only ``execute``.  One worker executes each input inline as it is
+submitted; more workers keep a window of ``2 * workers`` executions on a
 thread pool.
 """
 
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 SEED_TREES = 10
-PROGRESS_EVERY = 256
 
 
 class EmptyCorpusError(Exception):
@@ -136,9 +137,8 @@ class CorpusScheduler:
 
 class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
-    scheduler and stats.  Only the coordinator changes it, in the order
-    results are consumed; pooled workers read nothing but the config and
-    the grammar."""
+    scheduler and stats.  Only the coordinator reads or changes it; no
+    worker thread is ever handed it."""
 
     def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path):
         self.cfg = cfg
@@ -190,7 +190,7 @@ class _Run:
             self.scheduler.record_novelty()
         if novel or retain_always:
             self.retain(tree, text)
-        if self.cfg.progress and self.stats.execs % PROGRESS_EVERY == 0:
+        if self.cfg.progress:
             self.stats.execs_per_sec = self.throughput()
             self.cfg.progress(self.stats)
 
@@ -214,23 +214,17 @@ def _seed_corpus(run: _Run) -> None:
         run.consume(tree, text, outcome, branches, retain_always=True)
 
 
-def _next_task(run: _Run, rng: Random):
+def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
     tree = run.scheduler.schedule_next(run.corpus)
     donor = run.corpus[rng.randrange(len(run.corpus))]
-    return tree, donor, rng.getrandbits(63)
-
-
-def _apply(run: _Run, tree, donor, mut_seed):
     mutated, _ = random_mutation(
-        tree, run.g, mut_seed, donor=donor, max_depth=run.cfg.max_depth
+        tree, run.g, rng.getrandbits(63), donor=donor, max_depth=run.cfg.max_depth
     )
-    text = unparse(mutated, run.g)
-    outcome, branches = execute(run.cfg.target, text)
-    return mutated, text, outcome, branches
+    return mutated, unparse(mutated, run.g)
 
 
 class _Inline:
-    """A task run on the spot, read back like a finished future."""
+    """An execution run on the spot, read back like a finished future."""
 
     def __init__(self, fn, *args):
         self._value = fn(*args)
@@ -240,9 +234,9 @@ class _Inline:
 
 
 def _loop(run: _Run) -> None:
-    # Tasks are scheduled, seeded and consumed in submission order, task
-    # ``n`` drawing from stream ``n % workers``; one worker is a window of
-    # one run inline, so nothing is submitted ahead of a consume.
+    # Mutants are drawn and consumed in submission order, mutant ``n``
+    # drawing from stream ``n % workers``; one worker is a window of one
+    # run inline, so nothing is drawn ahead of a consume.
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     submitted = run.stats.execs
@@ -258,14 +252,15 @@ def _loop(run: _Run) -> None:
     try:
         while submitted < cfg.max_execs or pending:
             while submitted < cfg.max_execs and len(pending) < window:
-                rng = streams[submitted % cfg.workers]
-                tree, donor, mut_seed = _next_task(run, rng)
-                pending.append(submit(_apply, run, tree, donor, mut_seed))
+                tree, text = _mutant(run, streams[submitted % cfg.workers])
+                pending.append((tree, text, submit(execute, cfg.target, text)))
                 submitted += 1
-            run.consume(*pending.popleft().result())
+            tree, text, answer = pending.popleft()
+            outcome, branches = answer.result()
+            run.consume(tree, text, outcome, branches)
     finally:
         if pool is not None:
-            # an interrupted run drops the queued tasks it will not consume
+            # an interrupted run drops the executions it will not consume
             pool.shutdown(cancel_futures=True)
 
 

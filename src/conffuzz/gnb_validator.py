@@ -37,9 +37,8 @@ from .configfmt import (
     get_param,
     parse_config,
     serialize_config,
-    set_param,
 )
-from .target import ExecOutcome, OutcomeKind, register_builtin
+from .target import BRANCH_PREFIX, ExecOutcome, OutcomeKind, register_builtin
 
 __all__ = [
     "BandSpec",
@@ -48,14 +47,12 @@ __all__ = [
     "CRASH_POINTA_OUT_OF_BAND",
     "CRASH_SSB_OUT_OF_BAND",
     "CRASH_UNKNOWN_BAND",
-    "SAMPLE_CASES",
     "WATCH_PATHS",
     "band_table",
     "baseline_document",
     "baseline_text",
     "main",
     "run_text",
-    "sample_case_document",
     "validate",
 ]
 
@@ -236,7 +233,7 @@ def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Baseline configuration and the calibrated sample cases
+# Baseline configuration
 
 
 def baseline_document() -> ConfigDocument:
@@ -267,59 +264,6 @@ def baseline_text() -> str:
     return serialize_config(baseline_document())
 
 
-# Misconfiguration scenarios exercised in tests and shipped as fixtures;
-# values give only the parameters changed from the baseline.
-SAMPLE_CASES: dict[str, dict[str, int]] = {
-    "case1": {
-        "do_CSIRS": 0,
-        "do_SRS": 0,
-        "controlResourceSetZero": 9,
-        "searchSpaceZero": 9,
-        "absoluteFrequencySSB": 433096,
-    },
-    "case2": {
-        "do_CSIRS": 0,
-        "do_SRS": 0,
-        "controlResourceSetZero": 3,
-        "searchSpaceZero": 8,
-        "absoluteFrequencySSB": 641272,
-        "dl_absoluteFrequencyPointA": 43000,
-        "dl_carrierBandwidth": 25,
-    },
-    "case3": {
-        "do_CSIRS": 0,
-        "do_SRS": 0,
-        "controlResourceSetZero": 9,
-        "searchSpaceZero": 9,
-        "absoluteFrequencySSB": 642016,
-        "dl_frequencyBand": 41,
-        "dl_absoluteFrequencyPointA": 43000,
-        "dl_carrierBandwidth": 25,
-    },
-    "case4": {
-        "do_CSIRS": 0,
-        "controlResourceSetZero": 6,
-        "searchSpaceZero": 8,
-        "absoluteFrequencySSB": 623232,
-        "dl_absoluteFrequencyPointA": 43000,
-        "dl_carrierBandwidth": 24,
-    },
-    "case5": {
-        "dl_frequencyBand": 257,
-    },
-}
-
-
-def sample_case_document(name: str) -> ConfigDocument:
-    overrides = SAMPLE_CASES[name]
-    doc = baseline_document()
-    for path in WATCH_PATHS:
-        tail = path.segments[-1]
-        if tail in overrides:
-            doc = set_param(doc, path, overrides[tail])
-    return doc
-
-
 register_builtin(BUILTIN_NAME, run_text)
 
 
@@ -339,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     outcome, branches = run_text(text)
     for branch in sorted(branches):
-        print(f"##branch:{branch}", file=sys.stderr)
+        print(BRANCH_PREFIX.decode() + branch, file=sys.stderr)
     if outcome.stderr_excerpt:
         print(outcome.stderr_excerpt, file=sys.stderr)
     sys.stderr.flush()

@@ -1,6 +1,7 @@
 """The campaign's two loops as they were before one ordered-window loop
 replaced them: a serial loop for one worker and a thread-pooled loop with
-a window of ``2 * workers`` for more.
+a window of ``2 * workers`` for more.  A pooled task mutates, unparses and
+executes on a worker thread, as it did then.
 
 Kept only as the reference that ``test_campaign_differential.py``
 compares ``conffuzz.campaign._loop`` against; the package does not use it.
@@ -11,7 +12,26 @@ from __future__ import annotations
 from collections import deque
 from random import Random
 
-from conffuzz.campaign import _apply, _next_task, _Run
+from conffuzz import campaign
+from conffuzz.campaign import _Run
+
+
+# ``random_mutation``, ``unparse`` and ``execute`` are looked up on the
+# campaign module at call time, so a test that patches them there sees the
+# oracle's calls too.
+def _next_task(run: _Run, rng: Random):
+    tree = run.scheduler.schedule_next(run.corpus)
+    donor = run.corpus[rng.randrange(len(run.corpus))]
+    return tree, donor, rng.getrandbits(63)
+
+
+def _apply(run: _Run, tree, donor, mut_seed):
+    mutated, _ = campaign.random_mutation(
+        tree, run.g, mut_seed, donor=donor, max_depth=run.cfg.max_depth
+    )
+    text = campaign.unparse(mutated, run.g)
+    outcome, branches = campaign.execute(run.cfg.target, text)
+    return mutated, text, outcome, branches
 
 
 def _loop_serial(run: _Run) -> None:

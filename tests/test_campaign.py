@@ -270,7 +270,8 @@ class TestProgressCallback:
             progress=lambda s: seen.append(s.execs),
         )
         run_campaign(cfg)
-        assert seen == [256, 512]
+        # called after every consume; the caller decides how often to print
+        assert seen == list(range(1, 513))
 
 
 class TestInterrupt:
@@ -415,6 +416,48 @@ class TestWorkers:
         first = snapshot(tmp_path / "a")
         assert first[0]["crashes_unique"] > 0
         assert first == snapshot(tmp_path / "b")
+
+
+class TestThreadOwnership:
+    def test_pool_runs_only_execute(self, gnb_grammar_path, tmp_path, monkeypatch):
+        # the coordinator mutates and unparses every input; a pooled
+        # worker is handed the text and runs nothing but execute
+        import threading
+
+        from conffuzz import campaign
+
+        calls = []
+
+        def recorded(kind, fn):
+            def wrapper(*args, **kwargs):
+                on_main = threading.current_thread() is threading.main_thread()
+                calls.append((kind, on_main))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("random_mutation", "unparse", "execute"):
+            monkeypatch.setattr(
+                campaign, name, recorded(name, getattr(campaign, name))
+            )
+        stats = run_campaign(
+            CampaignConfig(
+                gnb_grammar_path,
+                VALIDATOR,
+                tmp_path / "out",
+                seed=1,
+                max_execs=300,
+                workers=2,
+            )
+        )
+        assert stats.execs == 300
+        first_mutation = [kind for kind, _ in calls].index("random_mutation")
+        assert all(on_main for kind, on_main in calls if kind != "execute")
+        loop_execs = [
+            on_main for kind, on_main in calls[first_mutation:] if kind == "execute"
+        ]
+        assert len(loop_execs) == 300 - (campaign.SEED_TREES + 1)
+        assert not any(loop_execs)
 
 
 class TestExternalTargetCleanup:

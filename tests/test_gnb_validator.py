@@ -1,24 +1,31 @@
-"""Demo validator: calibrated sample cases, crash rules, branch labels."""
+"""Demo validator: the sample-case fixtures, crash rules, branch labels."""
 
 import subprocess
 import sys
 
 import pytest
 
-from conffuzz.configfmt import ParamPath, get_param, parse_config, set_param
+from conffuzz.configfmt import (
+    ParamPath,
+    diff_params,
+    get_param,
+    parse_config,
+    serialize_config,
+    set_param,
+)
 from conffuzz.gnb_validator import (
-    SAMPLE_CASES,
     WATCH_PATHS,
     band_table,
     baseline_document,
     baseline_text,
     main,
     run_text,
-    sample_case_document,
     validate,
 )
 from conffuzz.grammar import DEFAULT_START, derive_tree, minimal_tree, unparse
 from conffuzz.target import OutcomeKind
+
+from conftest import TABLE1_DIR
 
 # Expected parameter values per scenario, row order matching WATCH_PATHS.
 PARAM_MATRIX = {
@@ -38,7 +45,17 @@ EXPECTED_CRASH = {
     "case5": 104,
 }
 
+CASES = sorted(EXPECTED_CRASH)
+
 CELL = "gNBs[0].servingCellConfigCommon[0]"
+
+
+def case_text(name):
+    return (TABLE1_DIR / f"{name}.conf").read_text()
+
+
+def case_document(name):
+    return parse_config(case_text(name))
 
 
 def with_param(doc, path_text, value):
@@ -68,26 +85,21 @@ class TestWatchPaths:
 
 class TestSampleCases:
     @pytest.mark.parametrize("name", sorted(PARAM_MATRIX))
-    def test_fixture_values_match_matrix(self, table1_dir, name):
-        fname = "initial.conf" if name == "initial" else f"{name}.conf"
-        doc = parse_config((table1_dir / fname).read_text())
-        got = tuple(get_param(doc, p) for p in WATCH_PATHS)
+    def test_fixture_values_match_matrix(self, name):
+        got = tuple(get_param(case_document(name), p) for p in WATCH_PATHS)
         assert got == PARAM_MATRIX[name]
 
-    @pytest.mark.parametrize("name", sorted(SAMPLE_CASES))
-    def test_case_documents_match_fixture_bytes(self, table1_dir, name):
-        from conffuzz.configfmt import serialize_config
-
-        assert serialize_config(sample_case_document(name)) == (
-            table1_dir / f"{name}.conf"
-        ).read_text()
+    @pytest.mark.parametrize("name", CASES)
+    def test_case_documents_match_fixture_bytes(self, name):
+        # each fixture is canonical: its document serializes to its bytes
+        assert serialize_config(case_document(name)) == case_text(name)
 
     def test_baseline_matches_initial_fixture(self, table1_dir):
         assert baseline_text() == (table1_dir / "initial.conf").read_text()
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_CRASH))
     def test_case_crash_ids(self, name):
-        outcome, _ = validate(sample_case_document(name))
+        outcome, _ = validate(case_document(name))
         assert outcome.kind is OutcomeKind.CRASH
         assert outcome.code == EXPECTED_CRASH[name]
 
@@ -96,9 +108,7 @@ class TestSampleCases:
         assert outcome.kind is OutcomeKind.OK
 
     def test_case1_differs_in_five_params(self):
-        from conffuzz.configfmt import diff_params
-
-        changed = diff_params(baseline_document(), sample_case_document("case1"))
+        changed = diff_params(baseline_document(), case_document("case1"))
         assert len(changed) == 5
         assert [str(p) for p, _, _ in changed] == [
             "gNBs[0].do_CSIRS",
@@ -108,12 +118,18 @@ class TestSampleCases:
             f"{CELL}.absoluteFrequencySSB",
         ]
 
-    @pytest.mark.parametrize("name", sorted(SAMPLE_CASES))
+    @pytest.mark.parametrize("name", CASES)
     def test_overrides_are_exactly_the_diff(self, name):
-        from conffuzz.configfmt import diff_params
-
-        changed = diff_params(baseline_document(), sample_case_document(name))
-        assert len(changed) == len(SAMPLE_CASES[name])
+        # the case differs from the baseline in exactly the watched
+        # parameters whose matrix value differs from the initial row
+        changed = diff_params(baseline_document(), case_document(name))
+        assert [p for p, _, _ in changed] == [
+            path
+            for path, initial, value in zip(
+                WATCH_PATHS, PARAM_MATRIX["initial"], PARAM_MATRIX[name]
+            )
+            if value != initial
+        ]
 
 
 class TestCrashRules:
@@ -154,12 +170,12 @@ class TestCrashRules:
 
     def test_rule1_beats_rule2(self):
         # case3 has both frequencies outside band 41
-        outcome, _ = validate(sample_case_document("case3"))
+        outcome, _ = validate(case_document("case3"))
         assert outcome.code == 101
 
     def test_rule2_beats_rule3(self):
         # case4 also has bandwidth 24 below the minimum
-        outcome, _ = validate(sample_case_document("case4"))
+        outcome, _ = validate(case_document("case4"))
         assert outcome.code == 102
 
     def test_unknown_band_skips_range_rules(self):
@@ -246,8 +262,8 @@ class TestBranches:
         # case1/case3 crash on the same rule and case2/case4 on the same
         # rule, so the five cases fold into three distinct branch sets
         groups = {}
-        for name in SAMPLE_CASES:
-            _, branches = validate(sample_case_document(name))
+        for name in CASES:
+            _, branches = validate(case_document(name))
             groups.setdefault(branches, set()).add(name)
         assert sorted(map(sorted, groups.values())) == [
             ["case1", "case3"],
