@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from pathlib import Path
@@ -294,6 +295,10 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -301,6 +306,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    # SIGTERM unwinds like Ctrl-C: the target is killed and reaped, its
+    # input deleted and the campaign's stats flushed
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
     except UsageError as e:
@@ -326,6 +334,8 @@ def main(argv=None) -> int:
     except Exception as e:  # anything else is a bug in this tool
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def entry() -> None:

@@ -23,14 +23,11 @@ from typing import Iterator, Union
 __all__ = [
     "ConfigDocument",
     "ConfigError",
-    "ConfigList",
     "ConfigSyntaxError",
     "DuplicateNameError",
-    "Group",
     "NotAScalarError",
     "ParamPath",
     "PathNotFoundError",
-    "Setting",
     "diff_params",
     "format_scalar",
     "get_param",
@@ -78,33 +75,16 @@ class NotAScalarError(ConfigError):
 
 
 Scalar = Union[int, float, str, bool]
-
-
-@dataclass(frozen=True)
-class Setting:
-    name: str
-    value: "Value"
-
-
-@dataclass(frozen=True)
-class Group:
-    settings: tuple[Setting, ...] = ()
-
-
-@dataclass(frozen=True)
-class ConfigList:
-    values: tuple["Value", ...] = ()
-
-
-Value = Union[Scalar, Group, ConfigList]
+# a group is a dict from name to value in document order; a list is a tuple
+Value = Union[Scalar, dict, tuple]
 
 
 @dataclass(frozen=True, eq=False)
 class ConfigDocument:
-    root: Group
+    root: dict
 
-    # Equality tracks the canonical serialized form; this keeps Int 1 and
-    # Bool true apart even though Python's bool subclasses int.
+    # Equality tracks the canonical serialized form; this keeps 1, true and
+    # 1.0 apart, which dict equality would not, as bool subclasses int.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConfigDocument):
             return NotImplemented
@@ -206,24 +186,22 @@ def _expected(what: str, found: str) -> _Fail:
     return _Fail(f"expected {what}, found {found or 'end of input'!r}")
 
 
-def _settings(it: Iterator[str], closer: str, depth: int) -> tuple[Setting, ...]:
+def _settings(it: Iterator[str], closer: str, depth: int) -> dict:
     """Settings up to and including ``closer``; ``""`` is the end of input.
 
     ``depth`` counts the groups and lists around them.
     """
-    settings: list[Setting] = []
-    names: set[str] = set()
+    settings: dict = {}
     while True:
         name = next(it)
         if name == closer:
-            return tuple(settings)
+            return settings
         if not name:
             raise _Fail(f"expected {closer!r} before end of input")
         if name[0] not in _NAME_START:
             raise _Fail(f"expected setting name, found {name!r}")
-        if name in names:
+        if name in settings:
             raise _Fail("", duplicate=name)
-        names.add(name)
         lex = next(it)
         if lex != "=":
             raise _expected("'='", lex)
@@ -231,7 +209,7 @@ def _settings(it: Iterator[str], closer: str, depth: int) -> tuple[Setting, ...]
         lex = next(it)
         if lex != ";":
             raise _expected("';'", lex)
-        settings.append(Setting(name, value))
+        settings[name] = value
 
 
 def _value(it: Iterator[str], lex: str, depth: int) -> Value:
@@ -241,7 +219,7 @@ def _value(it: Iterator[str], lex: str, depth: int) -> Value:
         if depth == MAX_NESTING:
             raise _Fail(f"nesting deeper than {MAX_NESTING} levels")
         if first == "{":
-            return Group(_settings(it, "}", depth + 1))
+            return _settings(it, "}", depth + 1)
         return _list(it, depth + 1)
     if first == '"' and len(lex) > 1:
         return _unescape(lex)
@@ -277,17 +255,17 @@ def _long_int(lex: str) -> int:
     return -value if lex[0] == "-" else value
 
 
-def _list(it: Iterator[str], depth: int) -> ConfigList:
+def _list(it: Iterator[str], depth: int) -> tuple:
     lex = next(it)
     if lex == ")":
-        return ConfigList(())
+        return ()
     values = [_value(it, lex, depth)]
     while True:
         lex = next(it)
         if lex == ",":
             values.append(_value(it, next(it), depth))
         elif lex == ")":
-            return ConfigList(tuple(values))
+            return tuple(values)
         else:
             raise _expected("',' or ')'", lex)
 
@@ -334,7 +312,7 @@ def parse_config(text: str) -> ConfigDocument:
     lexemes = _TOKEN_RE.findall(text)
     it = iter(lexemes)
     try:
-        return ConfigDocument(Group(_settings(it, "", 0)))
+        return ConfigDocument(_settings(it, "", 0))
     except _Fail as fail:
         # the parser fails on the lexeme it consumed last
         failed = len(lexemes) - sum(1 for _ in it) - 1
@@ -361,31 +339,31 @@ def format_scalar(v: Scalar) -> str:
     raise ValueError(f"not a scalar: {v!r}")
 
 
-def _emit_setting(s: Setting, indent: int, out: list[str]) -> None:
-    out.append("  " * indent)
-    out.append(s.name)
-    out.append(" = ")
-    _emit_value(s.value, indent, out)
-    out.append(";\n")
+def _emit_settings(group: dict, indent: int, out: list[str]) -> None:
+    for name, value in group.items():
+        out.append("  " * indent)
+        out.append(name)
+        out.append(" = ")
+        _emit_value(value, indent, out)
+        out.append(";\n")
 
 
 def _emit_value(v: Value, indent: int, out: list[str]) -> None:
-    if isinstance(v, Group):
-        if not v.settings:
+    if isinstance(v, dict):
+        if not v:
             out.append("{ }")
             return
         out.append("{\n")
-        for s in v.settings:
-            _emit_setting(s, indent + 1, out)
+        _emit_settings(v, indent + 1, out)
         out.append("  " * indent)
         out.append("}")
-    elif isinstance(v, ConfigList):
-        if not v.values:
+    elif isinstance(v, tuple):
+        if not v:
             out.append("( )")
             return
         out.append("(\n")
-        last = len(v.values) - 1
-        for i, item in enumerate(v.values):
+        last = len(v) - 1
+        for i, item in enumerate(v):
             out.append("  " * (indent + 1))
             _emit_value(item, indent + 1, out)
             out.append(",\n" if i < last else "\n")
@@ -397,8 +375,7 @@ def _emit_value(v: Value, indent: int, out: list[str]) -> None:
 
 def serialize_config(d: ConfigDocument) -> str:
     out: list[str] = []
-    for s in d.root.settings:
-        _emit_setting(s, 0, out)
+    _emit_settings(d.root, 0, out)
     return "".join(out)
 
 
@@ -410,30 +387,28 @@ def _resolve(d: ConfigDocument, p: ParamPath) -> Value:
     cur: Value = d.root
     for seg in p.segments:
         if isinstance(seg, str):
-            if not isinstance(cur, Group):
+            if not isinstance(cur, dict):
                 raise PathNotFoundError(f"no group at {seg!r} in {p}")
-            for s in cur.settings:
-                if s.name == seg:
-                    cur = s.value
-                    break
-            else:
+            if seg not in cur:
                 raise PathNotFoundError(f"no setting {seg!r} in {p}")
+            cur = cur[seg]
         else:
-            if not isinstance(cur, ConfigList) or seg >= len(cur.values):
+            if not isinstance(cur, tuple) or seg >= len(cur):
                 raise PathNotFoundError(f"no list element [{seg}] in {p}")
-            cur = cur.values[seg]
+            cur = cur[seg]
     return cur
 
 
 def get_param(d: ConfigDocument, p: ParamPath) -> Scalar:
     value = _resolve(d, p)
-    if isinstance(value, (Group, ConfigList)):
-        raise NotAScalarError(f"{p} addresses a {type(value).__name__}")
+    if isinstance(value, (dict, tuple)):
+        kind = "group" if isinstance(value, dict) else "list"
+        raise NotAScalarError(f"{p} addresses a {kind}")
     return value
 
 
 def set_param(d: ConfigDocument, p: ParamPath, v: Scalar) -> ConfigDocument:
-    if isinstance(v, (Group, ConfigList)) or not isinstance(v, (int, float, str, bool)):
+    if not isinstance(v, (int, float, str, bool)):
         raise ValueError(f"set_param value must be a scalar, got {v!r}")
 
     def rebuild(cur: Value, segs: tuple[Union[str, int], ...]) -> Value:
@@ -441,20 +416,17 @@ def set_param(d: ConfigDocument, p: ParamPath, v: Scalar) -> ConfigDocument:
             return v
         seg = segs[0]
         if isinstance(seg, str):
-            if not isinstance(cur, Group):
+            if not isinstance(cur, dict):
                 raise PathNotFoundError(f"no group at {seg!r} in {p}")
-            for i, s in enumerate(cur.settings):
-                if s.name == seg:
-                    new = Setting(s.name, rebuild(s.value, segs[1:]))
-                    return Group(cur.settings[:i] + (new,) + cur.settings[i + 1 :])
-            raise PathNotFoundError(f"no setting {seg!r} in {p}")
-        if not isinstance(cur, ConfigList) or seg >= len(cur.values):
+            if seg not in cur:
+                raise PathNotFoundError(f"no setting {seg!r} in {p}")
+            return {**cur, seg: rebuild(cur[seg], segs[1:])}
+        if not isinstance(cur, tuple) or seg >= len(cur):
             raise PathNotFoundError(f"no list element [{seg}] in {p}")
-        new_item = rebuild(cur.values[seg], segs[1:])
-        return ConfigList(cur.values[:seg] + (new_item,) + cur.values[seg + 1 :])
+        return cur[:seg] + (rebuild(cur[seg], segs[1:]),) + cur[seg + 1 :]
 
     root = rebuild(d.root, p.segments)
-    assert isinstance(root, Group)
+    assert isinstance(root, dict)
     return ConfigDocument(root)
 
 
@@ -462,11 +434,11 @@ def iter_params(d: ConfigDocument) -> Iterator[tuple[ParamPath, Scalar]]:
     """All scalar parameters with their paths, in document order."""
 
     def walk(value: Value, prefix: tuple[Union[str, int], ...]):
-        if isinstance(value, Group):
-            for s in value.settings:
-                yield from walk(s.value, prefix + (s.name,))
-        elif isinstance(value, ConfigList):
-            for i, item in enumerate(value.values):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                yield from walk(item, prefix + (name,))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
                 yield from walk(item, prefix + (i,))
         else:
             yield ParamPath(prefix), value

@@ -158,33 +158,45 @@ def _iter_source_files(root: Path):
     return sorted(files, key=str)
 
 
-def _find_switch_arm(flag: str, source_root: Union[str, Path]):
-    """Locate ``case '<flag>':`` and the assignment it guards.
+def _find_switch_arms(
+    flags: Sequence[str], source_root: Union[str, Path]
+) -> dict[str, tuple[Optional[str], str]]:
+    """Locate ``case '<flag>':`` and the assignment it guards, per flag.
 
-    Returns (variable name or None, arm snippet).  The first file in
-    lexicographic path order that contains the arm decides, even when its
-    arm assigns nothing.
+    Maps a flag to (variable name or None, arm snippet); a flag with no
+    arm is absent.  One pass reads each file at most once, in
+    lexicographic path order, until every flag is resolved.  The first
+    file that contains a flag's arm decides, even when its arm assigns
+    nothing.
     """
+    arms: dict[str, tuple[Optional[str], str]] = {}
+    pending = list(dict.fromkeys(flags))
+    if not pending:
+        return arms
     root = Path(source_root)
     if not root.is_dir():
         raise FileNotFoundError(f"source root {root} is not a directory")
-    label = f"case '{flag}':"
     for path in _iter_source_files(root):
         text = path.read_text(encoding="utf-8", errors="replace")
-        idx = text.find(label)
-        if idx < 0:
-            continue
-        rest = text[idx + len(label) :]
-        end = _ARM_END_RE.search(rest)
-        body = rest[: end.start()] if end else rest
-        snippet = (label + body).strip()[:SNIPPET_LIMIT]
-        m = _ASSIGN_RE.search(body)
-        return (m.group(1) if m else None), snippet
-    return None, ""
+        for flag in pending:
+            label = f"case '{flag}':"
+            idx = text.find(label)
+            if idx < 0:
+                continue
+            rest = text[idx + len(label) :]
+            end = _ARM_END_RE.search(rest)
+            body = rest[: end.start()] if end else rest
+            snippet = (label + body).strip()[:SNIPPET_LIMIT]
+            m = _ASSIGN_RE.search(body)
+            arms[flag] = (m.group(1) if m else None), snippet
+        pending = [flag for flag in pending if flag not in arms]
+        if not pending:
+            break
+    return arms
 
 
 def find_param_name(flag: str, source_root: Union[str, Path]) -> str:
-    var, _ = _find_switch_arm(flag, source_root)
+    var, _ = _find_switch_arms([flag], source_root).get(flag, (None, ""))
     return var if var is not None else UNKNOWN
 
 
@@ -202,10 +214,11 @@ def explain_params(
     Backend results are memoized per variable name.  A backend failure
     aborts the pipeline but carries everything explained so far.
     """
+    arms = _find_switch_arms(list(params), source_root)
     infos: list[ParamInfo] = []
     memo: dict[str, str] = {}
     for flag, value_range in params.items():
-        var, snippet = _find_switch_arm(flag, source_root)
+        var, snippet = arms.get(flag, (None, ""))
         if var is None:
             infos.append(ParamInfo(flag, UNKNOWN, NO_SOURCE_MATCH, value_range))
             continue

@@ -30,10 +30,7 @@ from pathlib import Path
 from .configfmt import (
     ConfigDocument,
     ConfigError,
-    ConfigList,
-    Group,
     ParamPath,
-    Setting,
     get_param,
     parse_config,
     serialize_config,
@@ -237,27 +234,23 @@ def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
 
 
 def baseline_document() -> ConfigDocument:
-    cell = Group(
-        (
-            Setting("physCellId", 0),
-            Setting("controlResourceSetZero", 12),
-            Setting("searchSpaceZero", 0),
-            Setting("absoluteFrequencySSB", 641280),
-            Setting("dl_frequencyBand", 78),
-            Setting("dl_absoluteFrequencyPointA", 640008),
-            Setting("dl_carrierBandwidth", 106),
-        )
-    )
-    gnb = Group(
-        (
-            Setting("gNB_ID", 3584),
-            Setting("gNB_name", "gNB-demo"),
-            Setting("do_CSIRS", 1),
-            Setting("do_SRS", 1),
-            Setting("servingCellConfigCommon", ConfigList((cell,))),
-        )
-    )
-    return ConfigDocument(Group((Setting("gNBs", ConfigList((gnb,))),)))
+    cell = {
+        "physCellId": 0,
+        "controlResourceSetZero": 12,
+        "searchSpaceZero": 0,
+        "absoluteFrequencySSB": 641280,
+        "dl_frequencyBand": 78,
+        "dl_absoluteFrequencyPointA": 640008,
+        "dl_carrierBandwidth": 106,
+    }
+    gnb = {
+        "gNB_ID": 3584,
+        "gNB_name": "gNB-demo",
+        "do_CSIRS": 1,
+        "do_SRS": 1,
+        "servingCellConfigCommon": (cell,),
+    }
+    return ConfigDocument({"gNBs": (gnb,)})
 
 
 def baseline_text() -> str:

@@ -22,11 +22,8 @@ from conffuzz.configfmt import (
     INT64_MIN,
     MAX_NESTING,
     ConfigDocument,
-    ConfigList,
     ConfigSyntaxError,
     DuplicateNameError,
-    Group,
-    Setting,
     Value,
 )
 
@@ -96,18 +93,18 @@ class _Parser:
 
     def parse_document(self) -> ConfigDocument:
         settings = self.parse_settings(closer=None)
-        return ConfigDocument(Group(settings))
+        return ConfigDocument(settings)
 
-    def parse_settings(self, closer: str | None) -> tuple[Setting, ...]:
-        settings: list[Setting] = []
+    def parse_settings(self, closer: str | None) -> dict:
+        settings: dict = {}
         names: set[str] = set()
         while True:
             kind, lex, off = self.peek()
             if closer is not None and kind == "punct" and lex == closer:
-                return tuple(settings)
+                return settings
             if kind == "eof":
                 if closer is None:
-                    return tuple(settings)
+                    return settings
                 raise self.error(f"expected {closer!r} before end of input", off)
             if kind != "name":
                 raise self.error(f"expected setting name, found {lex!r}", off)
@@ -118,7 +115,7 @@ class _Parser:
             self.expect_punct("=")
             value = self.parse_value()
             self.expect_punct(";")
-            settings.append(Setting(lex, value))
+            settings[lex] = value
 
     def parse_value(self) -> Value:
         kind, lex, off = self.peek()
@@ -130,7 +127,7 @@ class _Parser:
             if lex == "{":
                 settings = self.parse_settings(closer="}")
                 self.expect_punct("}")
-                value: Value = Group(settings)
+                value: Value = settings
             else:
                 value = self.parse_list()
             self.depth -= 1
@@ -162,12 +159,12 @@ class _Parser:
             return lex == "true"
         raise self.error(f"expected value, found {lex or 'end of input'!r}", off)
 
-    def parse_list(self) -> ConfigList:
+    def parse_list(self) -> tuple:
         values: list[Value] = []
         kind, lex, _ = self.peek()
         if kind == "punct" and lex == ")":
             self.advance()
-            return ConfigList(())
+            return ()
         while True:
             values.append(self.parse_value())
             kind, lex, off = self.peek()
@@ -176,7 +173,7 @@ class _Parser:
                 continue
             if kind == "punct" and lex == ")":
                 self.advance()
-                return ConfigList(tuple(values))
+                return tuple(values)
             raise self.error(f"expected ',' or ')', found {lex or 'end of input'!r}", off)
 
     def unescape(self, lexeme: str, offset: int) -> str:

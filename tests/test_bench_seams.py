@@ -5,21 +5,23 @@ look them up under, and the triage workload counts minimize's executions
 by wrapping ``triage.execute``.  A rename or a changed import in the
 package would silently leave a layer untimed or a count at zero, so these
 tests fail first.  The tracing hooks and ``perfbench/checks.py`` also
-unpack what the package returns, so one traced campaign runs them here.
+unpack what the package returns, so one traced campaign runs them here,
+and the benchmark's own self-test runs every workload at a tiny budget.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
-from pathlib import Path
+import subprocess
+import sys
 
 from conffuzz import campaign, gnb_validator, grammar, target, triage
 from conffuzz.grammar import derive_tree, unparse
 
-from conftest import GRAMMAR_PATH
+from conftest import GRAMMAR_PATH, REPO_ROOT
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PERFBENCH = REPO_ROOT / "perfbench"
 VALIDATOR = target.TargetSpec.parse("builtin:gnb-validator")
 
 
@@ -89,3 +91,15 @@ def test_traced_campaign_feeds_the_hooks_and_checks(gnb_grammar, tmp_path):
     assert len(crash_dirs) == 5
     for crash_dir in crash_dirs:
         assert checks.check_crash_dir(crash_dir, gnb_grammar, VALIDATOR, m) == []
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: ok"

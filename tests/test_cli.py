@@ -1,11 +1,17 @@
 """End-to-end checks for the command-line interface.
 
-Every test drives ``main(argv)`` in-process and asserts on the exit
-code plus the stdout/stderr split: stdout carries the product, stderr
-the diagnostics.
+Every test but the signal check drives ``main(argv)`` in-process and
+asserts on the exit code plus the stdout/stderr split: stdout carries the
+product, stderr the diagnostics.  The signal check runs the CLI in a
+process of its own, since it has to send that process SIGTERM.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -14,7 +20,7 @@ from conffuzz.cli import EXIT_USAGE, main
 from conffuzz.configfmt import ParamPath, parse_config, serialize_config, set_param
 from conffuzz.grammar import parse_grammar
 
-from conftest import EXPLAIN_DIR, GRAMMAR_PATH, TABLE1_DIR
+from conftest import EXPLAIN_DIR, GRAMMAR_PATH, REPO_ROOT, TABLE1_DIR
 
 
 class TestParsing:
@@ -359,6 +365,80 @@ class TestFuzz:
             ["fuzz", "--grammar", "nope.json", "--out", str(tmp_path / "x")]
         )
         assert rc == 1
+
+
+def _alive(pid: int) -> bool:
+    # give the kernel a moment to reap
+    for _ in range(40):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class TestSignals:
+    def test_sigterm_handler_restored(self, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["grammar-check", str(GRAMMAR_PATH)]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_sigterm_unwinds_like_interrupt(self, tmp_path, monkeypatch):
+        # SIGTERM during an exec: campaign kills and reaps the target,
+        # deletes its input, flushes stats.json and exits 4
+        inputs = tmp_path / "inputs"
+        monkeypatch.setenv("CONFFUZZ_TMPDIR", str(inputs))
+        pidfile = tmp_path / "pid"
+        script = tmp_path / "hang.py"
+        script.write_text(
+            f"import os, time\nopen({str(pidfile)!r}, 'w').write(str(os.getpid()))\n"
+            "time.sleep(60)\n"
+        )
+        out = tmp_path / "run"
+        argv = [
+            sys.executable,
+            "-m",
+            "conffuzz.cli",
+            "fuzz",
+            "--grammar",
+            str(GRAMMAR_PATH),
+            "--out",
+            str(out),
+            "--timeout-ms",
+            "60000",
+            "--target",
+            f"exec:{sys.executable} {script} {{input}}",
+        ]
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        pid = None
+        try:
+            deadline = time.monotonic() + 10
+            while not (pidfile.exists() and pidfile.read_text()):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "target never started"
+                time.sleep(0.02)
+            pid = int(pidfile.read_text())
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=10)
+            assert not _alive(pid), f"terminated target {pid} still alive"
+            assert proc.returncode == 4, err.decode()
+            assert err.decode().splitlines()[-1] == "interrupted"
+        finally:
+            if pid is not None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert list(inputs.iterdir()) == []
+        assert json.loads((out / "stats.json").read_text())["execs"] == 0
 
 
 class TestExplain:

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from conffuzz.configfmt import (
     ConfigDocument,
-    ConfigList,
     ConfigSyntaxError,
     DuplicateNameError,
-    Group,
     NotAScalarError,
     ParamPath,
     PathNotFoundError,
-    Setting,
     diff_params,
     format_scalar,
     get_param,
@@ -54,7 +51,7 @@ gNBs = (
 class TestParse:
     def test_scalars(self):
         d = parse_config(SMALL)
-        got = {s.name: s.value for s in d.root.settings}
+        got = d.root
         assert got == {
             "alpha": 1,
             "beta": -2,
@@ -69,7 +66,7 @@ class TestParse:
 
     def test_setting_order_preserved(self):
         d = parse_config(SMALL)
-        assert [s.name for s in d.root.settings] == [
+        assert list(d.root) == [
             "alpha",
             "beta",
             "gamma",
@@ -80,12 +77,12 @@ class TestParse:
 
     def test_nested_groups_and_lists(self):
         d = parse_config(NESTED)
-        gnbs = d.root.settings[0].value
-        assert isinstance(gnbs, ConfigList)
-        assert len(gnbs.values) == 1
-        cell_list = gnbs.values[0].settings[1].value
-        assert isinstance(cell_list, ConfigList)
-        assert [g.settings[0].value for g in cell_list.values] == [0, 1]
+        gnbs = d.root["gNBs"]
+        assert isinstance(gnbs, tuple)
+        assert len(gnbs) == 1
+        cell_list = gnbs[0]["cells"]
+        assert isinstance(cell_list, tuple)
+        assert [g["physCellId"] for g in cell_list] == [0, 1]
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -100,37 +97,37 @@ class TestParse:
         ],
     )
     def test_numeric_forms(self, text, expected):
-        v = parse_config(text).root.settings[0].value
+        v = parse_config(text).root["x"]
         assert v == expected
         assert type(v) is type(expected)
 
     def test_comments_ignored(self):
         text = "# leading\na = 1; // trailing\n// whole line\nb = 2; # another\n"
         d = parse_config(text)
-        assert [s.name for s in d.root.settings] == ["a", "b"]
+        assert list(d.root) == ["a", "b"]
 
     def test_empty_group_and_list(self):
         d = parse_config("g = { };\nl = ( );\n")
-        assert d.root.settings[0].value == Group(())
-        assert d.root.settings[1].value == ConfigList(())
+        assert d.root["g"] == {}
+        assert d.root["l"] == ()
 
     def test_scalar_list(self):
         d = parse_config("xs = ( 1, 2, 3 );\n")
-        assert d.root.settings[0].value == ConfigList((1, 2, 3))
+        assert d.root["xs"] == (1, 2, 3)
 
     def test_string_escapes(self):
         d = parse_config(r'm = "a\"b\\c\nd\te\rf";' + "\n")
-        assert d.root.settings[0].value == 'a"b\\c\nd\te\rf'
+        assert d.root["m"] == 'a"b\\c\nd\te\rf'
 
     def test_int64_bounds_accepted(self):
         d = parse_config(f"lo = {-(2**63)};\nhi = {2**63 - 1};\n")
-        assert d.root.settings[0].value == -(2**63)
-        assert d.root.settings[1].value == 2**63 - 1
+        assert d.root["lo"] == -(2**63)
+        assert d.root["hi"] == 2**63 - 1
 
     def test_leading_zeros_past_int_digit_limit(self):
         # int() alone refuses more than 4300 digits, zeros included
         d = parse_config("a = " + "0" * 5000 + "1;\nb = -" + "0" * 5000 + "7;\n")
-        assert [s.value for s in d.root.settings] == [1, -7]
+        assert list(d.root.values()) == [1, -7]
 
     def test_whitespace_insensitive(self):
         a = parse_config("a=1;b={c=2;};")
@@ -209,18 +206,13 @@ class TestParseErrors:
 class TestSerialize:
     def test_canonical_bytes(self):
         d = ConfigDocument(
-            Group(
-                (
-                    Setting("n", 3),
-                    Setting(
-                        "g",
-                        Group((Setting("inner", True), Setting("s", 'say "hi"'))),
-                    ),
-                    Setting("xs", ConfigList((1, Group((Setting("y", 2.5),))))),
-                    Setting("empty_g", Group(())),
-                    Setting("empty_l", ConfigList(())),
-                )
-            )
+            {
+                "n": 3,
+                "g": {"inner": True, "s": 'say "hi"'},
+                "xs": (1, {"y": 2.5}),
+                "empty_g": {},
+                "empty_l": (),
+            }
         )
         assert serialize_config(d) == (
             "n = 3;\n"
@@ -268,7 +260,7 @@ class TestSerialize:
                 format_scalar(bad)
 
     def test_serialize_rejects_out_of_range_int(self):
-        d = ConfigDocument(Group((Setting("a", 2**63),)))
+        d = ConfigDocument({"a": 2**63})
         with pytest.raises(ValueError):
             serialize_config(d)
 
@@ -336,9 +328,9 @@ class TestGetSetDiff:
 
     def test_get_non_scalar_raises(self):
         d = parse_config(NESTED)
-        with pytest.raises(NotAScalarError):
+        with pytest.raises(NotAScalarError, match=r"^gNBs addresses a list$"):
             get_param(d, ParamPath.parse("gNBs"))
-        with pytest.raises(NotAScalarError):
+        with pytest.raises(NotAScalarError, match=r"^gNBs\[0\] addresses a group$"):
             get_param(d, ParamPath.parse("gNBs[0]"))
 
     def test_set_returns_new_document(self):
@@ -347,6 +339,7 @@ class TestGetSetDiff:
         d2 = set_param(d, p, 42)
         assert get_param(d2, p) == 42
         assert get_param(d, p) == 0
+        assert serialize_config(d) == NESTED
         assert d2 != d
 
     def test_set_only_touches_target(self):
@@ -363,7 +356,7 @@ class TestGetSetDiff:
     def test_set_rejects_non_scalar(self):
         d = parse_config(SMALL)
         with pytest.raises(ValueError):
-            set_param(d, ParamPath.parse("alpha"), Group(()))
+            set_param(d, ParamPath.parse("alpha"), {})
 
     def test_iter_params_document_order(self):
         d = parse_config(NESTED)
@@ -389,7 +382,7 @@ class TestGetSetDiff:
         assert diff_params(a, b) == []
 
 
-# Hypothesis: any document built from the AST constructors survives a
+# Hypothesis: any document built from dicts, tuples and scalars survives a
 # serialize/parse round trip unchanged.
 
 _names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
@@ -411,20 +404,13 @@ def _values(depth: int):
     sub = _values(depth - 1)
     return st.one_of(
         _scalars,
-        st.builds(ConfigList, st.lists(sub, max_size=3).map(tuple)),
+        st.lists(sub, max_size=3).map(tuple),
         _groups(depth - 1),
     )
 
 
 def _groups(depth: int):
-    return st.builds(
-        Group,
-        st.lists(
-            st.tuples(_names, _values(depth)),
-            max_size=4,
-            unique_by=lambda kv: kv[0],
-        ).map(lambda kvs: tuple(Setting(n, v) for n, v in kvs)),
-    )
+    return st.dictionaries(_names, _values(depth), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)

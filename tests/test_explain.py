@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +233,38 @@ class TestExplainParams:
         infos = explain_params({"q": ("1",)}, backend, tmp_path)
         assert infos == [ParamInfo("q", UNKNOWN, NO_SOURCE_MATCH, ("1",))]
         assert backend.calls == []
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        names = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            names.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        return names
+
+    def test_each_file_read_once_per_run(self, tmp_path, reads):
+        (tmp_path / "a.c").write_text("case 'x': ex = 1; break;\n")
+        (tmp_path / "b.c").write_text("case 'w': dbl = 1; break;\n")
+        (tmp_path / "c.c").write_text("case 'y': why = 1; case 'w': no = 1;\n")
+        params = {"x": ("1",), "y": ("2",), "z": ("3",), "w": ("4",)}
+        backend = RecordingBackend(dict.fromkeys(["ex", "why", "dbl"], "m"))
+        infos = explain_params(params, backend, tmp_path)
+        assert [i.var_name for i in infos] == ["ex", "why", UNKNOWN, "dbl"]
+        assert reads == ["a.c", "b.c", "c.c"]
+
+    def test_scan_stops_once_every_flag_resolves(self, tmp_path, reads):
+        (tmp_path / "a.c").write_text("case 'x': ex = 1; break;\n")
+        (tmp_path / "b.c").write_text("case 'y': why = 1; break;\n")
+        assert find_param_name("x", tmp_path) == "ex"
+        assert reads == ["a.c"]
+
+    def test_no_flags_read_nothing(self, tmp_path, reads):
+        assert explain_params({}, RecordingBackend({}), tmp_path / "nope") == []
+        assert reads == []
 
     def test_backend_error_carries_partial(self, src_root):
         backend = RecordingBackend({"snr0": "first meaning"})

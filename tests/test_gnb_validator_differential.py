@@ -17,14 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conffuzz import gnb_validator
-from conffuzz.configfmt import (
-    ConfigDocument,
-    ConfigList,
-    Group,
-    Setting,
-    serialize_config,
-    set_param,
-)
+from conffuzz.configfmt import ConfigDocument, serialize_config, set_param
 from conffuzz.gnb_validator import WATCH_PATHS, band_table, baseline_document
 
 DROP = object()
@@ -79,16 +72,10 @@ def _drop(doc: ConfigDocument, name: str) -> ConfigDocument:
     """The document without any setting called ``name``."""
 
     def strip(value):
-        if isinstance(value, Group):
-            return Group(
-                tuple(
-                    Setting(s.name, strip(s.value))
-                    for s in value.settings
-                    if s.name != name
-                )
-            )
-        if isinstance(value, ConfigList):
-            return ConfigList(tuple(strip(item) for item in value.values))
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items() if k != name}
+        if isinstance(value, tuple):
+            return tuple(strip(item) for item in value)
         return value
 
     return ConfigDocument(strip(doc.root))

@@ -1,4 +1,5 @@
-"""Grammar's one cost fixpoint against the two it replaced.
+"""Grammar's one cost fixpoint against the two it replaced, and two
+properties over random grammars.
 
 ``grammar_reference`` computes the depth table (combine by max) and the
 size table (combine by sum) as two separate fixpoints.  Over small random
@@ -6,16 +7,35 @@ grammars, dead tokens and references to undefined tokens included, the
 merged fixpoint must give the same ``min_depth``, ``rule_depths`` and
 ``rule_sizes``, and ``Grammar`` must reject exactly the grammars with a
 token that has no finite derivation.
+
+The same random grammars, kept when ``parse_grammar`` loads them, must
+also keep every mutation operator closed over the grammar and every tree
+that ``derive_tree`` recovers from a tree's text unparsing to that text.
 """
 
 from __future__ import annotations
 
+import json
+
 import grammar_reference
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conffuzz.grammar import Grammar, NoFiniteDerivationError, Rule, RuleItem
+from conffuzz.grammar import (
+    DEFAULT_START,
+    Grammar,
+    GrammarError,
+    NoFiniteDerivationError,
+    Rule,
+    RuleItem,
+    derive_tree,
+    generate_tree,
+    parse_grammar,
+    unparse,
+    validate_tree,
+)
+from conffuzz.mutate import MutationKind, random_mutation
 
 TOKENS = [f"<T{i}>" for i in range(5)]
 # referenced but never defined, so its cost is infinite
@@ -23,7 +43,8 @@ UNDEFINED = "<GHOST>"
 
 ITEMS = st.one_of(
     st.sampled_from(TOKENS + [UNDEFINED]).map(lambda t: RuleItem(t, True)),
-    st.sampled_from(["a", "b", ""]).map(lambda s: RuleItem(s, False)),
+    # integer literals give scalar-tweak its sites
+    st.sampled_from(["a", "b", "", "0", "7"]).map(lambda s: RuleItem(s, False)),
 )
 RULES = st.lists(ITEMS, max_size=4).map(lambda items: Rule(tuple(items)))
 
@@ -60,3 +81,59 @@ def test_one_fixpoint_matches_depth_and_size_fixpoints(prods):
         assert g.rule_depths(token) == rule_depths[token]
         assert g.rule_sizes(token) == rule_sizes[token]
 
+
+
+def _grammar_json(prods) -> str:
+    """``prods`` as grammar JSON text, ``<T0>`` being the start token."""
+
+    def name(text: str) -> str:
+        return DEFAULT_START if text == TOKENS[0] else text
+
+    return json.dumps(
+        {
+            name(token): [[name(item.text) for item in rule.items] for rule in rules]
+            for token, rules in prods.items()
+        }
+    )
+
+
+@st.composite
+def loaded(draw):
+    """A random grammar that loads, a depth bound it fits, and two trees.
+
+    Lax loading turns a reference to an undefined token into a literal,
+    as it does for a grammar file.  The depth bound stays within two
+    levels of the minimum so that a branching grammar keeps its trees
+    small.
+    """
+    try:
+        g = parse_grammar(_grammar_json(draw(productions())), strict=False)
+    except GrammarError:
+        assume(False)
+    depth = g.min_depth(DEFAULT_START) + draw(st.integers(0, 2))
+    seeds = st.integers(0, 2**32)
+    tree = generate_tree(g, draw(seeds), depth)
+    donor = generate_tree(g, draw(seeds), depth)
+    return g, depth, tree, donor
+
+
+@settings(max_examples=200, deadline=None)
+@given(loaded(), st.integers(0, 2**32))
+def test_every_operator_is_closed_over_random_grammars(case, seed):
+    g, depth, tree, donor = case
+    for kind in MutationKind:
+        out, picked = random_mutation(
+            tree, g, seed, {kind: 1}, donor=donor, max_depth=depth
+        )
+        assert picked is kind
+        assert validate_tree(out, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loaded())
+def test_derived_tree_unparses_to_its_text(case):
+    g, _, tree, _ = case
+    text = unparse(tree, g)
+    derived = derive_tree(g, text)
+    if derived is not None:
+        assert unparse(derived, g) == text
