@@ -54,16 +54,11 @@ __all__ = [
     "CampaignConfig",
     "CampaignStats",
     "CorpusScheduler",
-    "EmptyCorpusError",
     "run_campaign",
     "should_keep",
 ]
 
 SEED_TREES = 10
-
-
-class EmptyCorpusError(Exception):
-    pass
 
 
 @dataclass
@@ -110,7 +105,10 @@ def should_keep(branches: frozenset[str], seen: set[str]) -> bool:
 
 
 class CorpusScheduler:
-    """Round-robin over corpus entries with a per-entry pick budget."""
+    """Round-robin over corpus entries with a per-entry pick budget.
+
+    The corpus is never empty: the seed phase retains every input it
+    runs, and a campaign runs at least one."""
 
     def __init__(self, energy_per_entry: int):
         self.energy_per_entry = energy_per_entry
@@ -119,8 +117,6 @@ class CorpusScheduler:
         self._bonus = False
 
     def schedule_next(self, corpus: list[DerivationTree]) -> DerivationTree:
-        if not corpus:
-            raise EmptyCorpusError("cannot schedule from an empty corpus")
         if self._picks_left <= 0:
             if self._bonus and self._idx >= 0:
                 self._bonus = False  # replay the entry that found novelty

@@ -25,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-from .campaign import CampaignConfig, EmptyCorpusError, run_campaign
+from .campaign import CampaignConfig, run_campaign
 from .configfmt import ConfigError, ParamPath, parse_config
 from .explain import (
     BackendError,
@@ -322,7 +322,6 @@ def main(argv=None) -> int:
         ConfigError,
         SpawnFailureError,
         NonReproducibleError,
-        EmptyCorpusError,
         OSError,
         ValueError,
     ) as e:

@@ -75,7 +75,7 @@ class BadTokenNameError(GrammarError):
 
 
 class UndefinedTokenRefError(GrammarError):
-    """Strict mode only: a rule references a token that is not defined."""
+    """A rule references a token that is not defined."""
 
 
 class MissingStartError(GrammarError):
@@ -135,21 +135,68 @@ class DerivationTree:
                 stack.append((path + (i,), node.children[i]))
         return tuple(out)
 
+    @cached_property
+    def grafts(self) -> dict[str, tuple["DerivationTree", ...]]:
+        """The nodes of ``paths`` grouped by token, each group in pre-order:
+        what splicing may graft from this tree when it is the donor."""
+        pool: dict[str, list[DerivationTree]] = {}
+        for _, node in self.paths:
+            pool.setdefault(node.token, []).append(node)
+        return {token: tuple(nodes) for token, nodes in pool.items()}
+
 
 @dataclass
 class Grammar:
     productions: dict[str, tuple[Rule, ...]]
 
     def __post_init__(self) -> None:
+        for token, rules in self.productions.items():
+            for rule in rules:
+                for ref in rule.refs:
+                    if ref not in self.productions:
+                        raise UndefinedTokenRefError(
+                            f"rule for {token!r} references undefined token {ref!r}"
+                        )
         self._min_depth, self._rule_depths = _cost_tables(self.productions, max)
-        _, self._rule_sizes = _cost_tables(self.productions, operator.add)
-        self._minimal_cache: dict[str, DerivationTree] = {}
+        min_size, self._rule_sizes = _cost_tables(self.productions, operator.add)
         self._numeric_steps = _numeric_step_table(self.productions)
         dead = sorted(t for t, d in self._min_depth.items() if d == _INF)
         if dead:
             raise NoFiniteDerivationError(
                 "token(s) with no finite derivation: " + ", ".join(dead)
             )
+        # Tables the mutation operators and ``sample_tree`` read on every
+        # call, built once since they depend on the grammar alone.
+        self.swappable = frozenset(
+            t for t, rules in self.productions.items() if len(rules) >= 2
+        )
+        # every rule fits a budget of at least this, so none is filtered
+        self._max_rule_depth = {t: max(d) for t, d in self._rule_depths.items()}
+
+        def rooted(token: str, i: int) -> DerivationTree:
+            refs = self.productions[token][i].refs
+            return DerivationTree(token, i, tuple(self._minimal[r] for r in refs))
+
+        # A token's smallest rule refers only to smaller tokens, so minimal
+        # trees built smallest first find their children already built.
+        self._minimal: dict[str, DerivationTree] = {}
+        for token in sorted(self.productions, key=min_size.__getitem__):
+            sizes = self._rule_sizes[token]
+            self._minimal[token] = rooted(
+                token, min(range(len(sizes)), key=sizes.__getitem__)
+            )
+        self._smallest = {
+            (token, i): rooted(token, i)
+            for token, rules in self.productions.items()
+            for i in range(len(rules))
+        }
+        # what ``unparse`` appends for a childless node, without a descent
+        self._leaf_text = {
+            (token, i): "".join(item.text for item in rule.items)
+            for token, rules in self.productions.items()
+            for i, rule in enumerate(rules)
+            if not rule.refs
+        }
 
     def min_depth(self, token: str) -> int:
         """Minimal finite derivation depth of token (a lone leaf has depth 1)."""
@@ -169,6 +216,12 @@ class Grammar:
         """
         return self._numeric_steps.get((token, rule_index), ())
 
+    def smallest(self, token: str, rule_index: int) -> DerivationTree:
+        """The smallest tree whose root is ``token`` by rule ``rule_index``:
+        each child is its token's ``minimal_tree``.  One shared instance
+        per rule, so a leaf is never built twice."""
+        return self._smallest[(token, rule_index)]
+
 
 def _cost_tables(
     productions: dict[str, tuple[Rule, ...]],
@@ -181,7 +234,7 @@ def _cost_tables(
     def rule_cost(rule: Rule) -> float:
         acc = 0.0
         for ref in rule.refs:
-            acc = combine(acc, cost.get(ref, _INF))
+            acc = combine(acc, cost[ref])
         return 1.0 + acc
 
     changed = True
@@ -288,19 +341,23 @@ def sample_tree(g: Grammar, token: str, budget: int, rng: Random) -> DerivationT
     the remaining budget; the caller must pass budget >= g.min_depth(token).
     """
     rules = g.productions[token]
-    depths = g.rule_depths(token)
-    eligible = [i for i in range(len(rules)) if depths[i] <= budget]
-    if not eligible:
-        raise DepthInfeasibleError(
-            f"no rule of {token!r} fits in depth budget {budget}"
-        )
+    if budget >= g._max_rule_depth[token]:
+        eligible = range(len(rules))
+    else:
+        depths = g.rule_depths(token)
+        eligible = [i for i in range(len(rules)) if depths[i] <= budget]
+        if not eligible:
+            raise DepthInfeasibleError(
+                f"no rule of {token!r} fits in depth budget {budget}"
+            )
     if len(eligible) > 1:
         idx = eligible[rng.randrange(len(eligible))]
     else:
         idx = eligible[0]
-    children = tuple(
-        sample_tree(g, ref, budget - 1, rng) for ref in rules[idx].refs
-    )
+    refs = rules[idx].refs
+    if not refs:
+        return g.smallest(token, idx)
+    children = tuple(sample_tree(g, ref, budget - 1, rng) for ref in refs)
     return DerivationTree(token, idx, children)
 
 
@@ -320,17 +377,7 @@ def generate_tree(
 
 def minimal_tree(g: Grammar, token: str) -> DerivationTree:
     """The canonical smallest derivation of token (lowest rule index on ties)."""
-    cached = g._minimal_cache.get(token)
-    if cached is not None:
-        return cached
-    sizes = g.rule_sizes(token)
-    best = min(range(len(sizes)), key=sizes.__getitem__)
-    rule = g.productions[token][best]
-    tree = DerivationTree(
-        token, best, tuple(minimal_tree(g, ref) for ref in rule.refs)
-    )
-    g._minimal_cache[token] = tree
-    return tree
+    return g._minimal[token]
 
 
 def replace_subtree(
@@ -376,6 +423,11 @@ def _unparse_into(t: DerivationTree, g: Grammar, out: list[str]) -> None:
                 raise InvalidTreeError(
                     f"child of {t.token!r} is {child.token!r}, expected {item.text!r}"
                 )
+            if not child.children:
+                text = g._leaf_text.get((child.token, child.rule_index))
+                if text is not None:
+                    out.append(text)
+                    continue
             _unparse_into(child, g, out)
         else:
             out.append(item.text)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import enum
 from random import Random
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .grammar import (
     DEFAULT_MAX_DEPTH,
     DerivationTree,
     Grammar,
-    minimal_tree,
     replace_subtree,
     sample_tree,
 )
@@ -39,16 +39,42 @@ class MutationKind(enum.Enum):
     SCALAR_TWEAK = "scalar-tweak"
 
 
-DEFAULT_WEIGHTS: dict[MutationKind, int] = {
-    MutationKind.REGENERATE: 4,
-    MutationKind.RULE_SWAP: 3,
-    MutationKind.SPLICE: 2,
-    MutationKind.SCALAR_TWEAK: 1,
-}
+# read-only, since the draw table below is built from it once
+DEFAULT_WEIGHTS: Mapping[MutationKind, int] = MappingProxyType(
+    {
+        MutationKind.REGENERATE: 4,
+        MutationKind.RULE_SWAP: 3,
+        MutationKind.SPLICE: 2,
+        MutationKind.SCALAR_TWEAK: 1,
+    }
+)
 
 
 class AllZeroWeightsError(ValueError):
     pass
+
+
+def _draw_table(
+    weights: Mapping[MutationKind, float],
+) -> tuple[float, tuple[tuple[float, MutationKind], ...]]:
+    """The weights' total and their running sums in ``MutationKind`` order:
+    a draw below a running sum, and not below the one before it, picks
+    that sum's kind."""
+    for kind, w in weights.items():
+        if w < 0:
+            raise ValueError(f"negative weight for {kind.value}: {w}")
+    total = sum(weights.get(kind, 0) for kind in MutationKind)
+    if total <= 0:
+        raise AllZeroWeightsError("all mutation weights are zero")
+    steps = []
+    acc = 0.0
+    for kind in MutationKind:
+        acc += weights.get(kind, 0)
+        steps.append((acc, kind))
+    return total, tuple(steps)
+
+
+_DEFAULT_DRAW = _draw_table(DEFAULT_WEIGHTS)
 
 
 def _regenerate(
@@ -62,28 +88,22 @@ def _regenerate(
 
 
 def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
-    sites = [
-        (path, node)
-        for path, node in t.paths
-        if len(g.productions[node.token]) >= 2
-    ]
+    swappable = g.swappable
+    sites = [(path, node) for path, node in t.paths if node.token in swappable]
     if not sites:
         return t
     path, node = sites[rng.randrange(len(sites))]
-    rules = g.productions[node.token]
-    idx = rng.randrange(len(rules) - 1)
+    idx = rng.randrange(len(g.productions[node.token]) - 1)
     if idx >= node.rule_index:
         idx += 1
-    children = tuple(minimal_tree(g, ref) for ref in rules[idx].refs)
-    return replace_subtree(t, path, DerivationTree(node.token, idx, children))
+    # the new rule's children are minimal
+    return replace_subtree(t, path, g.smallest(node.token, idx))
 
 
 def _splice(
     t: DerivationTree, donor: DerivationTree, g: Grammar, rng: Random
 ) -> DerivationTree:
-    pool: dict[str, list[DerivationTree]] = {}
-    for _, node in donor.paths:
-        pool.setdefault(node.token, []).append(node)
+    pool = donor.grafts
     sites = [(path, node) for path, node in t.paths if node.token in pool]
     if not sites:
         return t
@@ -102,14 +122,14 @@ def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
         return t
     path, node, options = sites[rng.randrange(len(sites))]
     idx = options[rng.randrange(len(options))]
-    return replace_subtree(t, path, DerivationTree(node.token, idx))
+    return replace_subtree(t, path, g.smallest(node.token, idx))
 
 
 def random_mutation(
     t: DerivationTree,
     g: Grammar,
     seed: int,
-    weights: Optional[dict[MutationKind, float]] = None,
+    weights: Optional[Mapping[MutationKind, float]] = None,
     *,
     donor: Optional[DerivationTree] = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
@@ -120,20 +140,11 @@ def random_mutation(
     single-entry dict forces that operator.  Splicing uses ``donor`` as
     the source of grafts and falls back to the input tree itself.
     """
-    table = DEFAULT_WEIGHTS if weights is None else weights
-    for kind, w in table.items():
-        if w < 0:
-            raise ValueError(f"negative weight for {kind.value}: {w}")
-    total = sum(table.get(kind, 0) for kind in MutationKind)
-    if total <= 0:
-        raise AllZeroWeightsError("all mutation weights are zero")
-
+    total, steps = _DEFAULT_DRAW if weights is None else _draw_table(weights)
     rng = Random(seed)
     x = rng.random() * total
     chosen = MutationKind.SCALAR_TWEAK
-    acc = 0.0
-    for kind in MutationKind:
-        acc += table.get(kind, 0)
+    for acc, kind in steps:
         if x < acc:
             chosen = kind
             break

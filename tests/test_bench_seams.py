@@ -67,6 +67,57 @@ def test_minimize_executes_through_triage_execute(
     assert unparse(small, gnb_grammar) in runs
 
 
+def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path):
+    # perfbench's probe ends set-up at the first campaign.random_mutation
+    # call, and its tracer times these names where the campaign reads them.
+    # Each counter serves one call and then puts a fresh one in its place,
+    # so a call through a name bound once and kept shows up as stale.
+    calls, stale = [], []
+    phase = ["seed"]
+
+    def install(name, real):
+        def counted(*args, **kwargs):
+            if spent:
+                stale.append(name)
+            spent.append(True)
+            install(name, real)
+            if name == "random_mutation":
+                phase[0] = "loop"
+            calls.append((phase[0], name))
+            return real(*args, **kwargs)
+
+        spent = []
+        setattr(campaign, name, counted)
+
+    for name in ("random_mutation", "unparse", "execute", "minimize"):
+        monkeypatch.setattr(campaign, name, getattr(campaign, name))
+        install(name, getattr(campaign, name))
+    # seed 1 finds two crashes in the seed phase and one by exec 100
+    stats = campaign.run_campaign(
+        campaign.CampaignConfig(GRAMMAR_PATH, VALIDATOR, tmp_path / "out", max_execs=100)
+    )
+    assert stale == []
+    seeded = campaign.SEED_TREES + 1
+    by_phase = {"seed": [], "loop": []}
+    for where, name in calls:
+        # a new crash is minimized and its result unparsed; drop that pair
+        if name == "unparse" and by_phase[where][-1:] == ["minimize"]:
+            by_phase[where][-1] = "minimized"
+        else:
+            by_phase[where].append(name)
+    seed_calls, loop_calls = by_phase["seed"], by_phase["loop"]
+    assert "minimized" in seed_calls and "minimized" in loop_calls
+    assert seed_calls.count("minimized") + loop_calls.count("minimized") == (
+        stats.crashes_unique
+    )
+    assert [c for c in seed_calls if c != "minimized"] == ["unparse", "execute"] * seeded
+    assert [c for c in loop_calls if c != "minimized"] == [
+        "random_mutation",
+        "unparse",
+        "execute",
+    ] * (stats.execs - seeded)
+
+
 def test_traced_campaign_feeds_the_hooks_and_checks(gnb_grammar, tmp_path):
     tracing, checks = load_perfbench("tracing"), load_perfbench("checks")
     m = {

@@ -8,7 +8,6 @@ import pytest
 from conffuzz.campaign import (
     CampaignConfig,
     CorpusScheduler,
-    EmptyCorpusError,
     run_campaign,
     should_keep,
 )
@@ -44,10 +43,6 @@ class TestShouldKeep:
 class TestScheduler:
     # the scheduler only indexes the corpus, so plain ints stand in for
     # the derivation trees and name the entry they are
-    def test_empty_corpus_raises(self):
-        with pytest.raises(EmptyCorpusError):
-            CorpusScheduler(1).schedule_next([])
-
     def test_single_entry_always_chosen(self):
         sched = CorpusScheduler(3)
         corpus = [0]
@@ -112,6 +107,30 @@ class TestSeedPhase:
         files = sorted((out / "corpus").iterdir(), key=lambda p: int(p.stem))
         assert [p.name for p in files] == [f"{i}.conf" for i in range(11)]
         assert files[10].read_text() == baseline_text()
+
+    # one exec is all seed phase; the twelfth is the loop's first
+    @pytest.mark.parametrize("max_execs, scheduled", [(1, []), (12, [11])])
+    def test_loop_never_sees_an_empty_corpus(
+        self, gnb_grammar_path, tmp_path, max_execs, scheduled, monkeypatch
+    ):
+        # the seed phase retains every input it runs, and a campaign runs
+        # at least one, so the scheduler is never handed an empty corpus
+        sizes = []
+        schedule = CorpusScheduler.schedule_next
+
+        def recording(self, corpus):
+            sizes.append(len(corpus))
+            return schedule(self, corpus)
+
+        monkeypatch.setattr(CorpusScheduler, "schedule_next", recording)
+        stats = run_campaign(
+            CampaignConfig(
+                gnb_grammar_path, VALIDATOR, tmp_path / "out", max_execs=max_execs
+            )
+        )
+        assert stats.execs == max_execs
+        assert stats.corpus_size >= 1
+        assert sizes == scheduled
 
     def test_budget_caps_seeding(self, gnb_grammar_path, tmp_path):
         stats = run_campaign(

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 
@@ -6,15 +7,19 @@ from conffuzz.grammar import (
     BadTokenNameError,
     DepthInfeasibleError,
     DerivationTree,
+    Grammar,
     InvalidTreeError,
     MalformedJsonError,
     MissingStartError,
     NoFiniteDerivationError,
+    Rule,
+    RuleItem,
     UndefinedTokenRefError,
     derive_tree,
     generate_tree,
     minimal_tree,
     parse_grammar,
+    sample_tree,
     tree_size,
     unparse,
     validate_tree,
@@ -76,6 +81,22 @@ class TestParseGrammar:
         assert not item.is_ref
         assert unparse(generate_tree(g, 0), g) == "x<GONE>"
 
+    def test_direct_construction_rejects_undefined_ref(self):
+        # <START> has another, finite rule, so only the reference check
+        # stops this grammar; it used to load, and rule-swap then raised
+        # KeyError: '<GHOST>' in minimal_tree
+        prods = {
+            "<START>": (
+                Rule((RuleItem("a", False),)),
+                Rule((RuleItem("<GHOST>", True),)),
+            )
+        }
+        with pytest.raises(UndefinedTokenRefError) as err:
+            Grammar(prods)
+        assert str(err.value) == (
+            "rule for '<START>' references undefined token '<GHOST>'"
+        )
+
     def test_missing_start(self):
         with pytest.raises(MissingStartError):
             parse_grammar("{}")
@@ -108,6 +129,48 @@ class TestParseGrammar:
     def test_epsilon_rule_allowed(self):
         g = parse_grammar('{"<START>": [[]]}')
         assert unparse(generate_tree(g, 3), g) == ""
+
+
+class TestTables:
+    def test_swappable_tokens_have_two_rules_or_more(self):
+        g = parse_grammar(DIGITS_GRAMMAR)
+        assert g.swappable == {"<DIGITS>", "<DIGIT>"}
+
+    def test_smallest_is_one_shared_minimal_instance_per_rule(self):
+        g = parse_grammar(DIGITS_GRAMMAR)
+        two = g.smallest("<DIGITS>", 1)
+        assert two == DerivationTree(
+            "<DIGITS>", 1, (minimal_tree(g, "<DIGIT>"), minimal_tree(g, "<DIGITS>"))
+        )
+        assert g.smallest("<DIGITS>", 1) is two
+        assert g.smallest("<DIGIT>", 7) == DerivationTree("<DIGIT>", 7)
+
+    def test_sampled_leaves_are_the_shared_instances(self):
+        g = parse_grammar(DIGITS_GRAMMAR)
+        t = generate_tree(g, seed=5, max_depth=12)
+        for _, node in t.paths:
+            if not node.children:
+                assert node is g.smallest(node.token, node.rule_index)
+
+    def test_tight_budget_still_filters_rules(self):
+        g = parse_grammar(DIGITS_GRAMMAR)
+        # only the one-digit rule fits two levels
+        for seed in range(20):
+            assert sample_tree(g, "<DIGITS>", 2, Random(seed)).rule_index == 0
+        with pytest.raises(DepthInfeasibleError):
+            sample_tree(g, "<DIGITS>", 1, Random(0))
+
+    def test_grafts_group_paths_by_token_in_preorder(self):
+        g = parse_grammar(DIGITS_GRAMMAR)
+        t = generate_tree(g, seed=9, max_depth=12)
+        grouped = {}
+        for _, node in t.paths:
+            grouped.setdefault(node.token, []).append(node)
+        assert t.grafts == {k: tuple(v) for k, v in grouped.items()}
+        assert t.grafts is t.grafts
+        fresh = DerivationTree(t.token, t.rule_index, t.children)
+        assert fresh == t and hash(fresh) == hash(t)
+        assert "grafts" not in repr(t)
 
 
 class TestGenerateTree:

@@ -3,10 +3,10 @@ properties over random grammars.
 
 ``grammar_reference`` computes the depth table (combine by max) and the
 size table (combine by sum) as two separate fixpoints.  Over small random
-grammars, dead tokens and references to undefined tokens included, the
-merged fixpoint must give the same ``min_depth``, ``rule_depths`` and
-``rule_sizes``, and ``Grammar`` must reject exactly the grammars with a
-token that has no finite derivation.
+grammars, dead tokens included, the merged fixpoint must give the same
+``min_depth``, ``rule_depths`` and ``rule_sizes``.  ``Grammar`` must
+reject exactly the grammars with a reference to an undefined token, and
+of the rest exactly those with a token that has no finite derivation.
 
 The same random grammars, kept when ``parse_grammar`` loads them, must
 also keep every mutation operator closed over the grammar and every tree
@@ -29,6 +29,7 @@ from conffuzz.grammar import (
     NoFiniteDerivationError,
     Rule,
     RuleItem,
+    UndefinedTokenRefError,
     derive_tree,
     generate_tree,
     parse_grammar,
@@ -38,7 +39,8 @@ from conffuzz.grammar import (
 from conffuzz.mutate import MutationKind, random_mutation
 
 TOKENS = [f"<T{i}>" for i in range(5)]
-# referenced but never defined, so its cost is infinite
+# referenced but never defined, which ``Grammar`` rejects, as it rejects
+# a reference to a token past the ones a grammar defines
 UNDEFINED = "<GHOST>"
 
 ITEMS = st.one_of(
@@ -62,11 +64,25 @@ LIVE = {"<T0>": (Rule((RuleItem("a", False),)),)}
 DEAD = {"<T0>": (Rule((RuleItem("<T0>", True),)),), "<T1>": ()}
 
 
-@settings(max_examples=300, deadline=None)
+# most random grammars hold an undefined reference, so this draws enough
+# for about 300 that reach the table comparison or the dead-token check
+@settings(max_examples=700, deadline=None)
 @given(productions())
 @example(LIVE)
 @example(DEAD)
 def test_one_fixpoint_matches_depth_and_size_fixpoints(prods):
+    undefined = [
+        ref
+        for rules in prods.values()
+        for rule in rules
+        for ref in rule.refs
+        if ref not in prods
+    ]
+    if undefined:
+        with pytest.raises(UndefinedTokenRefError) as err:
+            Grammar(prods)
+        assert str(err.value).endswith(f"undefined token {undefined[0]!r}")
+        return
     depth, rule_depths = grammar_reference._depth_tables(prods)
     _, rule_sizes = grammar_reference._size_tables(prods)
     dead = grammar_reference.dead_tokens(prods)

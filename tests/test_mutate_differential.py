@@ -1,0 +1,155 @@
+"""The mutation hot path against its reference.
+
+``mutate_reference`` holds the operators, ``random_mutation``,
+``sample_tree`` and ``minimal_tree`` as they were before their
+input-independent work moved into tables built once: the draw table for
+the weights, the grammar's swappable tokens, largest rule depths and
+shared smallest trees, and a tree's graft pool.  For the same tree, donor, seed and weights, both must
+return an equal tree and the same kind, on ``grammars/gnb.json`` and on
+the random grammars of ``test_grammar_differential.py``.  Weights that
+are negative or all zero must raise the same exception with the same
+message.  Every token's minimal tree, and every rule's smallest tree,
+must equal the one the reference's recursion builds.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import mutate_reference
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_grammar_differential import loaded
+
+from conffuzz.grammar import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_START,
+    DerivationTree,
+    GrammarError,
+    generate_tree,
+    minimal_tree,
+    parse_grammar,
+    sample_tree,
+)
+from conffuzz.mutate import DEFAULT_WEIGHTS, MutationKind, random_mutation
+
+from conftest import GRAMMAR_PATH
+
+GNB = parse_grammar(GRAMMAR_PATH.read_text(encoding="utf-8"))
+SEEDS = st.integers(0, 2**63 - 1)
+
+# None, one kind alone, or any subset with zero, negative and float weights
+WEIGHTS = st.one_of(
+    st.none(),
+    st.sampled_from(list(MutationKind)).map(lambda kind: {kind: 1}),
+    st.dictionaries(
+        st.sampled_from(list(MutationKind)),
+        st.one_of(
+            st.integers(-1, 5),
+            st.floats(-1.0, 10.0, allow_nan=False),
+            st.just(0),
+        ),
+    ),
+)
+
+
+@st.composite
+def gnb_case(draw):
+    """Two gnb trees, the first possibly mutated already, as in a corpus."""
+    tree = generate_tree(GNB, draw(SEEDS))
+    donor = generate_tree(GNB, draw(SEEDS))
+    if draw(st.booleans()):
+        tree, _ = random_mutation(tree, GNB, draw(SEEDS), donor=donor)
+    return GNB, DEFAULT_MAX_DEPTH, tree, donor
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (GrammarError, ValueError, LookupError) as exc:
+        return type(exc), str(exc)
+
+
+def same_mutation(case, seed, weights, use_donor):
+    g, depth, tree, donor = case
+    kwargs = {"donor": donor if use_donor else None, "max_depth": depth}
+    got = outcome(random_mutation, tree, g, seed, weights, **kwargs)
+    want = outcome(mutate_reference.random_mutation, tree, g, seed, weights, **kwargs)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(gnb_case(), SEEDS, WEIGHTS, st.booleans())
+def test_gnb_mutation_matches_reference(case, seed, weights, use_donor):
+    same_mutation(case, seed, weights, use_donor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded(), SEEDS, WEIGHTS, st.booleans())
+def test_random_grammar_mutation_matches_reference(case, seed, weights, use_donor):
+    same_mutation(case, seed, weights, use_donor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loaded(), SEEDS, st.integers(-1, 3), st.data())
+def test_sample_tree_matches_reference(case, seed, slack, data):
+    # budgets from one below a token's minimal depth to past its deepest
+    # rule, so the rule filter is both skipped and applied
+    g = case[0]
+    token = data.draw(st.sampled_from(sorted(g.productions)))
+    budget = g.min_depth(token) + slack
+    got = outcome(sample_tree, g, token, budget, Random(seed))
+    want = outcome(mutate_reference.sample_tree, g, token, budget, Random(seed))
+    assert got == want
+
+
+def same_smallest_trees(g):
+    for token, rules in g.productions.items():
+        assert minimal_tree(g, token) == mutate_reference.minimal_tree(g, token)
+        for i, rule in enumerate(rules):
+            children = tuple(mutate_reference.minimal_tree(g, r) for r in rule.refs)
+            assert g.smallest(token, i) == DerivationTree(token, i, children)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded())
+def test_random_grammar_smallest_trees_match_reference(case):
+    same_smallest_trees(case[0])
+
+
+def test_gnb_smallest_trees_match_reference():
+    same_smallest_trees(GNB)
+
+
+def test_default_weights_match_reference():
+    assert dict(DEFAULT_WEIGHTS) == mutate_reference.DEFAULT_WEIGHTS
+    with pytest.raises(TypeError):
+        DEFAULT_WEIGHTS[MutationKind.SPLICE] = 5  # type: ignore[index]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {},
+        {MutationKind.SPLICE: 0},
+        {MutationKind.REGENERATE: -1},
+        {MutationKind.RULE_SWAP: -0.5, MutationKind.SPLICE: 2},
+    ],
+)
+def test_bad_weights_raise_as_reference(weights):
+    tree = generate_tree(GNB, 1)
+    got = outcome(random_mutation, tree, GNB, 7, weights)
+    want = outcome(mutate_reference.random_mutation, tree, GNB, 7, weights)
+    assert isinstance(got, tuple) and isinstance(got[0], type)
+    assert got == want
+
+
+def test_start_token_samples_as_reference():
+    for seed in range(50):
+        assert sample_tree(GNB, DEFAULT_START, DEFAULT_MAX_DEPTH, Random(seed)) == (
+            mutate_reference.sample_tree(
+                GNB, DEFAULT_START, DEFAULT_MAX_DEPTH, Random(seed)
+            )
+        )
