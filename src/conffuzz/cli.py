@@ -226,6 +226,15 @@ def cmd_validate(args) -> int:
     return _VALIDATE_EXITS[outcome.kind]
 
 
+def _run_crashing(spec: TargetSpec, text: str, name: str):
+    """The target's answer for ``text``, which must be a crash or timeout."""
+    outcome, branches = execute(spec, text)
+    if not outcome.is_crash:
+        kind = outcome.kind.value
+        raise UsageError(f"{name}: target did not crash (outcome: {kind})")
+    return outcome, branches
+
+
 def cmd_minimize(args) -> int:
     g = parse_grammar(_read(args.grammar))
     text = _read(args.config)
@@ -233,11 +242,7 @@ def cmd_minimize(args) -> int:
     if tree is None:
         raise UsageError(f"{args.config}: input cannot be derived from the grammar")
     spec = TargetSpec.parse(args.target, args.timeout_ms)
-    outcome, branches = execute(spec, text)
-    if not outcome.is_crash:
-        raise UsageError(
-            f"{args.config}: target did not crash (outcome: {outcome.kind.value})"
-        )
+    outcome, branches = _run_crashing(spec, text, args.config)
     key = dedup_key(outcome, branches)
     minimized = unparse(minimize(tree, g, spec, key), g)
     if args.out:
@@ -265,11 +270,7 @@ def cmd_triage(args) -> int:
         reports = []
         for i, case in enumerate(args.cases):
             text = _read(case)
-            outcome, branches = execute(spec, text)
-            if not outcome.is_crash:
-                raise UsageError(
-                    f"{case}: target did not crash (outcome: {outcome.kind.value})"
-                )
+            outcome, branches = _run_crashing(spec, text, case)
             reports.append(
                 make_crash_report(dedup_key(outcome, branches), outcome, text, text, i)
             )

@@ -34,7 +34,6 @@ __all__ = [
     "iter_params",
     "parse_config",
     "serialize_config",
-    "set_param",
 ]
 
 INT64_MIN = -(2**63)
@@ -405,29 +404,6 @@ def get_param(d: ConfigDocument, p: ParamPath) -> Scalar:
         kind = "group" if isinstance(value, dict) else "list"
         raise NotAScalarError(f"{p} addresses a {kind}")
     return value
-
-
-def set_param(d: ConfigDocument, p: ParamPath, v: Scalar) -> ConfigDocument:
-    if not isinstance(v, (int, float, str, bool)):
-        raise ValueError(f"set_param value must be a scalar, got {v!r}")
-
-    def rebuild(cur: Value, segs: tuple[Union[str, int], ...]) -> Value:
-        if not segs:
-            return v
-        seg = segs[0]
-        if isinstance(seg, str):
-            if not isinstance(cur, dict):
-                raise PathNotFoundError(f"no group at {seg!r} in {p}")
-            if seg not in cur:
-                raise PathNotFoundError(f"no setting {seg!r} in {p}")
-            return {**cur, seg: rebuild(cur[seg], segs[1:])}
-        if not isinstance(cur, tuple) or seg >= len(cur):
-            raise PathNotFoundError(f"no list element [{seg}] in {p}")
-        return cur[:seg] + (rebuild(cur[seg], segs[1:]),) + cur[seg + 1 :]
-
-    root = rebuild(d.root, p.segments)
-    assert isinstance(root, dict)
-    return ConfigDocument(root)
 
 
 def iter_params(d: ConfigDocument) -> Iterator[tuple[ParamPath, Scalar]]:

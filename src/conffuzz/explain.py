@@ -34,8 +34,6 @@ __all__ = [
     "backend_from_spec",
     "explain_params",
     "extract_unique_params",
-    "find_param_name",
-    "get_param_range",
     "parse_test_log",
     "write_report",
 ]
@@ -133,20 +131,16 @@ def _parse_args(arg_text: str, line_no: int) -> tuple[tuple[str, str], ...]:
     return tuple(args)
 
 
-def get_param_range(occurrences: Sequence[str]) -> tuple[str, ...]:
-    """Deduplicate values, keeping first-seen order."""
-    return tuple(dict.fromkeys(occurrences))
-
-
 def extract_unique_params(
     tests: Sequence[TestCaseRecord],
 ) -> dict[str, tuple[str, ...]]:
-    """Flag -> value range over all tests, flags in first-appearance order."""
+    """Flag -> value range over all tests, flags in first-appearance order
+    and each range's distinct values in first-seen order."""
     occurrences: dict[str, list[str]] = {}
     for record in tests:
         for flag, value in record.args:
             occurrences.setdefault(flag, []).append(value)
-    return {flag: get_param_range(vals) for flag, vals in occurrences.items()}
+    return {flag: tuple(dict.fromkeys(vals)) for flag, vals in occurrences.items()}
 
 
 def _iter_source_files(root: Path):
@@ -193,11 +187,6 @@ def _find_switch_arms(
         if not pending:
             break
     return arms
-
-
-def find_param_name(flag: str, source_root: Union[str, Path]) -> str:
-    var, _ = _find_switch_arms([flag], source_root).get(flag, (None, ""))
-    return var if var is not None else UNKNOWN
 
 
 class ExplanationBackend(Protocol):

@@ -38,6 +38,7 @@ from .configfmt import (
 from .target import BRANCH_PREFIX, ExecOutcome, OutcomeKind, register_builtin
 
 __all__ = [
+    "BANDS",
     "BandSpec",
     "CRASH_CORESET0_BUG",
     "CRASH_MIN_BW",
@@ -45,7 +46,6 @@ __all__ = [
     "CRASH_SSB_OUT_OF_BAND",
     "CRASH_UNKNOWN_BAND",
     "WATCH_PATHS",
-    "band_table",
     "baseline_document",
     "baseline_text",
     "main",
@@ -75,14 +75,10 @@ class BandSpec:
         return self.arfcn_lo <= arfcn <= self.arfcn_hi
 
 
-_BANDS = (
+BANDS = (
     BandSpec(41, 499200, 537999, 25),
     BandSpec(78, 620000, 653333, 25),
 )
-
-
-def band_table() -> tuple[BandSpec, ...]:
-    return _BANDS
 
 
 WATCH_PATHS = tuple(
@@ -180,8 +176,9 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     branches: set[str] = set()
     view = _extract_view(d, branches)
     if view is None:
+        reason = "missing or non-integer parameter"
         return (
-            ExecOutcome.reject(REJECT_BAD_INPUT, "missing or non-integer parameter"),
+            ExecOutcome(OutcomeKind.REJECT, REJECT_BAD_INPUT, reason),
             frozenset(branches),
         )
 
@@ -191,29 +188,22 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
             branches.add(f"chk:{name}:ok")
         else:
             branches.add(f"chk:{name}:bad")
+            reason = f"{name} = {value} outside [{lo}, {hi}]"
             return (
-                ExecOutcome.reject(
-                    REJECT_BAD_INPUT, f"{name} = {value} outside [{lo}, {hi}]"
-                ),
+                ExecOutcome(OutcomeKind.REJECT, REJECT_BAD_INPUT, reason),
                 frozenset(branches),
             )
 
-    band = next(
-        (b for b in _BANDS if b.band == view["dl_frequencyBand"]), None
-    )
+    band = next((b for b in BANDS if b.band == view["dl_frequencyBand"]), None)
     for held, violated, code, holds, message in _CRASH_RULES:
         if holds(view, band):
             branches.add(held)
         else:
             branches.add(violated)
-            return (
-                ExecOutcome.crash(
-                    code, f"FATAL[{code}]: " + message.format(b=band, **view)
-                ),
-                frozenset(branches),
-            )
+            reason = f"FATAL[{code}]: " + message.format(b=band, **view)
+            return ExecOutcome(OutcomeKind.CRASH, code, reason), frozenset(branches)
 
-    return ExecOutcome.ok(), frozenset(branches)
+    return ExecOutcome(OutcomeKind.OK), frozenset(branches)
 
 
 def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
@@ -222,7 +212,7 @@ def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
         doc = parse_config(text)
     except ConfigError as e:
         return (
-            ExecOutcome.reject(REJECT_BAD_INPUT, str(e)),
+            ExecOutcome(OutcomeKind.REJECT, REJECT_BAD_INPUT, str(e)),
             frozenset({"chk:parse:fail"}),
         )
     outcome, branches = validate(doc)

@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 __all__ = [
     "DEFAULT_MAX_DEPTH",
@@ -147,9 +148,11 @@ class DerivationTree:
 
 @dataclass
 class Grammar:
-    productions: dict[str, tuple[Rule, ...]]
+    productions: Mapping[str, tuple[Rule, ...]]
 
     def __post_init__(self) -> None:
+        # read-only, and a copy: every table below is built from it once
+        self.productions = MappingProxyType(dict(self.productions))
         for token, rules in self.productions.items():
             for rule in rules:
                 for ref in rule.refs:
@@ -224,7 +227,7 @@ class Grammar:
 
 
 def _cost_tables(
-    productions: dict[str, tuple[Rule, ...]],
+    productions: Mapping[str, tuple[Rule, ...]],
     combine: Callable[[float, float], float],
 ) -> tuple[dict[str, float], dict[str, tuple[float, ...]]]:
     # Fixpoint over cost[t] = min over rules of 1 + combine(costs of refs):
@@ -253,7 +256,7 @@ def _cost_tables(
 
 
 def _numeric_step_table(
-    productions: dict[str, tuple[Rule, ...]],
+    productions: Mapping[str, tuple[Rule, ...]],
 ) -> dict[tuple[str, int], tuple[int, ...]]:
     # Per integer-literal rule: the next larger and next smaller value, zero,
     # the minimum and the maximum among the token's other such rules.

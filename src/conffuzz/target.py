@@ -75,22 +75,6 @@ class ExecOutcome:
         if not needs_code and self.code is not None:
             raise ValueError(f"{self.kind.value} outcome carries no code")
 
-    @classmethod
-    def ok(cls) -> "ExecOutcome":
-        return cls(OutcomeKind.OK)
-
-    @classmethod
-    def reject(cls, code: int, stderr_excerpt: str = "") -> "ExecOutcome":
-        return cls(OutcomeKind.REJECT, code, stderr_excerpt)
-
-    @classmethod
-    def crash(cls, code: int, stderr_excerpt: str = "") -> "ExecOutcome":
-        return cls(OutcomeKind.CRASH, code, stderr_excerpt)
-
-    @classmethod
-    def timeout(cls) -> "ExecOutcome":
-        return cls(OutcomeKind.TIMEOUT)
-
     @property
     def is_crash(self) -> bool:
         return self.kind in (OutcomeKind.CRASH, OutcomeKind.TIMEOUT)
@@ -177,12 +161,12 @@ def classify_outcome(
     rejections.
     """
     if returncode is None or elapsed_ms > timeout_ms:
-        return ExecOutcome.timeout()
+        return ExecOutcome(OutcomeKind.TIMEOUT)
     if returncode == 0:
-        return ExecOutcome.ok()
+        return ExecOutcome(OutcomeKind.OK)
     if returncode < 0:
-        return ExecOutcome.crash(-returncode)
-    return ExecOutcome.reject(returncode)
+        return ExecOutcome(OutcomeKind.CRASH, -returncode)
+    return ExecOutcome(OutcomeKind.REJECT, returncode)
 
 
 def _tmp_base() -> Path:
@@ -229,7 +213,7 @@ def _execute_external(
             _, err = proc.communicate()
             if not isinstance(e, subprocess.TimeoutExpired):
                 raise
-            outcome = ExecOutcome.timeout()
+            outcome = ExecOutcome(OutcomeKind.TIMEOUT)
         else:
             elapsed_ms = (time.monotonic() - started) * 1000.0
             outcome = classify_outcome(proc.returncode, elapsed_ms, spec.timeout_ms)

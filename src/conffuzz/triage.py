@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -247,7 +247,7 @@ def load_crash_report(crash_dir: Path) -> CrashReport:
 @dataclass(frozen=True)
 class ParamTable:
     paths: tuple[str, ...]
-    columns: tuple[tuple[str, tuple[str, ...]], ...] = field(default=())
+    columns: tuple[tuple[str, tuple[str, ...]], ...]
 
 
 def _column_values(

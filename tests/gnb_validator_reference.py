@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from conffuzz.configfmt import ConfigDocument, ConfigError, get_param, parse_config
 from conffuzz.gnb_validator import (
+    BANDS,
     CRASH_CORESET0_BUG,
     CRASH_MIN_BW,
     CRASH_POINTA_OUT_OF_BAND,
@@ -23,11 +24,8 @@ from conffuzz.gnb_validator import (
     CRASH_UNKNOWN_BAND,
     REJECT_BAD_INPUT,
     WATCH_PATHS,
-    band_table,
 )
-from conffuzz.target import ExecOutcome
-
-_BANDS = band_table()
+from conffuzz.target import ExecOutcome, OutcomeKind
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,9 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     view = _extract_view(d, branches)
     if view is None:
         return (
-            ExecOutcome.reject(REJECT_BAD_INPUT, "missing or non-integer parameter"),
+            ExecOutcome(
+                OutcomeKind.REJECT, REJECT_BAD_INPUT, "missing or non-integer parameter"
+            ),
             frozenset(branches),
         )
 
@@ -89,19 +89,21 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
         else:
             branches.add(f"chk:{name}:bad")
             return (
-                ExecOutcome.reject(
+                ExecOutcome(
+                    OutcomeKind.REJECT,
                     REJECT_BAD_INPUT, f"{name} = {value} outside [{lo}, {hi}]"
                 ),
                 frozenset(branches),
             )
 
     band = next(
-        (b for b in _BANDS if b.band == view.dl_frequencyBand), None
+        (b for b in BANDS if b.band == view.dl_frequencyBand), None
     )
     if band is None:
         branches.add("chk:band:unknown")
         return (
-            ExecOutcome.crash(
+            ExecOutcome(
+                OutcomeKind.CRASH,
                 CRASH_UNKNOWN_BAND,
                 f"FATAL[{CRASH_UNKNOWN_BAND}]: unknown NR band "
                 f"{view.dl_frequencyBand}",
@@ -115,7 +117,8 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     else:
         branches.add("chk:ssb_in_band:viol")
         return (
-            ExecOutcome.crash(
+            ExecOutcome(
+                OutcomeKind.CRASH,
                 CRASH_SSB_OUT_OF_BAND,
                 f"FATAL[{CRASH_SSB_OUT_OF_BAND}]: SSB ARFCN "
                 f"{view.absoluteFrequencySSB} outside band {band.band} range "
@@ -129,7 +132,8 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     else:
         branches.add("chk:pointa_in_band:viol")
         return (
-            ExecOutcome.crash(
+            ExecOutcome(
+                OutcomeKind.CRASH,
                 CRASH_POINTA_OUT_OF_BAND,
                 f"FATAL[{CRASH_POINTA_OUT_OF_BAND}]: pointA ARFCN "
                 f"{view.dl_absoluteFrequencyPointA} outside band {band.band} "
@@ -143,7 +147,8 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     else:
         branches.add("chk:min_bw:viol")
         return (
-            ExecOutcome.crash(
+            ExecOutcome(
+                OutcomeKind.CRASH,
                 CRASH_MIN_BW,
                 f"FATAL[{CRASH_MIN_BW}]: carrier bandwidth "
                 f"{view.dl_carrierBandwidth} RB below minimum {band.min_bw_rb} "
@@ -155,7 +160,8 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
     if 13 <= view.controlResourceSetZero <= 15:
         branches.add("chk:coreset0_bug:viol")
         return (
-            ExecOutcome.crash(
+            ExecOutcome(
+                OutcomeKind.CRASH,
                 CRASH_CORESET0_BUG,
                 f"FATAL[{CRASH_CORESET0_BUG}]: coreset0 index "
                 f"{view.controlResourceSetZero} hits table bug window [13, 15]",
@@ -164,7 +170,7 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
         )
     branches.add("chk:coreset0_bug:ok")
 
-    return ExecOutcome.ok(), frozenset(branches)
+    return ExecOutcome(OutcomeKind.OK), frozenset(branches)
 
 
 def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
@@ -173,7 +179,7 @@ def run_text(text: str) -> tuple[ExecOutcome, frozenset[str]]:
         doc = parse_config(text)
     except ConfigError as e:
         return (
-            ExecOutcome.reject(REJECT_BAD_INPUT, str(e)),
+            ExecOutcome(OutcomeKind.REJECT, REJECT_BAD_INPUT, str(e)),
             frozenset({"chk:parse:fail"}),
         )
     outcome, branches = validate(doc)

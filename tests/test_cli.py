@@ -17,7 +17,7 @@ import pytest
 
 from conffuzz import gnb_validator
 from conffuzz.cli import EXIT_USAGE, main
-from conffuzz.configfmt import ParamPath, parse_config, serialize_config, set_param
+from conffuzz.configfmt import parse_config, serialize_config
 from conffuzz.grammar import parse_grammar
 
 from conftest import EXPLAIN_DIR, GRAMMAR_PATH, REPO_ROOT, TABLE1_DIR
@@ -157,11 +157,8 @@ class TestMinimize:
             ]
         )
         assert rc == 0
-        doc = set_param(
-            gnb_validator.baseline_document(),
-            ParamPath.parse("gNBs[0].servingCellConfigCommon[0].dl_frequencyBand"),
-            41,
-        )
+        doc = gnb_validator.baseline_document()
+        doc.root["gNBs"][0]["servingCellConfigCommon"][0]["dl_frequencyBand"] = 41
         assert capsys.readouterr().out == serialize_config(doc)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):

@@ -19,7 +19,6 @@ from conffuzz.configfmt import (
     iter_params,
     parse_config,
     serialize_config,
-    set_param,
 )
 
 SMALL = """\
@@ -332,31 +331,6 @@ class TestGetSetDiff:
             get_param(d, ParamPath.parse("gNBs"))
         with pytest.raises(NotAScalarError, match=r"^gNBs\[0\] addresses a group$"):
             get_param(d, ParamPath.parse("gNBs[0]"))
-
-    def test_set_returns_new_document(self):
-        d = parse_config(NESTED)
-        p = ParamPath.parse("gNBs[0].cells[0].physCellId")
-        d2 = set_param(d, p, 42)
-        assert get_param(d2, p) == 42
-        assert get_param(d, p) == 0
-        assert serialize_config(d) == NESTED
-        assert d2 != d
-
-    def test_set_only_touches_target(self):
-        d = parse_config(NESTED)
-        p = ParamPath.parse("gNBs[0].cells[0].physCellId")
-        d2 = set_param(d, p, 7)
-        assert diff_params(d, d2) == [(p, 0, 7)]
-
-    def test_set_missing_raises(self):
-        d = parse_config(NESTED)
-        with pytest.raises(PathNotFoundError):
-            set_param(d, ParamPath.parse("gNBs[0].nope"), 1)
-
-    def test_set_rejects_non_scalar(self):
-        d = parse_config(SMALL)
-        with pytest.raises(ValueError):
-            set_param(d, ParamPath.parse("alpha"), {})
 
     def test_iter_params_document_order(self):
         d = parse_config(NESTED)

@@ -20,8 +20,6 @@ from conffuzz.explain import (
     backend_from_spec,
     explain_params,
     extract_unique_params,
-    find_param_name,
-    get_param_range,
     parse_test_log,
     write_report,
 )
@@ -35,6 +33,17 @@ EXPECTED_VARS = {
     "c": "coreset0_index",
     "P": "phy_cell_id",
 }
+
+
+class EchoBackend:
+    def explain(self, var_name, context):
+        return var_name
+
+
+def resolved_var(flag, source_root):
+    """The variable ``explain_params`` resolves ``flag`` to."""
+    (info,) = explain_params({flag: ("1",)}, EchoBackend(), source_root)
+    return info.var_name
 
 
 @pytest.fixture()
@@ -123,7 +132,8 @@ class TestParamRanges:
         ],
     )
     def test_get_param_range(self, occurrences, expected):
-        assert get_param_range(occurrences) == expected
+        records = [TestCaseRecord("t", (("x", v),)) for v in occurrences]
+        assert extract_unique_params(records).get("x", ()) == expected
 
     def test_fixture_ranges(self, log_text):
         params = extract_unique_params(parse_test_log(log_text))
@@ -144,44 +154,44 @@ class TestParamRanges:
 class TestFindParamName:
     @pytest.mark.parametrize("flag,var", sorted(EXPECTED_VARS.items()))
     def test_fixture_switch_arms(self, src_root, flag, var):
-        assert find_param_name(flag, src_root) == var
+        assert resolved_var(flag, src_root) == var
 
     def test_unknown_flag(self, src_root):
-        assert find_param_name("z", src_root) == UNKNOWN
+        assert resolved_var("z", src_root) == UNKNOWN
 
     def test_arm_without_assignment(self, src_root):
-        assert find_param_name("h", src_root) == UNKNOWN
+        assert resolved_var("h", src_root) == UNKNOWN
 
     def test_empty_tree(self, tmp_path):
-        assert find_param_name("s", tmp_path) == UNKNOWN
+        assert resolved_var("s", tmp_path) == UNKNOWN
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(OSError):
-            find_param_name("s", tmp_path / "nope")
+            resolved_var("s", tmp_path / "nope")
 
     def test_lexicographically_first_file_wins(self, tmp_path):
         (tmp_path / "a.c").write_text("case 'x': first_var = 1; break;\n")
         (tmp_path / "b.c").write_text("case 'x': second_var = 1; break;\n")
-        assert find_param_name("x", tmp_path) == "first_var"
+        assert resolved_var("x", tmp_path) == "first_var"
 
     def test_first_match_decides_even_without_assignment(self, tmp_path):
         (tmp_path / "a.c").write_text("case 'x': puts(\"x\"); break;\n")
         (tmp_path / "b.c").write_text("case 'x': real = 1; break;\n")
-        assert find_param_name("x", tmp_path) == UNKNOWN
+        assert resolved_var("x", tmp_path) == UNKNOWN
 
     def test_non_source_files_skipped(self, tmp_path):
         (tmp_path / "notes.txt").write_text("case 'x': textual = 1; break;\n")
-        assert find_param_name("x", tmp_path) == UNKNOWN
+        assert resolved_var("x", tmp_path) == UNKNOWN
 
     def test_array_assignment_target(self, tmp_path):
         (tmp_path / "a.c").write_text("case 'x': table[idx] = 1; break;\n")
-        assert find_param_name("x", tmp_path) == "table"
+        assert resolved_var("x", tmp_path) == "table"
 
     def test_comparison_is_not_assignment(self, tmp_path):
         (tmp_path / "a.c").write_text(
             "case 'x': if (mode == 2) { level = 3; } break;\n"
         )
-        assert find_param_name("x", tmp_path) == "level"
+        assert resolved_var("x", tmp_path) == "level"
 
 
 class RecordingBackend:
@@ -259,7 +269,7 @@ class TestExplainParams:
     def test_scan_stops_once_every_flag_resolves(self, tmp_path, reads):
         (tmp_path / "a.c").write_text("case 'x': ex = 1; break;\n")
         (tmp_path / "b.c").write_text("case 'y': why = 1; break;\n")
-        assert find_param_name("x", tmp_path) == "ex"
+        assert resolved_var("x", tmp_path) == "ex"
         assert reads == ["a.c"]
 
     def test_no_flags_read_nothing(self, tmp_path, reads):

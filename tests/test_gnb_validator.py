@@ -2,6 +2,8 @@
 
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -11,11 +13,10 @@ from conffuzz.configfmt import (
     get_param,
     parse_config,
     serialize_config,
-    set_param,
 )
 from conffuzz.gnb_validator import (
+    BANDS,
     WATCH_PATHS,
-    band_table,
     baseline_document,
     baseline_text,
     main,
@@ -59,14 +60,18 @@ def case_document(name):
 
 
 def with_param(doc, path_text, value):
-    return set_param(doc, ParamPath.parse(path_text), value)
+    """``doc`` with the setting at ``path_text`` set in place."""
+    *parents, name = ParamPath.parse(path_text).segments
+    reduce(getitem, parents, doc.root)[name] = value
+    return doc
 
 
 class TestBandTable:
     def test_frozen_contents(self):
-        assert [
-            (b.band, b.arfcn_lo, b.arfcn_hi, b.min_bw_rb) for b in band_table()
-        ] == [(41, 499200, 537999, 25), (78, 620000, 653333, 25)]
+        assert [(b.band, b.arfcn_lo, b.arfcn_hi, b.min_bw_rb) for b in BANDS] == [
+            (41, 499200, 537999, 25),
+            (78, 620000, 653333, 25),
+        ]
 
 
 class TestWatchPaths:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import gnb_validator_reference as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_gnb_validator import with_param
 
 from conffuzz import gnb_validator
-from conffuzz.configfmt import ConfigDocument, serialize_config, set_param
-from conffuzz.gnb_validator import WATCH_PATHS, band_table, baseline_document
+from conffuzz.configfmt import ConfigDocument, serialize_config
+from conffuzz.gnb_validator import BANDS, WATCH_PATHS, baseline_document
 
 DROP = object()
 KEEP = object()
@@ -29,16 +30,16 @@ def _around(*points: int) -> list[int]:
     return sorted({p + d for p in points for d in (-1, 0, 1)})
 
 
-_BAND_EDGES = [e for b in band_table() for e in (b.arfcn_lo, b.arfcn_hi)]
+_BAND_EDGES = [e for b in BANDS for e in (b.arfcn_lo, b.arfcn_hi)]
 EDGES = {
     "do_CSIRS": _around(0, 1),
     "do_SRS": _around(0, 1),
     "controlResourceSetZero": _around(0, 12, 13, 15),
     "searchSpaceZero": _around(0, 15),
     "absoluteFrequencySSB": _around(0, 641280, *_BAND_EDGES),
-    "dl_frequencyBand": _around(0, 257, *(b.band for b in band_table())),
+    "dl_frequencyBand": _around(0, 257, *(b.band for b in BANDS)),
     "dl_absoluteFrequencyPointA": _around(0, 640008, *_BAND_EDGES),
-    "dl_carrierBandwidth": _around(0, 106, *(b.min_bw_rb for b in band_table())),
+    "dl_carrierBandwidth": _around(0, 106, *(b.min_bw_rb for b in BANDS)),
 }
 
 
@@ -57,7 +58,8 @@ def _changed(doc: ConfigDocument, path, value) -> ConfigDocument:
         return doc
     if value is DROP:
         return _drop(doc, path.segments[-1])
-    return set_param(doc, path, value)
+    # every document here is built fresh, so its groups can be edited
+    return with_param(doc, str(path), value)
 
 
 @st.composite

@@ -136,6 +136,19 @@ class TestTables:
         g = parse_grammar(DIGITS_GRAMMAR)
         assert g.swappable == {"<DIGITS>", "<DIGIT>"}
 
+    def test_productions_are_a_read_only_copy(self):
+        # the tables are built from the productions once, so neither the
+        # grammar nor the caller's dict may change them afterwards
+        bit = (Rule((RuleItem("0", False),)), Rule((RuleItem("1", False),)))
+        prods = {"<START>": bit}
+        g = Grammar(prods)
+        with pytest.raises(TypeError):
+            g.productions["<START>"] = bit[:1]
+        prods["<START>"] = bit[:1]
+        prods["<NEW>"] = bit
+        assert dict(g.productions) == {"<START>": bit}
+        assert g.swappable == {"<START>"}
+
     def test_smallest_is_one_shared_minimal_instance_per_rule(self):
         g = parse_grammar(DIGITS_GRAMMAR)
         two = g.smallest("<DIGITS>", 1)

@@ -8,7 +8,8 @@ again fails here.  Every start-up
 check runs in a fresh interpreter and compares against a bare one, so
 modules the interpreter loads at start-up on its own do not count.
 
-Every name a module lists in ``__all__`` must exist, and no module of the
+Every name a module lists in ``__all__`` must exist and be read by the
+system itself (the package or the benchmark), and no module of the
 package imports an underscore-prefixed name from a sibling: what modules
 share is public.
 """
@@ -19,6 +20,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -27,6 +29,7 @@ import pytest
 from conftest import GRAMMAR_PATH, REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "conffuzz"
+PERFBENCH = REPO_ROOT / "perfbench"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 POOL_AND_SPAWN = {"concurrent.futures", "subprocess", "uuid"}
@@ -145,3 +148,59 @@ def test_private_names_are_used_in_their_module(name):
     }
     unused = [n for n in _private_top_level_names(tree) if n not in read]
     assert unused == []
+
+
+# exported although nothing in the system calls it: the tree checker the
+# tests use to assert mutation closure
+TEST_ONLY_EXPORTS = {"grammar.validate_tree"}
+
+
+def _entry_points() -> set[str]:
+    """``module.attr`` of each ``[project.scripts]`` entry point."""
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    targets = re.findall(r'=\s*"conffuzz\.([^"]+)"', section)
+    return {target.replace(":", ".") for target in targets}
+
+
+def _exports(tree: ast.Module) -> list[ast.expr]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return node.value.elts
+    return []
+
+
+def _names_read(tree: ast.Module, skip: set[ast.AST]) -> set[str]:
+    """Loaded names, attributes, imported names and string constants (the
+    benchmark looks some bindings up by name), except the nodes in skip."""
+    out = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_exported_name_is_read_by_the_system():
+    # a public name that only tests use is a second surface to keep up
+    files = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    exports = {p.stem: _exports(t) for p, t in trees.items() if p.parent == PACKAGE}
+    listed = {node for nodes in exports.values() for node in nodes}
+    read = set().union(*(_names_read(t, listed) for t in trees.values()))
+    dead = {
+        f"{module}.{node.value}"
+        for module, nodes in exports.items()
+        for node in nodes
+        if node.value not in read
+    }
+    assert sorted(dead - _entry_points() - TEST_ONLY_EXPORTS) == []

@@ -38,10 +38,12 @@ class TestStableHash:
 
 class TestExecOutcome:
     def test_constructors(self):
-        assert ExecOutcome.ok() == ExecOutcome(OutcomeKind.OK)
-        assert ExecOutcome.reject(2).code == 2
-        assert ExecOutcome.crash(101).code == 101
-        assert ExecOutcome.timeout().code is None
+        ok = ExecOutcome(OutcomeKind.OK)
+        assert (ok.kind, ok.code, ok.stderr_excerpt) == (OutcomeKind.OK, None, "")
+        crash = ExecOutcome(OutcomeKind.CRASH, 101, "FATAL")
+        assert (crash.code, crash.stderr_excerpt) == (101, "FATAL")
+        assert ExecOutcome(OutcomeKind.REJECT, 2).code == 2
+        assert ExecOutcome(OutcomeKind.TIMEOUT).code is None
 
     @pytest.mark.parametrize(
         "kind,code",
@@ -57,32 +59,32 @@ class TestExecOutcome:
             ExecOutcome(kind, code)
 
     def test_is_crash_covers_timeouts(self):
-        assert ExecOutcome.crash(6).is_crash
-        assert ExecOutcome.timeout().is_crash
-        assert not ExecOutcome.ok().is_crash
-        assert not ExecOutcome.reject(2).is_crash
+        assert ExecOutcome(OutcomeKind.CRASH, 6).is_crash
+        assert ExecOutcome(OutcomeKind.TIMEOUT).is_crash
+        assert not ExecOutcome(OutcomeKind.OK).is_crash
+        assert not ExecOutcome(OutcomeKind.REJECT, 2).is_crash
 
 
 class TestClassifyOutcome:
     @pytest.mark.parametrize(
         "rc,elapsed,expected",
         [
-            (0, 50, ExecOutcome.ok()),
-            (1, 50, ExecOutcome.reject(1)),
-            (2, 999, ExecOutcome.reject(2)),
-            (-6, 50, ExecOutcome.crash(6)),
-            (-11, 50, ExecOutcome.crash(11)),
-            (None, 50, ExecOutcome.timeout()),
-            (0, 1500, ExecOutcome.timeout()),
-            (-9, 2000, ExecOutcome.timeout()),
+            (0, 50, ExecOutcome(OutcomeKind.OK)),
+            (1, 50, ExecOutcome(OutcomeKind.REJECT, 1)),
+            (2, 999, ExecOutcome(OutcomeKind.REJECT, 2)),
+            (-6, 50, ExecOutcome(OutcomeKind.CRASH, 6)),
+            (-11, 50, ExecOutcome(OutcomeKind.CRASH, 11)),
+            (None, 50, ExecOutcome(OutcomeKind.TIMEOUT)),
+            (0, 1500, ExecOutcome(OutcomeKind.TIMEOUT)),
+            (-9, 2000, ExecOutcome(OutcomeKind.TIMEOUT)),
         ],
     )
     def test_table(self, rc, elapsed, expected):
         assert classify_outcome(rc, elapsed, 1000) == expected
 
     def test_budget_boundary_is_inclusive(self):
-        assert classify_outcome(0, 1000, 1000) == ExecOutcome.ok()
-        assert classify_outcome(0, 1000.1, 1000) == ExecOutcome.timeout()
+        assert classify_outcome(0, 1000, 1000) == ExecOutcome(OutcomeKind.OK)
+        assert classify_outcome(0, 1000.1, 1000) == ExecOutcome(OutcomeKind.TIMEOUT)
 
 
 class TestTargetSpec:
@@ -129,12 +131,12 @@ class TestBuiltinDispatch:
 
         def fake(text):
             seen.append(text)
-            return ExecOutcome.ok(), frozenset({"chk:fake"})
+            return ExecOutcome(OutcomeKind.OK), frozenset({"chk:fake"})
 
         register_builtin("fake-target", fake)
         outcome, branches = execute(TargetSpec.parse("builtin:fake-target"), "payload")
         assert seen == ["payload"]
-        assert outcome == ExecOutcome.ok()
+        assert outcome == ExecOutcome(OutcomeKind.OK)
         assert branches == frozenset({"chk:fake"})
 
     def test_unknown_builtin_raises(self):
@@ -187,7 +189,7 @@ class TestExternalExecution:
         script = _write_script(tmp_path, "rej.py", "sys.exit(3)")
         spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         outcome, _ = execute(spec, "x")
-        assert outcome == ExecOutcome.reject(3)
+        assert outcome == ExecOutcome(OutcomeKind.REJECT, 3)
 
     def test_signal_death_is_crash(self, tmp_path, sandbox_tmpdir):
         script = _write_script(

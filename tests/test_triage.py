@@ -11,10 +11,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conffuzz.configfmt import ParamPath, parse_config, serialize_config, set_param
+from conffuzz.configfmt import ParamPath, parse_config, serialize_config
 from conffuzz.gnb_validator import WATCH_PATHS, baseline_document, run_text
 from conffuzz.grammar import derive_tree, tree_size, unparse
-from conffuzz.target import ExecOutcome, TargetSpec
+from conffuzz.target import ExecOutcome, OutcomeKind, TargetSpec
 from conffuzz.triage import (
     CrashReport,
     NonReproducibleError,
@@ -30,7 +30,7 @@ from conffuzz.triage import (
 )
 
 from conftest import REPO_ROOT
-from test_gnb_validator import CELL, PARAM_MATRIX
+from test_gnb_validator import CELL, PARAM_MATRIX, with_param
 
 VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
 
@@ -40,37 +40,41 @@ def crash_and_key(text):
     return outcome, dedup_key(outcome, branches)
 
 
+def _crash(code):
+    """A crash with this code, or a timeout for None."""
+    kind = OutcomeKind.TIMEOUT if code is None else OutcomeKind.CRASH
+    return ExecOutcome(kind, code)
+
+
 class TestDedupKey:
     def test_frozen_values(self):
         # independently computed from the blake2b construction
         branches = frozenset({"chk:a"})
-        assert dedup_key(ExecOutcome.crash(101), branches) == "e4508d3cc2515672"
-        assert dedup_key(ExecOutcome.crash(102), branches) == "d6a24f57201f8462"
+        assert dedup_key(_crash(101), branches) == "e4508d3cc2515672"
+        assert dedup_key(_crash(102), branches) == "d6a24f57201f8462"
 
     def test_format(self):
-        key = dedup_key(ExecOutcome.crash(104), frozenset())
+        key = dedup_key(_crash(104), frozenset())
         assert re.fullmatch(r"[0-9a-f]{16}", key)
 
     def test_stable_and_discriminating(self):
         branches = frozenset({"chk:x", "chk:y"})
-        assert dedup_key(ExecOutcome.crash(101), branches) == dedup_key(
-            ExecOutcome.crash(101), frozenset({"chk:y", "chk:x"})
+        assert dedup_key(_crash(101), branches) == dedup_key(
+            _crash(101), frozenset({"chk:y", "chk:x"})
         )
-        assert dedup_key(ExecOutcome.crash(101), branches) != dedup_key(
-            ExecOutcome.crash(102), branches
-        )
-        assert dedup_key(ExecOutcome.crash(101), branches) != dedup_key(
-            ExecOutcome.crash(101), frozenset({"chk:x"})
+        assert dedup_key(_crash(101), branches) != dedup_key(_crash(102), branches)
+        assert dedup_key(_crash(101), branches) != dedup_key(
+            _crash(101), frozenset({"chk:x"})
         )
 
     def test_digest_order_independent(self):
-        crash = ExecOutcome.crash(101)
+        crash = _crash(101)
         assert dedup_key(crash, frozenset(["a", "b"])) == dedup_key(
             crash, frozenset(["b", "a"])
         )
 
     def test_digest_distinguishes_sets(self):
-        crash = ExecOutcome.crash(101)
+        crash = _crash(101)
         assert dedup_key(crash, frozenset({"a"})) != dedup_key(crash, frozenset({"b"}))
         assert dedup_key(crash, frozenset()) != dedup_key(crash, frozenset({"a"}))
 
@@ -81,19 +85,19 @@ class TestDedupKey:
             )
 
         digest = blake("chk:a\nchk:b")
-        key = dedup_key(ExecOutcome.crash(101), frozenset({"chk:b", "chk:a"}))
+        key = dedup_key(_crash(101), frozenset({"chk:b", "chk:a"}))
         assert key == f"{blake(f'101|{digest:016x}'):016x}"
 
     def test_feedback_free_targets_dedup_on_id(self):
-        assert dedup_key(ExecOutcome.crash(11), frozenset()) == dedup_key(
-            ExecOutcome.crash(11), frozenset()
-        )
+        assert dedup_key(_crash(11), frozenset()) == dedup_key(_crash(11), frozenset())
 
     def test_timeout_outcomes_have_keys(self):
-        key = dedup_key(ExecOutcome.timeout(), frozenset())
+        key = dedup_key(ExecOutcome(OutcomeKind.TIMEOUT), frozenset())
         assert re.fullmatch(r"[0-9a-f]{16}", key)
 
-    @pytest.mark.parametrize("outcome", [ExecOutcome.ok(), ExecOutcome.reject(2)])
+    @pytest.mark.parametrize(
+        "outcome", [ExecOutcome(OutcomeKind.OK), ExecOutcome(OutcomeKind.REJECT, 2)]
+    )
     def test_non_crash_rejected(self, outcome):
         with pytest.raises(NotACrashError):
             dedup_key(outcome, frozenset())
@@ -110,17 +114,13 @@ LABELS = st.lists(
 CODES = st.one_of(st.none(), st.integers(0, 300))
 
 
-def _crash(code):
-    return ExecOutcome.timeout() if code is None else ExecOutcome.crash(code)
-
-
 _FRESH_KEYS = """\
 import json, sys
-from conffuzz.target import ExecOutcome
+from conffuzz.target import ExecOutcome, OutcomeKind
 from conffuzz.triage import dedup_key
 for code, labels in json.load(sys.stdin):
-    outcome = ExecOutcome.timeout() if code is None else ExecOutcome.crash(code)
-    print(dedup_key(outcome, frozenset(labels)))
+    kind = OutcomeKind.TIMEOUT if code is None else OutcomeKind.CRASH
+    print(dedup_key(ExecOutcome(kind, code), frozenset(labels)))
 """
 
 
@@ -175,9 +175,7 @@ class TestMinimize:
         _, key = crash_and_key(text)
         out = minimize(tree, gnb_grammar, VALIDATOR, key)
         expected = serialize_config(
-            set_param(
-                baseline_document(), ParamPath.parse(f"{CELL}.dl_frequencyBand"), 41
-            )
+            with_param(baseline_document(), f"{CELL}.dl_frequencyBand", 41)
         )
         assert unparse(out, gnb_grammar) == expected
         assert tree_size(out) <= tree_size(tree)
@@ -187,11 +185,7 @@ class TestMinimize:
         _, key = crash_and_key(text)
         out = minimize(tree, gnb_grammar, VALIDATOR, key)
         expected = serialize_config(
-            set_param(
-                baseline_document(),
-                ParamPath.parse(f"{CELL}.absoluteFrequencySSB"),
-                433096,
-            )
+            with_param(baseline_document(), f"{CELL}.absoluteFrequencySSB", 433096)
         )
         assert unparse(out, gnb_grammar) == expected
 
@@ -247,9 +241,7 @@ class TestCrashReport:
         assert case1.param_diff[-1][1:] == (641280, 433096)
 
     def test_unparseable_input_gives_empty_diff(self):
-        report = make_crash_report(
-            "ab" * 8, ExecOutcome.crash(6), "garbage {{{", "garbage {{{", 0
-        )
+        report = make_crash_report("ab" * 8, _crash(6), "garbage {{{", "garbage {{{", 0)
         assert report.param_diff == ()
 
     def test_store_and_load_round_trip(self, tmp_path, table1_dir):
@@ -306,7 +298,7 @@ class TestParamTable:
             assert values[1] == "-"
 
     def test_unparseable_report_renders_dashes(self):
-        report = make_crash_report("cd" * 8, ExecOutcome.crash(6), "{{{", "{{{", 0)
+        report = make_crash_report("cd" * 8, _crash(6), "{{{", "{{{", 0)
         table = extract_param_table([report])
         assert table.columns[1][1] == ("-",) * 8
 

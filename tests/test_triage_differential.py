@@ -12,6 +12,10 @@ is why only ancestors are skipped.
 Both versions must return equal trees, the new one with no more target
 executions, never with more nodes than its input, and with a result that
 still reproduces the key.
+
+The random grammars of ``test_grammar_differential.py`` check the last
+two claims of ``minimize`` alone, on a probe that crashes on any text
+but the empty one.
 """
 
 from __future__ import annotations
@@ -21,10 +25,24 @@ import json
 import triage_reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_grammar_differential import loaded
 
 from conffuzz import triage
-from conffuzz.grammar import derive_tree, generate_tree, parse_grammar, tree_size, unparse
-from conffuzz.target import ExecOutcome, TargetSpec, execute, register_builtin
+from conffuzz.grammar import (
+    derive_tree,
+    generate_tree,
+    parse_grammar,
+    tree_size,
+    unparse,
+    validate_tree,
+)
+from conffuzz.target import (
+    ExecOutcome,
+    OutcomeKind,
+    TargetSpec,
+    execute,
+    register_builtin,
+)
 
 NESTED = parse_grammar(
     json.dumps(
@@ -48,7 +66,9 @@ def _nesting_probe(text: str) -> tuple[ExecOutcome, frozenset[str]]:
         deepest = max(deepest, depth)
     branches = frozenset({f"depth:{min(deepest, 2)}"})
     first = next((int(ch) for ch in text if ch in "789"), 0)
-    return (ExecOutcome.crash(first) if first else ExecOutcome.ok()), branches
+    if first:
+        return ExecOutcome(OutcomeKind.CRASH, first), branches
+    return ExecOutcome(OutcomeKind.OK), branches
 
 
 # texts of NESTED, with a crashing digit in about every other item
@@ -150,3 +170,29 @@ def test_retries_a_failed_candidate_beside_the_replacement():
     text = "7 8 (7)"
     out = triage.minimize(derive_tree(NESTED, text), NESTED, PROBE, probe_key(text))
     assert unparse(out, NESTED) == "x x (7)"
+
+
+def _length_probe(text: str) -> tuple[ExecOutcome, frozenset[str]]:
+    """Crashes on any text but the empty one, the crash id being its
+    length capped at 3; the branches are the text's distinct characters."""
+    if not text:
+        return ExecOutcome(OutcomeKind.OK), frozenset()
+    return ExecOutcome(OutcomeKind.CRASH, min(len(text), 3)), frozenset(text)
+
+
+register_builtin("length-probe", _length_probe)
+LENGTH = TargetSpec.parse("builtin:length-probe")
+
+
+@settings(max_examples=200, deadline=None)
+@given(loaded())
+def test_minimize_never_grows_and_keeps_the_key_over_random_grammars(case):
+    g, _, tree, _ = case
+    outcome, branches = execute(LENGTH, unparse(tree, g))
+    assume(outcome.is_crash)
+    key = triage.dedup_key(outcome, branches)
+    out = triage.minimize(tree, g, LENGTH, key)
+    assert validate_tree(out, g)
+    assert tree_size(out) <= tree_size(tree)
+    outcome, branches = execute(LENGTH, unparse(out, g))
+    assert outcome.is_crash and triage.dedup_key(outcome, branches) == key
