@@ -204,7 +204,13 @@ def _settings(it: Iterator[str], closer: str, depth: int) -> dict:
         lex = next(it)
         if lex != "=":
             raise _expected("'='", lex)
-        value = _value(it, next(it), depth)
+        lex = next(it)
+        # up to 18 digits is always inside 64 bits, so a plain integer, the
+        # commonest value, needs none of ``_value``'s tests
+        if lex.isdecimal() and len(lex) < 19:
+            value = int(lex)
+        else:
+            value = _value(it, lex, depth)
         lex = next(it)
         if lex != ";":
             raise _expected("';'", lex)

@@ -31,7 +31,6 @@ from .configfmt import (
     ConfigDocument,
     ConfigError,
     ParamPath,
-    get_param,
     parse_config,
     serialize_config,
 )
@@ -96,33 +95,50 @@ WATCH_PATHS = tuple(
 )
 
 
+# (name, path segments, failure branch) per watched parameter, in order
+_WATCHED = tuple(
+    (p.segments[-1], p.segments, f"chk:extract:{p.segments[-1]}:fail")
+    for p in WATCH_PATHS
+)
+
+
 def _extract_view(
     d: ConfigDocument, branches: set[str]
 ) -> dict[str, int] | None:
     """The eight parameters the validator reads, keyed by name."""
     view = {}
-    for path in WATCH_PATHS:
-        name = path.segments[-1]
+    root = d.root
+    for name, segments, fail in _WATCHED:
+        # plain subscripts: a missing name or index, or a value of the
+        # wrong shape on the way, raises one of these; a string indexed by
+        # [0] gets through, but every path ends in a name, which it refuses
+        v = root
         try:
-            v = get_param(d, path)
-        except ConfigError:
-            branches.add(f"chk:extract:{name}:fail")
-            return None
+            for seg in segments:
+                v = v[seg]
+        except (KeyError, IndexError, TypeError):
+            v = None
         # strict int: bool is a different parameter type here
         if type(v) is not int:
-            branches.add(f"chk:extract:{name}:fail")
+            branches.add(fail)
             return None
         view[name] = v
     branches.add("chk:extract:ok")
     return view
 
 
-_DOMAIN_CHECKS = (
-    ("do_CSIRS", 0, 1),
-    ("do_SRS", 0, 1),
-    ("controlResourceSetZero", 0, 15),
-    ("searchSpaceZero", 0, 15),
+# (name, lowest, highest, branch when inside, branch when outside)
+_DOMAIN_CHECKS = tuple(
+    (name, lo, hi, f"chk:{name}:ok", f"chk:{name}:bad")
+    for name, lo, hi in (
+        ("do_CSIRS", 0, 1),
+        ("do_SRS", 0, 1),
+        ("controlResourceSetZero", 0, 15),
+        ("searchSpaceZero", 0, 15),
+    )
 )
+
+_BAND_OF = {b.band: b for b in BANDS}
 
 # (branch when the rule holds, branch when it is violated, crash code,
 # holds(view, band), message template over the view and the band ``b``).
@@ -182,19 +198,19 @@ def validate(d: ConfigDocument) -> tuple[ExecOutcome, frozenset[str]]:
             frozenset(branches),
         )
 
-    for name, lo, hi in _DOMAIN_CHECKS:
+    for name, lo, hi, inside, outside in _DOMAIN_CHECKS:
         value = view[name]
         if lo <= value <= hi:
-            branches.add(f"chk:{name}:ok")
+            branches.add(inside)
         else:
-            branches.add(f"chk:{name}:bad")
+            branches.add(outside)
             reason = f"{name} = {value} outside [{lo}, {hi}]"
             return (
                 ExecOutcome(OutcomeKind.REJECT, REJECT_BAD_INPUT, reason),
                 frozenset(branches),
             )
 
-    band = next((b for b in BANDS if b.band == view["dl_frequencyBand"]), None)
+    band = _BAND_OF.get(view["dl_frequencyBand"])
     for held, violated, code, holds, message in _CRASH_RULES:
         if holds(view, band):
             branches.add(held)

@@ -146,60 +146,68 @@ class DerivationTree:
         return {token: tuple(nodes) for token, nodes in pool.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grammar:
+    # frozen: every table below is built from the productions once, so
+    # neither they nor the tables may be rebound afterwards
     productions: Mapping[str, tuple[Rule, ...]]
 
     def __post_init__(self) -> None:
-        # read-only, and a copy: every table below is built from it once
-        self.productions = MappingProxyType(dict(self.productions))
-        for token, rules in self.productions.items():
+        # read-only, and a copy, so the caller's dict cannot change it either
+        productions = MappingProxyType(dict(self.productions))
+        for token, rules in productions.items():
             for rule in rules:
                 for ref in rule.refs:
-                    if ref not in self.productions:
+                    if ref not in productions:
                         raise UndefinedTokenRefError(
                             f"rule for {token!r} references undefined token {ref!r}"
                         )
-        self._min_depth, self._rule_depths = _cost_tables(self.productions, max)
-        min_size, self._rule_sizes = _cost_tables(self.productions, operator.add)
-        self._numeric_steps = _numeric_step_table(self.productions)
-        dead = sorted(t for t, d in self._min_depth.items() if d == _INF)
+        min_depth, rule_depths = _cost_tables(productions, max)
+        min_size, rule_sizes = _cost_tables(productions, operator.add)
+        numeric_steps = _numeric_step_table(productions)
+        dead = sorted(t for t, d in min_depth.items() if d == _INF)
         if dead:
             raise NoFiniteDerivationError(
                 "token(s) with no finite derivation: " + ", ".join(dead)
             )
-        # Tables the mutation operators and ``sample_tree`` read on every
-        # call, built once since they depend on the grammar alone.
-        self.swappable = frozenset(
-            t for t, rules in self.productions.items() if len(rules) >= 2
-        )
-        # every rule fits a budget of at least this, so none is filtered
-        self._max_rule_depth = {t: max(d) for t, d in self._rule_depths.items()}
 
         def rooted(token: str, i: int) -> DerivationTree:
-            refs = self.productions[token][i].refs
-            return DerivationTree(token, i, tuple(self._minimal[r] for r in refs))
+            refs = productions[token][i].refs
+            return DerivationTree(token, i, tuple(minimal[r] for r in refs))
 
         # A token's smallest rule refers only to smaller tokens, so minimal
         # trees built smallest first find their children already built.
-        self._minimal: dict[str, DerivationTree] = {}
-        for token in sorted(self.productions, key=min_size.__getitem__):
-            sizes = self._rule_sizes[token]
-            self._minimal[token] = rooted(
-                token, min(range(len(sizes)), key=sizes.__getitem__)
-            )
-        self._smallest = {
-            (token, i): rooted(token, i)
-            for token, rules in self.productions.items()
-            for i in range(len(rules))
-        }
-        # what ``unparse`` appends for a childless node, without a descent
-        self._leaf_text = {
-            (token, i): "".join(item.text for item in rule.items)
-            for token, rules in self.productions.items()
-            for i, rule in enumerate(rules)
-            if not rule.refs
-        }
+        minimal: dict[str, DerivationTree] = {}
+        for token in sorted(productions, key=min_size.__getitem__):
+            sizes = rule_sizes[token]
+            smallest_rule = min(range(len(sizes)), key=sizes.__getitem__)
+            minimal[token] = rooted(token, smallest_rule)
+        # Tables the mutation operators, ``sample_tree`` and ``unparse`` read
+        # on every call, built once since they depend on the grammar alone;
+        # set past the frozen ``__setattr__``.
+        vars(self).update(
+            productions=productions,
+            _min_depth=min_depth,
+            _rule_depths=rule_depths,
+            _rule_sizes=rule_sizes,
+            _numeric_steps=numeric_steps,
+            swappable=frozenset(t for t, r in productions.items() if len(r) > 1),
+            # every rule fits a budget of at least this, so none is filtered
+            _max_rule_depth={t: max(d) for t, d in rule_depths.items()},
+            _minimal=minimal,
+            _smallest={
+                (token, i): rooted(token, i)
+                for token, rules in productions.items()
+                for i in range(len(rules))
+            },
+            # what ``unparse`` appends for a childless node, without a descent
+            _leaf_text={
+                (token, i): "".join(item.text for item in rule.items)
+                for token, rules in productions.items()
+                for i, rule in enumerate(rules)
+                if not rule.refs
+            },
+        )
 
     def min_depth(self, token: str) -> int:
         """Minimal finite derivation depth of token (a lone leaf has depth 1)."""

@@ -50,6 +50,10 @@ DEFAULT_WEIGHTS: Mapping[MutationKind, int] = MappingProxyType(
 )
 
 
+# walking a tuple is cheaper than iterating the enum class
+_KINDS = tuple(MutationKind)
+
+
 class AllZeroWeightsError(ValueError):
     pass
 
@@ -63,12 +67,12 @@ def _draw_table(
     for kind, w in weights.items():
         if w < 0:
             raise ValueError(f"negative weight for {kind.value}: {w}")
-    total = sum(weights.get(kind, 0) for kind in MutationKind)
+    total = sum(weights.get(kind, 0) for kind in _KINDS)
     if total <= 0:
         raise AllZeroWeightsError("all mutation weights are zero")
     steps = []
     acc = 0.0
-    for kind in MutationKind:
+    for kind in _KINDS:
         acc += weights.get(kind, 0)
         steps.append((acc, kind))
     return total, tuple(steps)

@@ -5,7 +5,8 @@ pool, so nested groups repeat them) with noise spliced in: comments, lone
 signs and dots, ``1e``, unterminated strings, a backslash before a newline
 inside a string, bad escapes, integers just past 64 bits, integers longer
 than ``int()`` converts (with and without leading zeros), reals that
-overflow to infinity, groups and lists opened past the nesting limit
+overflow to infinity, runs of 18 to 20 digits (ASCII or not) around the
+parser's plain-integer cut, groups and lists opened past the nesting limit
 (closed or not), stray characters, and non-ASCII digits and spaces, which
 the token rules' digit and whitespace classes take in.  The two
 parsers must agree on every text: equal documents, compared through their
@@ -24,8 +25,45 @@ from conffuzz.configfmt import ConfigError, parse_config, serialize_config
 
 NAMES = ("a", "b", "g", "x_1", "true", "false")
 
+
+def _digit_runs() -> dict[str, str]:
+    """Integer lexemes on both sides of the parser's plain-integer cut:
+    18 digits always fit 64 bits, 19 may not, 20 never do unless zeros
+    lead; each with and without a sign, and runs of non-ASCII decimal
+    digits, which the digit class and ``int`` both take."""
+    runs = {
+        "9x18": "9" * 18,
+        "10**18": "1" + "0" * 18,
+        "9x19": "9" * 19,
+        "2**63-1": str(2**63 - 1),
+        "2**63": str(2**63),
+        "9x20": "9" * 20,
+        "zeros-17+7": "0" * 17 + "7",
+        "zeros-18+7": "0" * 18 + "7",
+        "zeros-19+7": "0" * 19 + "7",
+        "zeros-18": "0" * 18,
+        "zeros-1+2**63": "0" + str(2**63),
+        "arabic-3x18": "\u0663" * 18,
+        "arabic-9x19": "\u0669" * 19,
+        "arabic-zeros-18+7": "\u0660" * 18 + "\u0667",
+        "fullwidth-1x18": "\uff11" * 18,
+        "devanagari-9x19": "\u096f" * 19,
+    }
+    return {
+        sign_id + run_id: sign + run
+        for run_id, run in runs.items()
+        for sign_id, sign in (("", ""), ("plus-", "+"), ("minus-", "-"))
+    }
+
+
+DIGIT_RUNS = _digit_runs()
+
 SCALARS = (
     st.integers(-(2**63), 2**63 - 1).map(str),
+    # the runs that fit; the rest are noise, as an out-of-range value fails
+    st.sampled_from(
+        sorted(r for r in DIGIT_RUNS.values() if -(2**63) <= int(r) < 2**63)
+    ),
     st.sampled_from(
         [
             "0", "+7", "-0", "1.5", ".5", "1.", "-2.5e3", "+.25E-2", "3e5", "2E3",
@@ -45,6 +83,7 @@ NOISE = st.sampled_from(
         "{", "}", "(", ")", ",", ";", "=", "maybe", "\u0663", "\u00b2", "\xa0",
         "{ a = " * 120, "(" * 120, "( {" * 60,
         "{ a = " * 99 + "1;" + " };" * 99, "(" * 100 + "1" + ")" * 100,
+        *sorted(DIGIT_RUNS.values()),
     ]
 )
 
@@ -142,6 +181,12 @@ def _outcome(parse, text: str):
 )
 def test_agrees_on_known_cases(text):
     assert _outcome(parse_config, text) == _outcome(reference_parse_config, text)
+
+
+@pytest.mark.parametrize("lexeme", DIGIT_RUNS.values(), ids=DIGIT_RUNS.keys())
+def test_agrees_on_digit_runs(lexeme):
+    for text in (f"a = {lexeme};", f"a = ( {lexeme} );", f"a = {lexeme} @"):
+        assert _outcome(parse_config, text) == _outcome(reference_parse_config, text)
 
 
 @settings(max_examples=400, deadline=None)

@@ -7,19 +7,25 @@ is set from a pool of edge values around every domain bound, band range
 and bug window, dropped, or retyped as a bool or a string: one parameter
 at a time for every value, and several at once under hypothesis.  Both
 validators must then give the same outcome kind, code, stderr excerpt and
-branch set.
+branch set.  So must they when a list or group on the way to the watched
+parameters is replaced by a value of another kind.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import getitem
+
 import gnb_validator_reference as reference
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_gnb_validator import with_param
 
 from conffuzz import gnb_validator
-from conffuzz.configfmt import ConfigDocument, serialize_config
+from conffuzz.configfmt import ConfigDocument, ParamPath, serialize_config
 from conffuzz.gnb_validator import BANDS, WATCH_PATHS, baseline_document
+from conffuzz.target import OutcomeKind
 
 DROP = object()
 KEEP = object()
@@ -114,3 +120,40 @@ def test_single_changes_match_reference():
 @given(documents())
 def test_combined_changes_match_reference(doc):
     _assert_same(doc)
+
+
+# every list and group on the way to the watched parameters
+PREFIXES = (
+    "gNBs",
+    "gNBs[0]",
+    "gNBs[0].servingCellConfigCommon",
+    "gNBs[0].servingCellConfigCommon[0]",
+)
+
+
+def _reshaped(current) -> list:
+    """Values of other kinds to put where ``current``, a list or a group, is."""
+    other = ["x", "band", 0, 7, True, False, (), {}]
+    if isinstance(current, tuple):
+        # a group where a list belongs, and a list whose [0] is a
+        # one-character string
+        return other + [current[0], ("x",)]
+    # a list where a group belongs
+    return other + [(current,)]
+
+
+@pytest.mark.parametrize("prefix", PREFIXES)
+def test_reshaped_prefixes_match_reference(prefix):
+    segments = ParamPath.parse(prefix).segments
+    current = reduce(getitem, segments, baseline_document().root)
+    for value in _reshaped(current):
+        # each list on the way holds one element, so its [0] is replaced by
+        # replacing the list
+        if prefix.endswith("[0]"):
+            doc = with_param(baseline_document(), prefix[:-3], (value,))
+        else:
+            doc = with_param(baseline_document(), prefix, value)
+        kind, _, _, branches = _assert_same(doc)
+        # no watched parameter under the prefix can be read any more
+        assert kind is OutcomeKind.REJECT, value
+        assert "chk:extract:ok" not in branches, value

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from random import Random
 
@@ -148,6 +149,18 @@ class TestTables:
         prods["<NEW>"] = bit
         assert dict(g.productions) == {"<START>": bit}
         assert g.swappable == {"<START>"}
+
+    def test_productions_and_tables_cannot_be_rebound(self):
+        # rebinding the productions would leave every table stale: a token
+        # cut to one rule would stay swappable, and rule-swap would draw
+        # from an empty range
+        g = parse_grammar(DIGITS_GRAMMAR)
+        one_rule = {**g.productions, "<DIGIT>": g.productions["<DIGIT>"][:1]}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.productions = one_rule
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.swappable = frozenset()
+        assert len(g.productions["<DIGIT>"]) == 10
 
     def test_smallest_is_one_shared_minimal_instance_per_rule(self):
         g = parse_grammar(DIGITS_GRAMMAR)
