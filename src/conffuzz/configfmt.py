@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Union
@@ -146,6 +147,9 @@ class ParamPath:
 # end of input, and the one-character catch-all yields a character no token
 # can start with.  A number with ".", "e" or "E" is a real.  The string rule
 # has no DOTALL, so a backslash before a newline does not continue a string.
+# Lexing is line-local, and ``_lex`` relies on it: no lexeme holds a "\n",
+# a comment ends at one, a string may not hold a raw one and "." matches
+# none.  A token rule that crosses a newline breaks ``_lex``.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:(?:\#|//)[^\n]*\s*)*
@@ -313,8 +317,44 @@ def _located(text: str, lexemes: list[str], failed: int, fail: _Fail) -> ConfigE
     return ConfigSyntaxError(str(fail), line, col)
 
 
+# The lexemes of each line ``_lex`` has seen: a fuzzing campaign's mutants
+# differ from each other in a line or so, so nearly every line is one seen
+# before.  A line longer than ``_LINE_CHARS`` characters is not kept, and
+# the cache is emptied when it holds ``_LINE_ENTRIES`` lines, so whatever
+# the input it keeps at most 1024 lines of at most 128 characters and at
+# most 128 lexemes each.  Pooled campaign workers parse on threads, so a
+# store takes the lock that keeps the bound; a read needs none.
+_LINE_ENTRIES = 1024
+_LINE_CHARS = 128
+_lines: dict[str, tuple[str, ...]] = {}
+_lines_lock = threading.Lock()
+
+
+def _lex(text: str) -> list[str]:
+    """``_TOKEN_RE.findall(text)`` with one empty lexeme at the end.
+
+    ``findall`` yields one or two there, two after a trailing comment; the
+    parser stops at the first, so the lists read the same to it.
+    """
+    lexemes: list[str] = []
+    lines = _lines
+    for line in text.split("\n"):
+        lexed = lines.get(line)
+        if lexed is None:
+            # the empty lexemes are the line's end
+            lexed = tuple(filter(None, _TOKEN_RE.findall(line)))
+            if len(line) <= _LINE_CHARS:
+                with _lines_lock:
+                    if len(lines) >= _LINE_ENTRIES:
+                        lines.clear()
+                    lines[line] = lexed
+        lexemes += lexed
+    lexemes.append("")
+    return lexemes
+
+
 def parse_config(text: str) -> ConfigDocument:
-    lexemes = _TOKEN_RE.findall(text)
+    lexemes = _lex(text)
     it = iter(lexemes)
     try:
         return ConfigDocument(_settings(it, "", 0))

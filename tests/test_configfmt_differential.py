@@ -12,15 +12,26 @@ the token rules' digit and whitespace classes take in.  The two
 parsers must agree on every text: equal documents, compared through their
 repr (which shows each scalar's type) and their serialized bytes, or the
 same exception type, message, line and column.
+
+``parse_config`` lexes a text line by line through a bounded cache of each
+line's lexemes.  Over the same texts, with separators that probe the line
+split added, lexing line by line must give the whole text's lexemes, and
+the parser must agree with the reference whether the cache is cold or
+warm, and once the cache has been filled past its bound, by one thread
+or by several at once.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 from configfmt_reference import reference_parse_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conffuzz import configfmt
 from conffuzz.configfmt import ConfigError, parse_config, serialize_config
 
 NAMES = ("a", "b", "g", "x_1", "true", "false")
@@ -73,6 +84,15 @@ SCALARS = (
 )
 
 SEPARATORS = st.sampled_from(["", " ", "\n", "\t", "  \n  ", " # note\n", "// note\n"])
+# what lexing line by line must get right: the characters other than "\n"
+# that ``\s`` takes in or ``str.splitlines`` splits at, a quote a newline
+# leaves open, and a comment that the end of the text closes
+LINE_SEPARATORS = st.one_of(
+    SEPARATORS,
+    st.sampled_from(
+        ["\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", '"\n', " # end"]
+    ),
+)
 
 NOISE = st.sampled_from(
     [
@@ -116,7 +136,7 @@ def settings_list(draw, depth: int) -> list[str]:
 
 
 @st.composite
-def config_texts(draw) -> str:
+def config_texts(draw, separators=SEPARATORS) -> str:
     tokens = draw(settings_list(3))
     # each edit inserts noise, drops a token or duplicates one
     for _ in range(draw(st.integers(0, 3))):
@@ -129,7 +149,7 @@ def config_texts(draw) -> str:
                 del tokens[at]
             else:
                 tokens.insert(at, tokens[at])
-    return "".join(tok + draw(SEPARATORS) for tok in tokens)
+    return "".join(tok + draw(separators) for tok in tokens)
 
 
 def _outcome(parse, text: str):
@@ -193,3 +213,81 @@ def test_agrees_on_digit_runs(lexeme):
 @given(config_texts())
 def test_agrees_with_reference(text):
     assert _outcome(parse_config, text) == _outcome(reference_parse_config, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_texts(LINE_SEPARATORS))
+def test_lexing_line_by_line_equals_lexing_the_whole_text(text):
+    whole = configfmt._TOKEN_RE.findall(text)
+    by_line = [
+        lex for line in text.split("\n") for lex in configfmt._TOKEN_RE.findall(line)
+        if lex
+    ]
+    # the whole text's lexemes are the lines', then one or two empty ones
+    assert whole[: len(by_line)] == by_line
+    assert whole[len(by_line) :] in ([""], ["", ""])
+    configfmt._lines.clear()
+    assert configfmt._lex(text) == by_line + [""]
+    assert configfmt._lex(text) == by_line + [""]
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_texts(LINE_SEPARATORS))
+def test_agrees_with_reference_with_the_line_cache_cold_and_warm(text):
+    expected = _outcome(reference_parse_config, text)
+    configfmt._lines.clear()
+    assert _outcome(parse_config, text) == expected
+    assert _outcome(parse_config, text) == expected
+
+
+def test_line_cache_stays_bounded():
+    entries, chars = configfmt._LINE_ENTRIES, configfmt._LINE_CHARS
+    long_line = "b = ( " + ", ".join(["7"] * chars) + " );"
+    one_line = "a = 1;\r" * chars
+    texts = [long_line, one_line, long_line + "\nb = 1;", "a = 1; # " + "c" * chars]
+    # eight fresh lines a text, some of them wrong, past the entry cap
+    for i in range(entries // 4):
+        lines = [f"x{i}_{j} = {j};" for j in range(8)]
+        if i % 3 == 1:
+            lines[i % 8] = f"x{i}_0 = {i};"
+        elif i % 3 == 2:
+            lines[i % 8] += " @"
+        texts.append("\n".join(lines))
+    configfmt._lines.clear()
+    for text in texts:
+        assert _outcome(parse_config, text) == _outcome(reference_parse_config, text)
+        assert len(configfmt._lines) <= entries
+        assert all(len(line) <= chars for line in configfmt._lines)
+    assert long_line not in configfmt._lines
+    assert one_line not in configfmt._lines
+
+
+def test_line_cache_stays_bounded_under_threads():
+    """Pooled campaign workers parse on threads that share the cache."""
+    entries = configfmt._LINE_ENTRIES
+    faults: list[str] = []
+
+    def parse_fresh_lines(worker: int) -> None:
+        for i in range(entries // 8):
+            names = [f"t{worker}_{i}_{j}" for j in range(8)]
+            text = "\n".join(f"{name} = {j};" for j, name in enumerate(names))
+            if parse_config(text).root != {name: j for j, name in enumerate(names)}:
+                faults.append(f"wrong document for {text!r}")
+            if len(configfmt._lines) > entries:
+                faults.append(f"{len(configfmt._lines)} lines cached")
+
+    configfmt._lines.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=parse_fresh_lines, args=(w,)) for w in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert faults == []

@@ -8,7 +8,7 @@ grammars, dead tokens included, the merged fixpoint must give the same
 reject exactly the grammars with a reference to an undefined token, and
 of the rest exactly those with a token that has no finite derivation.
 
-The same random grammars, kept when ``parse_grammar`` loads them, must
+The same random grammars, each given the rules that make it load, must
 also keep every mutation operator closed over the grammar and every tree
 that ``derive_tree`` recovers from a tree's text unparsing to that text.
 """
@@ -19,13 +19,12 @@ import json
 
 import grammar_reference
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conffuzz.grammar import (
     DEFAULT_START,
     Grammar,
-    GrammarError,
     NoFiniteDerivationError,
     Rule,
     RuleItem,
@@ -43,10 +42,10 @@ TOKENS = [f"<T{i}>" for i in range(5)]
 # a reference to a token past the ones a grammar defines
 UNDEFINED = "<GHOST>"
 
+# integer literals give scalar-tweak its sites
+LITERALS = st.sampled_from(["a", "b", "", "0", "7"]).map(lambda s: RuleItem(s, False))
 ITEMS = st.one_of(
-    st.sampled_from(TOKENS + [UNDEFINED]).map(lambda t: RuleItem(t, True)),
-    # integer literals give scalar-tweak its sites
-    st.sampled_from(["a", "b", "", "0", "7"]).map(lambda s: RuleItem(s, False)),
+    st.sampled_from(TOKENS + [UNDEFINED]).map(lambda t: RuleItem(t, True)), LITERALS
 )
 RULES = st.lists(ITEMS, max_size=4).map(lambda items: Rule(tuple(items)))
 
@@ -118,14 +117,23 @@ def loaded(draw):
     """A random grammar that loads, a depth bound it fits, and two trees.
 
     Lax loading turns a reference to an undefined token into a literal,
-    as it does for a grammar file.  The depth bound stays within two
-    levels of the minimum so that a branching grammar keeps its trees
-    small.
+    as it does for a grammar file.  Each token of the random productions
+    gets one more rule, put among its others, that refers only to the
+    tokens after it, so the last token's holds only literals and every
+    token derives a finite tree: the grammar always loads, and no draw is
+    thrown away.  The depth bound stays within two levels of the minimum
+    so that a branching grammar keeps its trees small.
     """
-    try:
-        g = parse_grammar(_grammar_json(draw(productions())), strict=False)
-    except GrammarError:
-        assume(False)
+    prods = draw(productions())
+    tokens = list(prods)
+    for i, token in enumerate(tokens):
+        later = st.sampled_from(tokens[i + 1 :] + [UNDEFINED])
+        items = st.one_of(later.map(lambda t: RuleItem(t, True)), LITERALS)
+        grounded = Rule(tuple(draw(st.lists(items, max_size=4))))
+        rules = prods[token]
+        at = draw(st.integers(0, len(rules)))
+        prods[token] = rules[:at] + (grounded,) + rules[at:]
+    g = parse_grammar(_grammar_json(prods), strict=False)
     depth = g.min_depth(DEFAULT_START) + draw(st.integers(0, 2))
     seeds = st.integers(0, 2**32)
     tree = generate_tree(g, draw(seeds), depth)
