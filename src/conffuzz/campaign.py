@@ -4,20 +4,24 @@ One campaign seeds a corpus from the grammar, then repeatedly picks an
 entry, mutates it, runs the target, and keeps the mutant whenever its
 branch feedback covers something unseen.  Crashes are deduplicated,
 minimized, and stored as they are found.  All randomness flows from the
-campaign seed, so single-worker runs are exactly reproducible.
+campaign seed, so a run's bytes are a function of its seed and worker
+count.  Seeds enter in two places only: ``generate_tree`` seeds the
+corpus's generated entries from ``seed .. seed + SEED_TREES - 1``, and
+the loop keeps one stream ``Random(seed + w)`` per worker ``w``; every
+later draw, the mutation's included, continues one of those streams.
 
 Scheduling is round-robin with an energy budget: each corpus entry gets
 ``energy_per_entry`` consecutive picks per round, and an entry whose round
 produced novel coverage earns one bonus round on the spot.
 
 One loop drives every run.  The coordinator owns every tree and every
-draw: it schedules an entry, draws from a per-worker random stream,
-mutates and unparses in submission order, and consumes the results in
-that same order, so corpus and crash-store updates stay with it too.  A
-worker receives nothing but the target spec and the input text, and runs
-only ``execute``.  One worker executes each input inline as it is
-submitted; more workers keep a window of ``2 * workers`` executions on a
-thread pool.
+draw: it schedules an entry, draws the donor and the mutation from a
+per-worker random stream, mutates and unparses in submission order, and
+consumes the results in that same order, so corpus and crash-store
+updates stay with it too.  A worker receives nothing but the target spec
+and the input text, and runs only ``execute``.  One worker executes each
+input inline as it is submitted; more workers keep a window of
+``2 * workers`` executions on a thread pool.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
     tree = run.scheduler.schedule_next(run.corpus)
     donor = run.corpus[rng.randrange(len(run.corpus))]
     mutated, _ = random_mutation(
-        tree, run.g, rng.getrandbits(63), donor=donor, max_depth=run.cfg.max_depth
+        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth
     )
     return mutated, unparse(mutated, run.g)
 

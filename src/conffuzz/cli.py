@@ -312,13 +312,11 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except BackendError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (
+        UsageError,
         GrammarError,
         ConfigError,
         SpawnFailureError,

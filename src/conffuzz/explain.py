@@ -242,9 +242,8 @@ class GlossaryFileBackend:
     """Offline backend over a UTF-8 ``name<TAB>meaning`` file."""
 
     def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
         try:
-            text = self.path.read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as e:
             raise BackendError(f"cannot read glossary: {e}") from e
         self.entries: dict[str, str] = {}

@@ -2,12 +2,15 @@
 
 Every operator takes a valid tree and returns a valid tree for the same
 grammar, so mutated inputs always stay inside the grammar's language.
-Operators draw all randomness from a seeded generator and fall back to
-returning the input unchanged when no applicable mutation site exists.
+Operators draw all randomness from the generator they are handed, never
+seed one of their own, and fall back to returning the input unchanged when
+no applicable mutation site exists.
 
 ``random_mutation`` picks one operator by configurable weight and applies
 it, which is the per-iteration step of a fuzzing campaign; a single-entry
-weight dict such as ``{MutationKind.SPLICE: 1}`` forces one operator.
+weight dict such as ``{MutationKind.SPLICE: 1}`` forces one operator.  A
+campaign hands it one worker's stream, so successive mutations continue
+that stream instead of reseeding.
 """
 
 from __future__ import annotations
@@ -132,20 +135,20 @@ def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
 def random_mutation(
     t: DerivationTree,
     g: Grammar,
-    seed: int,
+    rng: Random,
     weights: Optional[Mapping[MutationKind, float]] = None,
     *,
     donor: Optional[DerivationTree] = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> tuple[DerivationTree, MutationKind]:
-    """Apply one weighted-random operator; returns the tree and the kind.
+    """Apply one weighted-random operator drawn from ``rng``; returns the
+    tree and the kind.
 
     A kind missing from ``weights`` gets weight zero, so passing a
     single-entry dict forces that operator.  Splicing uses ``donor`` as
     the source of grafts and falls back to the input tree itself.
     """
     total, steps = _DEFAULT_DRAW if weights is None else _draw_table(weights)
-    rng = Random(seed)
     x = rng.random() * total
     chosen = MutationKind.SCALAR_TWEAK
     for acc, kind in steps:

@@ -1,7 +1,9 @@
-"""The campaign's two loops as they were before one ordered-window loop
-replaced them: a serial loop for one worker and a thread-pooled loop with
-a window of ``2 * workers`` for more.  A pooled task mutates, unparses and
-executes on a worker thread, as it did then.
+"""The two loops the campaign had before one ordered-window loop replaced
+them: a serial loop for one worker and a thread-pooled loop with a window
+of ``2 * workers`` for more.  Both schedule, mutate and unparse on the
+coordinator, mutant ``n`` drawing from stream ``n % workers``, and the
+pool runs only ``execute``; mutating on a worker thread would need a
+seed per mutation, which the campaign no longer draws.
 
 Kept only as the reference that ``test_campaign_differential.py``
 compares ``conffuzz.campaign._loop`` against; the package does not use it.
@@ -19,26 +21,20 @@ from conffuzz.campaign import _Run
 # ``random_mutation``, ``unparse`` and ``execute`` are looked up on the
 # campaign module at call time, so a test that patches them there sees the
 # oracle's calls too.
-def _next_task(run: _Run, rng: Random):
+def _mutate(run: _Run, rng: Random):
     tree = run.scheduler.schedule_next(run.corpus)
     donor = run.corpus[rng.randrange(len(run.corpus))]
-    return tree, donor, rng.getrandbits(63)
-
-
-def _apply(run: _Run, tree, donor, mut_seed):
     mutated, _ = campaign.random_mutation(
-        tree, run.g, mut_seed, donor=donor, max_depth=run.cfg.max_depth
+        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth
     )
-    text = campaign.unparse(mutated, run.g)
-    outcome, branches = campaign.execute(run.cfg.target, text)
-    return mutated, text, outcome, branches
+    return mutated, campaign.unparse(mutated, run.g)
 
 
 def _loop_serial(run: _Run) -> None:
     rng = Random(run.cfg.seed)
     while run.stats.execs < run.cfg.max_execs:
-        tree, donor, mut_seed = _next_task(run, rng)
-        run.consume(*_apply(run, tree, donor, mut_seed))
+        mutated, text = _mutate(run, rng)
+        run.consume(mutated, text, *campaign.execute(run.cfg.target, text))
 
 
 def _loop_pooled(run: _Run) -> None:
@@ -55,17 +51,17 @@ def _loop_pooled(run: _Run) -> None:
 
         def submit_one():
             nonlocal submitted
-            rng = streams[submitted % cfg.workers]
-            tree, donor, mut_seed = _next_task(run, rng)
+            mutated, text = _mutate(run, streams[submitted % cfg.workers])
             pending.append(
-                pool.submit(_apply, run, tree, donor, mut_seed)
+                (mutated, text, pool.submit(campaign.execute, cfg.target, text))
             )
             submitted += 1
 
         while submitted < cfg.max_execs and len(pending) < window:
             submit_one()
         while pending:
-            run.consume(*pending.popleft().result())
+            mutated, text, answer = pending.popleft()
+            run.consume(mutated, text, *answer.result())
             if submitted < cfg.max_execs:
                 submit_one()
 

@@ -13,6 +13,7 @@ import socket
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -159,7 +160,7 @@ def test_criterion_06_mutation_closure(gnb_grammar, capfd):
     tree = minimal_tree(gnb_grammar, DEFAULT_START)
     t0 = time.monotonic()
     for seed in range(10_000):
-        tree, _ = random_mutation(tree, gnb_grammar, seed)
+        tree, _ = random_mutation(tree, gnb_grammar, Random(seed))
         validate_tree(tree, gnb_grammar)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

@@ -131,7 +131,7 @@ def test_traced_campaign_feeds_the_hooks_and_checks(gnb_grammar, tmp_path):
     uninstall = tracing.install(tracer, m)
     out = tmp_path / "out"
     try:
-        # seed 1 first sees all five planted crashes by exec 607
+        # seed 1 first sees all five planted crashes by exec 649
         campaign.run_campaign(
             campaign.CampaignConfig(GRAMMAR_PATH, VALIDATOR, out, max_execs=700)
         )

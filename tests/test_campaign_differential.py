@@ -3,9 +3,10 @@
 ``campaign_reference.reference_loop`` is the parent's dispatch between a
 serial loop for one worker and a thread-pooled loop for more.  Put in for
 ``campaign._loop``, it must mutate the same entries with the same donors
-and seeds, and leave the same corpus, the same crash directories byte for
-byte and the same ``stats.json`` apart from its wall-clock fields as the
-one ordered-window loop, for each seed and worker count.
+from the same stream states, in the same order, and leave the same
+corpus, the same crash directories byte for byte and the same
+``stats.json`` apart from its wall-clock fields as the one ordered-window
+loop, for each seed and worker count.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ WALL_CLOCK_KEYS = ("execs_per_sec", "started_unix_ms", "finished_unix_ms")
 
 
 def artifacts(out, seed, workers, energy, monkeypatch):
-    # every task's entry, donor and mutation seed
+    # every mutation's stream state, entry and donor, in call order
     tasks = []
     mutate = campaign.random_mutation
 
-    def recording(tree, g, mut_seed, *args, donor, **kwargs):
-        tasks.append((mut_seed, tree, donor))
-        return mutate(tree, g, mut_seed, *args, donor=donor, **kwargs)
+    def recording(tree, g, rng, *args, donor, **kwargs):
+        tasks.append((hash(rng.getstate()), tree, donor))
+        return mutate(tree, g, rng, *args, donor=donor, **kwargs)
 
     monkeypatch.setattr(campaign, "random_mutation", recording)
     run_campaign(
@@ -56,8 +57,7 @@ def artifacts(out, seed, workers, energy, monkeypatch):
         for p in sorted((out / sub).rglob("*"))
         if p.is_file()
     }
-    # pooled workers finish in any order; the seeds are distinct 63-bit draws
-    return stats, files, sorted(tasks, key=lambda task: task[0])
+    return stats, files, tasks
 
 
 # energy 2 starts a round every other pick, so a task scheduled one

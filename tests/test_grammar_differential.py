@@ -16,6 +16,7 @@ that ``derive_tree`` recovers from a tree's text unparsing to that text.
 from __future__ import annotations
 
 import json
+from random import Random
 
 import grammar_reference
 import pytest
@@ -147,7 +148,7 @@ def test_every_operator_is_closed_over_random_grammars(case, seed):
     g, depth, tree, donor = case
     for kind in MutationKind:
         out, picked = random_mutation(
-            tree, g, seed, {kind: 1}, donor=donor, max_depth=depth
+            tree, g, Random(seed), {kind: 1}, donor=donor, max_depth=depth
         )
         assert picked is kind
         assert validate_tree(out, g)

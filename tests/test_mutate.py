@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +56,7 @@ class TestClosure:
     def test_random_mutation_stays_in_language(self, gnb_grammar):
         tree = minimal_tree(gnb_grammar, DEFAULT_START)
         for seed in range(300):
-            tree, _ = random_mutation(tree, gnb_grammar, seed)
+            tree, _ = random_mutation(tree, gnb_grammar, Random(seed))
             assert validate_tree(tree, gnb_grammar)
             parse_config(unparse(tree, gnb_grammar))  # must stay well-formed
 
@@ -64,10 +65,12 @@ class TestClosure:
         donor = generate_tree(gnb_grammar, seed=8)
         for seed in range(50):
             for out in (
-                random_mutation(base, gnb_grammar, seed, REGENERATE)[0],
-                random_mutation(base, gnb_grammar, seed, RULE_SWAP)[0],
-                random_mutation(base, gnb_grammar, seed, SPLICE, donor=donor)[0],
-                random_mutation(base, gnb_grammar, seed, SCALAR_TWEAK)[0],
+                random_mutation(base, gnb_grammar, Random(seed), REGENERATE)[0],
+                random_mutation(base, gnb_grammar, Random(seed), RULE_SWAP)[0],
+                random_mutation(
+                    base, gnb_grammar, Random(seed), SPLICE, donor=donor
+                )[0],
+                random_mutation(base, gnb_grammar, Random(seed), SCALAR_TWEAK)[0],
             ):
                 assert validate_tree(out, gnb_grammar)
 
@@ -108,11 +111,11 @@ class TestWalkCache:
         for s in range(8):
             for out in (
                 random_mutation(
-                    base, DIGITS, s, REGENERATE, max_depth=max_depth
+                    base, DIGITS, Random(s), REGENERATE, max_depth=max_depth
                 )[0],
-                random_mutation(base, DIGITS, s, RULE_SWAP)[0],
-                random_mutation(base, DIGITS, s, SPLICE, donor=base)[0],
-                random_mutation(base, DIGITS, s, SCALAR_TWEAK)[0],
+                random_mutation(base, DIGITS, Random(s), RULE_SWAP)[0],
+                random_mutation(base, DIGITS, Random(s), SPLICE, donor=base)[0],
+                random_mutation(base, DIGITS, Random(s), SCALAR_TWEAK)[0],
             ):
                 assert validate_tree(out, DIGITS)
 
@@ -123,13 +126,13 @@ class TestDeterminism:
         donor = generate_tree(gnb_grammar, seed=4)
         for seed in (0, 1, 99):
             assert random_mutation(
-                base, gnb_grammar, seed, REGENERATE
-            ) == random_mutation(base, gnb_grammar, seed, REGENERATE)
+                base, gnb_grammar, Random(seed), REGENERATE
+            ) == random_mutation(base, gnb_grammar, Random(seed), REGENERATE)
             assert random_mutation(
-                base, gnb_grammar, seed, SPLICE, donor=donor
-            ) == random_mutation(base, gnb_grammar, seed, SPLICE, donor=donor)
-            assert random_mutation(base, gnb_grammar, seed) == random_mutation(
-                base, gnb_grammar, seed
+                base, gnb_grammar, Random(seed), SPLICE, donor=donor
+            ) == random_mutation(base, gnb_grammar, Random(seed), SPLICE, donor=donor)
+            assert random_mutation(base, gnb_grammar, Random(seed)) == random_mutation(
+                base, gnb_grammar, Random(seed)
             )
 
 
@@ -137,14 +140,14 @@ class TestRegenerate:
     def test_respects_depth_budget(self):
         t = minimal_tree(DIGITS, "<START>")
         for seed in range(100):
-            out = random_mutation(t, DIGITS, seed, REGENERATE, max_depth=3)[0]
+            out = random_mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=3)[0]
             assert depth(out) <= 3
             assert len(unparse(out, DIGITS)) == 1
 
     def test_can_grow_within_budget(self):
         t = minimal_tree(DIGITS, "<START>")
         outs = [
-            random_mutation(t, DIGITS, seed, REGENERATE, max_depth=16)[0]
+            random_mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=16)[0]
             for seed in range(50)
         ]
         assert any(len(unparse(out, DIGITS)) > 1 for out in outs)
@@ -153,7 +156,7 @@ class TestRegenerate:
         # budget never starves a node below its own minimal depth
         t = generate_tree(DIGITS, seed=5, max_depth=30)
         for seed in range(50):
-            out = random_mutation(t, DIGITS, seed, REGENERATE, max_depth=2)[0]
+            out = random_mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=2)[0]
             assert validate_tree(out, DIGITS)
 
 
@@ -162,18 +165,18 @@ class TestRuleSwap:
         t = minimal_tree(BIT, "<START>")
         assert unparse(t, BIT) == "v = 0;"
         for seed in range(20):
-            out = random_mutation(t, BIT, seed, RULE_SWAP)[0]
+            out = random_mutation(t, BIT, Random(seed), RULE_SWAP)[0]
             assert unparse(out, BIT) == "v = 1;"
 
     def test_identity_when_no_alternatives(self):
         t = minimal_tree(FIXED, "<START>")
-        assert random_mutation(t, FIXED, 0, RULE_SWAP)[0] is t
+        assert random_mutation(t, FIXED, Random(0), RULE_SWAP)[0] is t
 
     def test_new_children_are_minimal(self):
         t = minimal_tree(DIGITS, "<DIGITS>")
         swapped = False
         for seed in range(50):
-            out = random_mutation(t, DIGITS, seed, RULE_SWAP)[0]
+            out = random_mutation(t, DIGITS, Random(seed), RULE_SWAP)[0]
             assert validate_tree(out, DIGITS)
             # the two-child rule fills the recursive slot minimally
             if out.token == "<DIGITS>" and out.rule_index == 1:
@@ -185,10 +188,10 @@ class TestRuleSwap:
 class TestSplice:
     def test_moves_donor_material(self):
         t = minimal_tree(BIT, "<START>")  # v = 0;
-        donor = random_mutation(t, BIT, 0, RULE_SWAP)[0]  # v = 1;
+        donor = random_mutation(t, BIT, Random(0), RULE_SWAP)[0]  # v = 1;
         # every donor subtree carries the 1, so any graft site flips it
         seen = {
-            unparse(random_mutation(t, BIT, s, SPLICE, donor=donor)[0], BIT)
+            unparse(random_mutation(t, BIT, Random(s), SPLICE, donor=donor)[0], BIT)
             for s in range(40)
         }
         assert seen == {"v = 1;"}
@@ -204,7 +207,7 @@ class TestSplice:
         assert sum(a != b for a, b in zip(base.children, donor.children)) >= 2
         outputs = {
             unparse(
-                random_mutation(base, gnb_grammar, s, SPLICE, donor=donor)[0],
+                random_mutation(base, gnb_grammar, Random(s), SPLICE, donor=donor)[0],
                 gnb_grammar,
             )
             for s in range(60)
@@ -219,7 +222,7 @@ class TestSplice:
     def test_self_splice_is_identity_on_unique_slots(self, gnb_grammar):
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         for seed in range(20):
-            out = random_mutation(t, gnb_grammar, seed, SPLICE, donor=t)[0]
+            out = random_mutation(t, gnb_grammar, Random(seed), SPLICE, donor=t)[0]
             assert unparse(out, gnb_grammar) == unparse(t, gnb_grammar)
 
     def test_identity_when_tokens_disjoint(self):
@@ -227,7 +230,7 @@ class TestSplice:
         donor_grammar = parse_grammar(json.dumps({"<START>": [["other"]]}))
         donor = minimal_tree(donor_grammar, "<START>")
         # same token name, so the root is swappable; different name is not
-        out = random_mutation(t, FIXED, 0, SPLICE, donor=donor)[0]
+        out = random_mutation(t, FIXED, Random(0), SPLICE, donor=donor)[0]
         assert out.token == "<START>"
 
 
@@ -239,7 +242,7 @@ class TestScalarTweak:
         t = minimal_tree(NUM, "<START>")
         assert self.leaf_value(t) == "5"
         seen = {
-            self.leaf_value(random_mutation(t, NUM, s, SCALAR_TWEAK)[0])
+            self.leaf_value(random_mutation(t, NUM, Random(s), SCALAR_TWEAK)[0])
             for s in range(200)
         }
         # nearest above, nearest below, zero, min, max
@@ -249,14 +252,14 @@ class TestScalarTweak:
         zero = DerivationTree("<START>", 0, (DerivationTree("<N>", 3),))
         assert self.leaf_value(zero) == "0"
         seen = {
-            self.leaf_value(random_mutation(zero, NUM, s, SCALAR_TWEAK)[0])
+            self.leaf_value(random_mutation(zero, NUM, Random(s), SCALAR_TWEAK)[0])
             for s in range(200)
         }
         assert seen == {"1", "9"}
 
     def test_identity_without_numeric_leaves(self):
         t = minimal_tree(FIXED, "<START>")
-        assert random_mutation(t, FIXED, 0, SCALAR_TWEAK)[0] is t
+        assert random_mutation(t, FIXED, Random(0), SCALAR_TWEAK)[0] is t
 
     def test_gnb_bandwidth_steps(self, gnb_grammar):
         # <BW_RB> alternatives are 106, 25, 24, 273, 5; from 106 a tweak
@@ -264,7 +267,7 @@ class TestScalarTweak:
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         values = set()
         for seed in range(500):
-            out = random_mutation(t, gnb_grammar, seed, SCALAR_TWEAK)[0]
+            out = random_mutation(t, gnb_grammar, Random(seed), SCALAR_TWEAK)[0]
             text = unparse(out, gnb_grammar)
             for line in text.splitlines():
                 if "dl_carrierBandwidth" in line:
@@ -276,7 +279,9 @@ class TestRandomMutation:
     def test_default_weight_frequencies(self, gnb_grammar):
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         n = 100_000
-        counts = Counter(random_mutation(t, gnb_grammar, seed)[1] for seed in range(n))
+        counts = Counter(
+            random_mutation(t, gnb_grammar, Random(seed))[1] for seed in range(n)
+        )
         total_weight = sum(DEFAULT_WEIGHTS.values())
         for kind, w in DEFAULT_WEIGHTS.items():
             assert abs(counts[kind] / n - w / total_weight) < 0.02, kind
@@ -285,28 +290,28 @@ class TestRandomMutation:
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         for kind in MutationKind:
             for seed in range(10):
-                _, chosen = random_mutation(t, gnb_grammar, seed, {kind: 1})
+                _, chosen = random_mutation(t, gnb_grammar, Random(seed), {kind: 1})
                 assert chosen is kind
 
     def test_zero_weights_rejected(self, gnb_grammar):
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         with pytest.raises(AllZeroWeightsError):
-            random_mutation(t, gnb_grammar, 0, {})
+            random_mutation(t, gnb_grammar, Random(0), {})
         with pytest.raises(AllZeroWeightsError):
-            random_mutation(t, gnb_grammar, 0, {MutationKind.SPLICE: 0})
+            random_mutation(t, gnb_grammar, Random(0), {MutationKind.SPLICE: 0})
 
     def test_negative_weight_rejected(self, gnb_grammar):
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         with pytest.raises(ValueError):
-            random_mutation(t, gnb_grammar, 0, {MutationKind.SPLICE: -1})
+            random_mutation(t, gnb_grammar, Random(0), {MutationKind.SPLICE: -1})
 
     def test_explicit_donor_used_for_splice(self):
         t = minimal_tree(BIT, "<START>")
-        donor = random_mutation(t, BIT, 0, RULE_SWAP)[0]
+        donor = random_mutation(t, BIT, Random(0), RULE_SWAP)[0]
         seen = set()
         for seed in range(40):
             out, kind = random_mutation(
-                t, BIT, seed, {MutationKind.SPLICE: 1}, donor=donor
+                t, BIT, Random(seed), {MutationKind.SPLICE: 1}, donor=donor
             )
             assert kind is MutationKind.SPLICE
             seen.add(unparse(out, BIT))
@@ -314,6 +319,6 @@ class TestRandomMutation:
 
     def test_identity_fallback_still_reports_kind(self):
         t = minimal_tree(FIXED, "<START>")
-        out, kind = random_mutation(t, FIXED, 0, {MutationKind.RULE_SWAP: 1})
+        out, kind = random_mutation(t, FIXED, Random(0), {MutationKind.RULE_SWAP: 1})
         assert out is t
         assert kind is MutationKind.RULE_SWAP

@@ -4,9 +4,11 @@
 ``sample_tree`` and ``minimal_tree`` as they were before their
 input-independent work moved into tables built once: the draw table for
 the weights, the grammar's swappable tokens, largest rule depths and
-shared smallest trees, and a tree's graft pool.  For the same tree, donor, seed and weights, both must
-return an equal tree and the same kind, on ``grammars/gnb.json`` and on
-the random grammars of ``test_grammar_differential.py``.  Weights that
+shared smallest trees, and a tree's graft pool.  The reference seeds its
+own ``Random(seed)``; the package is handed that generator.  For the same
+tree, donor, seed and weights, both must return an equal tree and the
+same kind, on ``grammars/gnb.json`` and on the random grammars of
+``test_grammar_differential.py``.  Weights that
 are negative or all zero must raise the same exception with the same
 message.  Every token's minimal tree, and every rule's smallest tree,
 must equal the one the reference's recursion builds.
@@ -60,7 +62,7 @@ def gnb_case(draw):
     tree = generate_tree(GNB, draw(SEEDS))
     donor = generate_tree(GNB, draw(SEEDS))
     if draw(st.booleans()):
-        tree, _ = random_mutation(tree, GNB, draw(SEEDS), donor=donor)
+        tree, _ = random_mutation(tree, GNB, Random(draw(SEEDS)), donor=donor)
     return GNB, DEFAULT_MAX_DEPTH, tree, donor
 
 
@@ -75,7 +77,7 @@ def outcome(fn, *args, **kwargs):
 def same_mutation(case, seed, weights, use_donor):
     g, depth, tree, donor = case
     kwargs = {"donor": donor if use_donor else None, "max_depth": depth}
-    got = outcome(random_mutation, tree, g, seed, weights, **kwargs)
+    got = outcome(random_mutation, tree, g, Random(seed), weights, **kwargs)
     want = outcome(mutate_reference.random_mutation, tree, g, seed, weights, **kwargs)
     assert got == want
 
@@ -140,7 +142,7 @@ def test_default_weights_match_reference():
 )
 def test_bad_weights_raise_as_reference(weights):
     tree = generate_tree(GNB, 1)
-    got = outcome(random_mutation, tree, GNB, 7, weights)
+    got = outcome(random_mutation, tree, GNB, Random(7), weights)
     want = outcome(mutate_reference.random_mutation, tree, GNB, 7, weights)
     assert isinstance(got, tuple) and isinstance(got[0], type)
     assert got == want
