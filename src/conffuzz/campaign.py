@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from typing import Callable, Optional, Union
@@ -39,6 +38,7 @@ from .grammar import (
     DEFAULT_MAX_DEPTH,
     DerivationTree,
     Grammar,
+    check_max_depth,
     derive_tree,
     generate_tree,
     parse_grammar,
@@ -65,42 +65,96 @@ __all__ = [
 SEED_TREES = 10
 
 
-@dataclass
 class CampaignConfig:
-    grammar_path: Union[str, Path]
-    target: TargetSpec
-    out_dir: Union[str, Path]
-    seed: int = 1
-    max_execs: int = 10_000
-    workers: int = 1
-    energy_per_entry: int = 64
-    max_depth: int = DEFAULT_MAX_DEPTH
-    progress: Optional[Callable[["CampaignStats"], None]] = None
+    """One campaign's settings.  The class attributes are the defaults,
+    which the CLI's ``fuzz`` flags show."""
 
-    def __post_init__(self) -> None:
-        if self.max_execs < 1:
+    seed = 1
+    max_execs = 10_000
+    workers = 1
+    energy_per_entry = 64
+    max_depth = DEFAULT_MAX_DEPTH
+    progress = None
+
+    def __init__(
+        self,
+        grammar_path: Union[str, Path],
+        target: TargetSpec,
+        out_dir: Union[str, Path],
+        seed: int = seed,
+        max_execs: int = max_execs,
+        workers: int = workers,
+        energy_per_entry: int = energy_per_entry,
+        max_depth: int = max_depth,
+        progress: Optional[Callable[["CampaignStats"], None]] = progress,
+    ) -> None:
+        if max_execs < 1:
             raise ValueError("max_execs must be at least 1")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.energy_per_entry < 1:
+        if energy_per_entry < 1:
             raise ValueError("energy_per_entry must be at least 1")
+        self.grammar_path = grammar_path
+        self.target = target
+        self.out_dir = out_dir
+        self.seed = seed
+        self.max_execs = max_execs
+        self.workers = workers
+        self.energy_per_entry = energy_per_entry
+        self.max_depth = max_depth
+        self.progress = progress
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CampaignConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class CampaignStats:
-    execs: int = 0
-    crashes_total: int = 0
-    crashes_unique: int = 0
-    timeouts: int = 0
-    corpus_size: int = 0
-    execs_per_sec: float = 0.0
-    seed: int = 0
-    started_unix_ms: int = 0
-    finished_unix_ms: int = 0
+    """A campaign's counters, as written to ``stats.json``."""
+
+    # stats.json's key order is this order
+    __slots__ = (
+        "execs",
+        "crashes_total",
+        "crashes_unique",
+        "timeouts",
+        "corpus_size",
+        "execs_per_sec",
+        "seed",
+        "started_unix_ms",
+        "finished_unix_ms",
+    )
+
+    def __init__(
+        self,
+        execs: int = 0,
+        crashes_total: int = 0,
+        crashes_unique: int = 0,
+        timeouts: int = 0,
+        corpus_size: int = 0,
+        execs_per_sec: float = 0.0,
+        seed: int = 0,
+        started_unix_ms: int = 0,
+        finished_unix_ms: int = 0,
+    ) -> None:
+        self.execs = execs
+        self.crashes_total = crashes_total
+        self.crashes_unique = crashes_unique
+        self.timeouts = timeouts
+        self.corpus_size = corpus_size
+        self.execs_per_sec = execs_per_sec
+        self.seed = seed
+        self.started_unix_ms = started_unix_ms
+        self.finished_unix_ms = finished_unix_ms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CampaignStats:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict:
-        # stats.json's key order is the field order
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def should_keep(branches: frozenset[str], seen: set[str]) -> bool:
@@ -266,6 +320,9 @@ def _loop(run: _Run) -> None:
 
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     g = parse_grammar(Path(cfg.grammar_path).read_text(encoding="utf-8"))
+    # before anything is written, so a depth the grammar cannot meet leaves
+    # no out dir and no stats.json behind
+    check_max_depth(g, cfg.max_depth)
     out = Path(cfg.out_dir)
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     (out / "crashes").mkdir(parents=True, exist_ok=True)

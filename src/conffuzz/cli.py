@@ -39,6 +39,7 @@ from .grammar import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_START,
     GrammarError,
+    check_max_depth,
     derive_tree,
     generate_tree,
     parse_grammar,
@@ -169,7 +170,10 @@ def cmd_grammar_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must be at least 0, not {args.count}")
     g = parse_grammar(_read(args.grammar))
+    check_max_depth(g, args.max_depth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Union
 
@@ -79,9 +78,20 @@ Scalar = Union[int, float, str, bool]
 Value = Union[Scalar, dict, tuple]
 
 
-@dataclass(frozen=True, eq=False)
 class ConfigDocument:
-    root: dict
+    """A parsed config: ``root`` maps each top-level name to its value.
+    Immutable."""
+
+    __slots__ = ("root",)
+
+    def __init__(self, root: dict) -> None:
+        object.__setattr__(self, "root", root)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # Equality tracks the canonical serialized form; this keeps 1, true and
     # 1.0 apart, which dict equality would not, as bool subclasses int.
@@ -93,25 +103,45 @@ class ConfigDocument:
     def __hash__(self) -> int:
         return hash(serialize_config(self))
 
+    def __repr__(self) -> str:
+        return f"ConfigDocument(root={self.root!r})"
 
-@dataclass(frozen=True)
+
 class ParamPath:
-    """Dotted parameter address; int segments index into lists."""
+    """Dotted parameter address; int segments index into lists.  Immutable."""
 
-    segments: tuple[Union[str, int], ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    def __init__(self, segments: tuple[Union[str, int], ...]) -> None:
+        if not segments:
             raise ValueError("empty parameter path")
-        if not isinstance(self.segments[0], str):
+        if not isinstance(segments[0], str):
             raise ValueError("parameter path must start with an identifier")
-        for seg in self.segments:
+        for seg in segments:
             if isinstance(seg, bool) or not isinstance(seg, (str, int)):
                 raise ValueError(f"bad path segment: {seg!r}")
             if isinstance(seg, str) and not IDENT_RE.fullmatch(seg):
                 raise ValueError(f"bad identifier in path: {seg!r}")
             if isinstance(seg, int) and seg < 0:
                 raise ValueError(f"negative list index in path: {seg}")
+        object.__setattr__(self, "segments", segments)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ParamPath:
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __hash__(self) -> int:
+        return hash(self.segments)
+
+    def __repr__(self) -> str:
+        return f"ParamPath(segments={self.segments!r})"
 
     _SEGMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)\Z")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union
 
@@ -71,20 +71,16 @@ class BackendError(Exception):
         self.partial = tuple(partial)
 
 
-@dataclass(frozen=True)
-class TestCaseRecord:
+class TestCaseRecord(namedtuple("TestCaseRecord", "name args")):
+    """One ``test:`` line: the test's name and its ``(flag, value)`` pairs."""
+
+    __slots__ = ()
     __test__ = False  # shaped like a pytest name, but not a test class
 
-    name: str
-    args: tuple[tuple[str, str], ...]
 
-
-@dataclass(frozen=True)
-class ParamInfo:
-    flag: str
-    var_name: str
-    meaning: str
-    range: tuple[str, ...]
+# one report row: the flag, the variable it feeds, what that means, and
+# the flag's values in first-seen order
+ParamInfo = namedtuple("ParamInfo", "flag var_name meaning range")
 
 
 def parse_test_log(text: str) -> list[TestCaseRecord]:

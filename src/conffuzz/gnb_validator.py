@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .configfmt import (
@@ -63,12 +63,8 @@ REJECT_BAD_INPUT = 2
 BUILTIN_NAME = "gnb-validator"
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    band: int
-    arfcn_lo: int
-    arfcn_hi: int
-    min_bw_rb: int
+class BandSpec(namedtuple("BandSpec", "band arfcn_lo arfcn_hi min_bw_rb")):
+    __slots__ = ()
 
     def contains(self, arfcn: int) -> bool:
         return self.arfcn_lo <= arfcn <= self.arfcn_hi

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
 from types import MappingProxyType
@@ -37,6 +36,7 @@ __all__ = [
     "Rule",
     "RuleItem",
     "UndefinedTokenRefError",
+    "check_max_depth",
     "derive_tree",
     "generate_tree",
     "minimal_tree",
@@ -95,33 +95,103 @@ class InvalidTreeError(GrammarError):
     """A derivation tree is inconsistent with the grammar it is unparsed against."""
 
 
-@dataclass(frozen=True)
 class RuleItem:
-    """One element of a rule: literal text or a reference to another token."""
+    """One element of a rule: literal text or a reference to another token.
+    Immutable."""
 
-    text: str
-    is_ref: bool
+    __slots__ = ("text", "is_ref")
+
+    def __init__(self, text: str, is_ref: bool) -> None:
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "is_ref", is_ref)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RuleItem:
+            return NotImplemented
+        return (self.text, self.is_ref) == (other.text, other.is_ref)
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.is_ref))
+
+    def __repr__(self) -> str:
+        return f"RuleItem(text={self.text!r}, is_ref={self.is_ref!r})"
 
 
-@dataclass(frozen=True)
 class Rule:
-    items: tuple[RuleItem, ...]
-    # Token names referenced by this rule, in order; derived from items.
-    refs: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    """A rule's items, and the token names it references (``refs``, in
+    order, derived from the items).  Immutable."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("items", "refs")
+
+    def __init__(self, items: tuple[RuleItem, ...]) -> None:
+        object.__setattr__(self, "items", items)
         object.__setattr__(
-            self, "refs", tuple(item.text for item in self.items if item.is_ref)
+            self, "refs", tuple(item.text for item in items if item.is_ref)
         )
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Rule:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash(self.items)
+
+    def __repr__(self) -> str:
+        return f"Rule(items={self.items!r})"
+
+
 class DerivationTree:
-    """A concrete derivation: token, the rule picked for it, one child per ref."""
+    """A concrete derivation: token, the rule picked for it, one child per ref.
 
-    token: str
-    rule_index: int
-    children: tuple["DerivationTree", ...] = ()
+    Immutable.  ``paths`` and ``grafts`` are computed on first use and kept
+    in the instance ``__dict__``, which is all that dict holds.
+    """
+
+    __slots__ = ("token", "rule_index", "children", "__dict__")
+
+    def __init__(
+        self, token: str, rule_index: int, children: tuple[DerivationTree, ...] = ()
+    ) -> None:
+        _set_token(self, token)
+        _set_rule_index(self, rule_index)
+        _set_children(self, children)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DerivationTree:
+            return NotImplemented
+        return (self.token, self.rule_index, self.children) == (
+            other.token,
+            other.rule_index,
+            other.children,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.token, self.rule_index, self.children))
+
+    def __repr__(self) -> str:
+        return (
+            f"DerivationTree(token={self.token!r}, rule_index={self.rule_index!r}, "
+            f"children={self.children!r})"
+        )
 
     @cached_property
     def paths(self) -> tuple[tuple[tuple[int, ...], "DerivationTree"], ...]:
@@ -146,15 +216,21 @@ class DerivationTree:
         return {token: tuple(nodes) for token, nodes in pool.items()}
 
 
-@dataclass(frozen=True)
-class Grammar:
-    # frozen: every table below is built from the productions once, so
-    # neither they nor the tables may be rebound afterwards
-    productions: Mapping[str, tuple[Rule, ...]]
+# the slots' own setters, which bypass the refusing ``__setattr__``: every
+# mutation builds trees, and these are cheaper than ``object.__setattr__``
+_set_token = DerivationTree.token.__set__
+_set_rule_index = DerivationTree.rule_index.__set__
+_set_children = DerivationTree.children.__set__
 
-    def __post_init__(self) -> None:
+
+class Grammar:
+    """A grammar's productions, read-only, and the tables built from them.
+    Immutable: every table is built from the productions once, so neither
+    they nor the tables may be rebound afterwards."""
+
+    def __init__(self, productions: Mapping[str, tuple[Rule, ...]]) -> None:
         # read-only, and a copy, so the caller's dict cannot change it either
-        productions = MappingProxyType(dict(self.productions))
+        productions = MappingProxyType(dict(productions))
         for token, rules in productions.items():
             for rule in rules:
                 for ref in rule.refs:
@@ -184,7 +260,7 @@ class Grammar:
             minimal[token] = rooted(token, smallest_rule)
         # Tables the mutation operators, ``sample_tree`` and ``unparse`` read
         # on every call, built once since they depend on the grammar alone;
-        # set past the frozen ``__setattr__``.
+        # set past the refusing ``__setattr__``.
         vars(self).update(
             productions=productions,
             _min_depth=min_depth,
@@ -208,6 +284,17 @@ class Grammar:
                 if not rule.refs
             },
         )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Grammar:
+            return NotImplemented
+        return self.productions == other.productions
 
     def min_depth(self, token: str) -> int:
         """Minimal finite derivation depth of token (a lone leaf has depth 1)."""
@@ -378,12 +465,18 @@ def generate_tree(
     """Deterministically sample a tree rooted at the start token."""
     if DEFAULT_START not in g.productions:
         raise MissingStartError(f"grammar does not define {DEFAULT_START!r}")
-    need = g.min_depth(DEFAULT_START)
+    check_max_depth(g, max_depth)
+    return sample_tree(g, DEFAULT_START, max_depth, Random(seed))
+
+
+def check_max_depth(g: Grammar, max_depth: int) -> None:
+    """Raise DepthInfeasibleError unless a tree rooted at the start token
+    fits in ``max_depth`` levels."""
+    need = int(g.min_depth(DEFAULT_START))
     if max_depth < need:
         raise DepthInfeasibleError(
             f"max_depth {max_depth} below minimal derivation depth {need}"
         )
-    return sample_tree(g, DEFAULT_START, max_depth, Random(seed))
 
 
 def minimal_tree(g: Grammar, token: str) -> DerivationTree:

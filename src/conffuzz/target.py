@@ -20,7 +20,6 @@ import hashlib
 import os
 import tempfile
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -55,29 +54,67 @@ class OutcomeKind(str, enum.Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
+# the kinds whose outcome carries a code
+_CODED = (OutcomeKind.REJECT, OutcomeKind.CRASH)
+
+
 class ExecOutcome:
     """Result of one target execution.
 
     ``code`` is the rejection exit status for rejects and the crash
     identifier (signal number or abort code) for crashes; ok and timeout
-    carry no code.
+    carry no code.  Immutable; not a tuple, so it cannot be unpacked by
+    mistake for a target's ``(outcome, branches)`` answer.
     """
 
-    kind: OutcomeKind
-    code: Optional[int] = None
-    stderr_excerpt: str = ""
+    __slots__ = ("kind", "code", "stderr_excerpt")
 
-    def __post_init__(self) -> None:
-        needs_code = self.kind in (OutcomeKind.REJECT, OutcomeKind.CRASH)
-        if needs_code and self.code is None:
-            raise ValueError(f"{self.kind.value} outcome requires a code")
-        if not needs_code and self.code is not None:
-            raise ValueError(f"{self.kind.value} outcome carries no code")
+    def __init__(
+        self, kind: OutcomeKind, code: Optional[int] = None, stderr_excerpt: str = ""
+    ) -> None:
+        if kind in _CODED:
+            if code is None:
+                raise ValueError(f"{kind.value} outcome requires a code")
+        elif code is not None:
+            raise ValueError(f"{kind.value} outcome carries no code")
+        _set_kind(self, kind)
+        _set_code(self, code)
+        _set_excerpt(self, stderr_excerpt)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ExecOutcome:
+            return NotImplemented
+        return (self.kind, self.code, self.stderr_excerpt) == (
+            other.kind,
+            other.code,
+            other.stderr_excerpt,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.code, self.stderr_excerpt))
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecOutcome(kind={self.kind!r}, code={self.code!r}, "
+            f"stderr_excerpt={self.stderr_excerpt!r})"
+        )
 
     @property
     def is_crash(self) -> bool:
         return self.kind in (OutcomeKind.CRASH, OutcomeKind.TIMEOUT)
+
+
+# the slots' own setters, which bypass the refusing ``__setattr__``: every
+# exec builds an outcome, and these are cheaper than ``object.__setattr__``
+_set_kind = ExecOutcome.kind.__set__
+_set_code = ExecOutcome.code.__set__
+_set_excerpt = ExecOutcome.stderr_excerpt.__set__
 
 
 class TargetKind(enum.Enum):
@@ -108,19 +145,19 @@ def _lookup_builtin(name: str) -> BuiltinFn:
         raise ValueError(f"unknown builtin target: {name!r}") from None
 
 
-@dataclass(frozen=True)
 class TargetSpec:
-    """What to run for each input and how long to let it run."""
+    """What to run for each input and how long to let it run.  Immutable."""
 
-    kind: TargetKind
-    command: str
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
+    # the class attribute is the default the CLI's --timeout-ms shows
+    timeout_ms = DEFAULT_TIMEOUT_MS
 
-    def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
+    def __init__(
+        self, kind: TargetKind, command: str, timeout_ms: int = timeout_ms
+    ) -> None:
+        if timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
-        if self.kind is TargetKind.EXTERNAL:
-            if self.command.count("{input}") != 1:
+        if kind is TargetKind.EXTERNAL:
+            if command.count("{input}") != 1:
                 raise ValueError(
                     "external command must contain {input} exactly once"
                 )
@@ -128,11 +165,32 @@ class TargetSpec:
             import shlex
 
             try:
-                shlex.split(self.command)
+                shlex.split(command)
             except ValueError as e:
                 raise ValueError(
-                    f"cannot split external command {self.command!r}: {e}"
+                    f"cannot split external command {command!r}: {e}"
                 ) from None
+        vars(self).update(kind=kind, command=command, timeout_ms=timeout_ms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TargetSpec:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.command, self.timeout_ms))
+
+    def __repr__(self) -> str:
+        return (
+            f"TargetSpec(kind={self.kind!r}, command={self.command!r}, "
+            f"timeout_ms={self.timeout_ms!r})"
+        )
 
     @classmethod
     def parse(
@@ -226,7 +284,7 @@ def _execute_external(
         if line.startswith(BRANCH_PREFIX)
     )
     excerpt = err[:STDERR_EXCERPT_BYTES].decode("utf-8", "replace")
-    return replace(outcome, stderr_excerpt=excerpt), branches
+    return ExecOutcome(outcome.kind, outcome.code, excerpt), branches
 
 
 def execute(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, frozenset[str]]:

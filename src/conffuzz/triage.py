@@ -14,8 +14,7 @@ usually enough to spot the pattern a crash bucket shares.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -135,14 +134,11 @@ def minimize(
     return tree
 
 
-@dataclass(frozen=True)
-class CrashReport:
-    dedup_key: str
-    outcome: ExecOutcome
-    input_text: str
-    minimized_text: str
-    param_diff: tuple[tuple[ParamPath, object, object], ...]
-    first_seen_exec: int
+# ``param_diff`` holds a (path, initial, crash) triple per differing parameter
+CrashReport = namedtuple(
+    "CrashReport",
+    "dedup_key outcome input_text minimized_text param_diff first_seen_exec",
+)
 
 
 def make_crash_report(
@@ -244,10 +240,8 @@ def load_crash_report(crash_dir: Path) -> CrashReport:
     )
 
 
-@dataclass(frozen=True)
-class ParamTable:
-    paths: tuple[str, ...]
-    columns: tuple[tuple[str, tuple[str, ...]], ...]
+# ``columns`` holds a (name, one cell per path) pair per column
+ParamTable = namedtuple("ParamTable", "paths columns")
 
 
 def _column_values(

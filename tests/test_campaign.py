@@ -7,6 +7,7 @@ import pytest
 
 from conffuzz.campaign import (
     CampaignConfig,
+    CampaignStats,
     CorpusScheduler,
     run_campaign,
     should_keep,
@@ -240,6 +241,8 @@ class TestCrashRouting:
             "started_unix_ms",
             "finished_unix_ms",
         ]
+        # the order comes from the record itself, not from the run
+        assert list(CampaignStats().as_dict()) == list(payload)
 
 
 class TestCorpusReproducibility:

@@ -103,6 +103,24 @@ class TestGen:
         blobs_b = [(b / f"gen-{k}.conf").read_bytes() for k in range(6)]
         assert blobs_a != blobs_b
 
+    def test_negative_count_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "samples"
+        argv = ["gen", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        assert main(argv + ["--count", "-2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--count" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_depth_below_the_grammar_minimum_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "samples"
+        argv = ["gen", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        assert main(argv + ["--max-depth", "-1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        # the grammar's cost tables hold floats; the depth is printed whole
+        assert err.endswith("below minimal derivation depth 2\n")
+        assert not out.exists()
+
 
 class TestValidate:
     def test_clean_config_exits_zero(self, capsys):
@@ -362,6 +380,20 @@ class TestFuzz:
             ["fuzz", "--grammar", "nope.json", "--out", str(tmp_path / "x")]
         )
         assert rc == 1
+
+    def test_depth_below_the_grammar_minimum_leaves_no_artifact(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        argv = ["fuzz", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        assert main(argv + ["--max-depth", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: max_depth 0 below minimal derivation depth 2\n"
+        )
+        assert captured.out == ""
+        # no out dir, so no 0-exec stats.json that reads like a campaign
+        assert not out.exists()
 
 
 def _alive(pid: int) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from random import Random
 
@@ -156,9 +155,9 @@ class TestTables:
         # from an empty range
         g = parse_grammar(DIGITS_GRAMMAR)
         one_rule = {**g.productions, "<DIGIT>": g.productions["<DIGIT>"][:1]}
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             g.productions = one_rule
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             g.swappable = frozenset()
         assert len(g.productions["<DIGIT>"]) == 10
 

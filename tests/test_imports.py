@@ -4,7 +4,9 @@ The thread pool serves only pooled runs, the subprocess machinery only
 ``exec:`` targets, and an HTTP client only the HTTP explain backend; each
 is imported where it is used.  Nothing in the package imports ``uuid``;
 it stays in ``POOL_AND_SPAWN`` so that a start-up path that loads it
-again fails here.  Every start-up
+again fails here.  The records are plain classes and named tuples, so no
+start-up, the ``exec:`` validator's included, pays for ``dataclasses``
+and the ``inspect`` it pulls in.  Every start-up
 check runs in a fresh interpreter and compares against a bare one, so
 modules the interpreter loads at start-up on its own do not count.
 
@@ -34,6 +36,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 POOL_AND_SPAWN = {"concurrent.futures", "subprocess", "uuid"}
 HTTP_CLIENT = {"requests", "urllib.request", "http.client"}
+RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
 def _loaded_by(code: str) -> set[str]:
@@ -60,11 +63,13 @@ def bare() -> set[str]:
     [
         (
             "import conffuzz.campaign, conffuzz.triage, conffuzz.gnb_validator",
-            POOL_AND_SPAWN,
+            POOL_AND_SPAWN | RECORD_MACHINERY,
         ),
-        ("import conffuzz.cli", POOL_AND_SPAWN | HTTP_CLIENT),
+        ("import conffuzz.cli", POOL_AND_SPAWN | HTTP_CLIENT | RECORD_MACHINERY),
+        # what each ``exec:`` run of the standalone validator imports
+        ("import conffuzz.gnb_validator", POOL_AND_SPAWN | RECORD_MACHINERY),
     ],
-    ids=["campaign-triage-validator", "cli"],
+    ids=["campaign-triage-validator", "cli", "validator"],
 )
 def test_import_adds_no_unused_machinery(bare, code, absent):
     added = _loaded_by(code) - bare

@@ -1,0 +1,135 @@
+"""The record types: immutable where they were frozen, and equal and
+hashed field by field.
+
+Each case builds a record by keyword from the same values twice; the two
+must be equal with equal hashes, changing any one field must make them
+differ, and assigning or deleting a field must raise ``AttributeError``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from conffuzz.configfmt import ConfigDocument, ParamPath
+from conffuzz.explain import ParamInfo, TestCaseRecord
+from conffuzz.gnb_validator import BandSpec
+from conffuzz.grammar import DerivationTree, Grammar, Rule, RuleItem
+from conffuzz.target import ExecOutcome, OutcomeKind, TargetKind, TargetSpec
+from conffuzz.triage import CrashReport, ParamTable
+
+
+def _rule(text: str) -> Rule:
+    return Rule((RuleItem(text, False),))
+
+
+# (class, keyword fields, a different value per field, derived attributes
+# that must be read-only too)
+FROZEN = [
+    (
+        ExecOutcome,
+        {"kind": OutcomeKind.CRASH, "code": 101, "stderr_excerpt": "x"},
+        {"kind": OutcomeKind.REJECT, "code": 102, "stderr_excerpt": "y"},
+        (),
+    ),
+    (
+        TargetSpec,
+        {"kind": TargetKind.BUILTIN, "command": "run {input}", "timeout_ms": 10},
+        {"kind": TargetKind.EXTERNAL, "command": "go {input}", "timeout_ms": 20},
+        (),
+    ),
+    (ConfigDocument, {"root": {"a": 1}}, {"root": {"a": True}}, ()),
+    (ParamPath, {"segments": ("a", 0, "b")}, {"segments": ("a", 1, "b")}, ()),
+    (
+        RuleItem,
+        {"text": "<A>", "is_ref": True},
+        {"text": "<B>", "is_ref": False},
+        (),
+    ),
+    (
+        Rule,
+        {"items": (RuleItem("<A>", True),)},
+        {"items": (RuleItem("<A>", False),)},
+        ("refs",),
+    ),
+    (
+        DerivationTree,
+        {"token": "<A>", "rule_index": 0, "children": (DerivationTree("<B>", 1),)},
+        {"token": "<C>", "rule_index": 1, "children": ()},
+        (),
+    ),
+    (
+        Grammar,
+        {"productions": {"<START>": (_rule("a"),)}},
+        {"productions": {"<START>": (_rule("b"),)}},
+        ("swappable",),
+    ),
+    (
+        BandSpec,
+        {"band": 78, "arfcn_lo": 620000, "arfcn_hi": 653333, "min_bw_rb": 25},
+        {"band": 41, "arfcn_lo": 499200, "arfcn_hi": 537999, "min_bw_rb": 24},
+        (),
+    ),
+    (
+        TestCaseRecord,
+        {"name": "t1", "args": (("f", "1"),)},
+        {"name": "t2", "args": (("f", "2"),)},
+        (),
+    ),
+    (
+        ParamInfo,
+        {"flag": "f", "var_name": "v", "meaning": "m", "range": ("1",)},
+        {"flag": "g", "var_name": "w", "meaning": "n", "range": ("2",)},
+        (),
+    ),
+    (
+        CrashReport,
+        {
+            "dedup_key": "k",
+            "outcome": ExecOutcome(OutcomeKind.CRASH, 101),
+            "input_text": "a = 1;",
+            "minimized_text": "a = 0;",
+            "param_diff": ((ParamPath(("a",)), 0, 1),),
+            "first_seen_exec": 3,
+        },
+        {
+            "dedup_key": "j",
+            "outcome": ExecOutcome(OutcomeKind.CRASH, 102),
+            "input_text": "a = 2;",
+            "minimized_text": "a = 3;",
+            "param_diff": (),
+            "first_seen_exec": 4,
+        },
+        (),
+    ),
+    (
+        ParamTable,
+        {"paths": ("a",), "columns": (("initial", ("1",)),)},
+        {"paths": ("b",), "columns": (("initial", ("2",)),)},
+        (),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, other, derived", FROZEN, ids=[case[0].__name__ for case in FROZEN]
+)
+def test_frozen_record_contract(cls, fields, other, derived):
+    a, b = cls(**fields), cls(**fields)
+    assert a is not b and a == b
+    if cls is Grammar:
+        # unhashable, like the read-only mapping that holds its productions
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    for name in fields:
+        assert cls(**{**fields, name: other[name]}) != a, name
+    for name in [*fields, *derived]:
+        before = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(cls(**other), name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is before
+    assert a == b
+
