@@ -22,6 +22,19 @@ updates stay with it too.  A worker receives nothing but the target spec
 and the input text, and runs only ``execute``.  One worker executes each
 input inline as it is submitted; more workers keep a window of
 ``2 * workers`` executions on a thread pool.
+
+The target is taken to be deterministic, as ``minimize`` takes it to be:
+the same text always gets the same answer.  So the coordinator keeps a
+memo of the answer each text it ran got, and a text drawn again is
+answered from the memo instead of running the target; the replayed
+answer is consumed, and counted as an exec, exactly as a second run's
+would be.  A timeout is never kept, so a hang always runs again.  The
+memo keeps at most ``_MEMO_ENTRIES`` (4096) texts of at most
+``_MEMO_CHARS`` (1024) characters and is emptied when full: at most 4.7
+MiB, each entry's own ~180 bytes included, for answers without stderr,
+plus one branch set for each distinct set among them.  An answer's
+stderr excerpt adds at most ``STDERR_EXCERPT_BYTES`` (4 KiB), so an
+``exec:`` target whose stderr fills it adds about 16 MiB more.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from .grammar import (
     unparse,
 )
 from .mutate import random_mutation
-from .target import OutcomeKind, TargetSpec, execute
+from .target import ExecOutcome, OutcomeKind, TargetSpec, execute
 from .triage import (
     NonReproducibleError,
     dedup_key,
@@ -63,6 +76,10 @@ __all__ = [
 ]
 
 SEED_TREES = 10
+
+# the memo's bound; see the module docstring
+_MEMO_ENTRIES = 4096
+_MEMO_CHARS = 1024
 
 
 class CampaignConfig:
@@ -191,8 +208,8 @@ class CorpusScheduler:
 
 class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
-    scheduler and stats.  Only the coordinator reads or changes it; no
-    worker thread is ever handed it."""
+    scheduler, stats and the memo of answers.  Only the coordinator reads
+    or changes it; no worker thread is ever handed it."""
 
     def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path):
         self.cfg = cfg
@@ -204,10 +221,29 @@ class _Run:
         self.scheduler = CorpusScheduler(cfg.energy_per_entry)
         self.stats = CampaignStats(seed=cfg.seed)
         self.t0 = time.monotonic()
+        # each text run so far and its answer; the validator builds a
+        # fresh branch set on every exec, so the kept ones are interned,
+        # one object per distinct set
+        self.memo: dict[str, tuple[ExecOutcome, frozenset[str]]] = {}
+        self.branch_sets: dict[frozenset[str], frozenset[str]] = {}
 
     def throughput(self) -> float:
         elapsed = max(time.monotonic() - self.t0, 1e-9)
         return round(self.stats.execs / elapsed, 1)
+
+    def remember(
+        self, text: str, answer: tuple[ExecOutcome, frozenset[str]]
+    ) -> tuple[ExecOutcome, frozenset[str]]:
+        """Keep ``text``'s fresh answer in the memo and return it.  A
+        timeout is not kept, so a hang is always run again."""
+        outcome, branches = answer
+        if outcome.kind is not OutcomeKind.TIMEOUT and len(text) <= _MEMO_CHARS:
+            if len(self.memo) >= _MEMO_ENTRIES:
+                self.memo.clear()
+                self.branch_sets.clear()
+            branches = self.branch_sets.setdefault(branches, branches)
+            self.memo[text] = (outcome, branches)
+        return outcome, branches
 
     def retain(self, tree: DerivationTree, text: str) -> None:
         (self.out / "corpus" / f"{len(self.corpus)}.conf").write_text(
@@ -264,8 +300,10 @@ def _seed_corpus(run: _Run) -> None:
         if run.stats.execs >= cfg.max_execs:
             break
         text = unparse(tree, run.g)
-        outcome, branches = execute(cfg.target, text)
-        run.consume(tree, text, outcome, branches, retain_always=True)
+        answer = run.memo.get(text) or run.remember(
+            text, execute(cfg.target, text)
+        )
+        run.consume(tree, text, *answer, retain_always=True)
 
 
 def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
@@ -290,7 +328,10 @@ class _Inline:
 def _loop(run: _Run) -> None:
     # Mutants are drawn and consumed in submission order, mutant ``n``
     # drawing from stream ``n % workers``; one worker is a window of one
-    # run inline, so nothing is drawn ahead of a consume.
+    # run inline, so nothing is drawn ahead of a consume.  The memo is
+    # read at submission and written at consumption, both here; so with
+    # more workers a text drawn again while it is still in flight runs
+    # twice.
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     submitted = run.stats.execs
@@ -307,11 +348,14 @@ def _loop(run: _Run) -> None:
         while submitted < cfg.max_execs or pending:
             while submitted < cfg.max_execs and len(pending) < window:
                 tree, text = _mutant(run, streams[submitted % cfg.workers])
-                pending.append((tree, text, submit(execute, cfg.target, text)))
+                known = run.memo.get(text)
+                running = None if known else submit(execute, cfg.target, text)
+                pending.append((tree, text, known, running))
                 submitted += 1
-            tree, text, answer = pending.popleft()
-            outcome, branches = answer.result()
-            run.consume(tree, text, outcome, branches)
+            tree, text, answer, running = pending.popleft()
+            if running is not None:
+                answer = run.remember(text, running.result())
+            run.consume(tree, text, *answer)
     finally:
         if pool is not None:
             # an interrupted run drops the executions it will not consume

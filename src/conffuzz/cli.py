@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from .campaign import CampaignConfig, run_campaign
-from .configfmt import ConfigError, ParamPath, parse_config
+from .configfmt import ConfigError, ParamPath
 from .explain import (
     BackendError,
     backend_from_spec,
@@ -165,7 +165,7 @@ def cmd_grammar_check(args) -> int:
     print(f"tokens: {len(g.productions)}")
     print(f"rules: {rules}")
     print(f"start: {DEFAULT_START}")
-    print(f"min-depth: {int(g.min_depth(DEFAULT_START))}")
+    print(f"min-depth: {g.min_depth(DEFAULT_START)}")
     return EXIT_OK
 
 

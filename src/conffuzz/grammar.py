@@ -246,6 +246,8 @@ class Grammar:
             raise NoFiniteDerivationError(
                 "token(s) with no finite derivation: " + ", ".join(dead)
             )
+        # every depth is finite now, so each is a whole number of levels
+        min_depth = {t: int(d) for t, d in min_depth.items()}
 
         def rooted(token: str, i: int) -> DerivationTree:
             refs = productions[token][i].refs
@@ -472,7 +474,7 @@ def generate_tree(
 def check_max_depth(g: Grammar, max_depth: int) -> None:
     """Raise DepthInfeasibleError unless a tree rooted at the start token
     fits in ``max_depth`` levels."""
-    need = int(g.min_depth(DEFAULT_START))
+    need = g.min_depth(DEFAULT_START)
     if max_depth < need:
         raise DepthInfeasibleError(
             f"max_depth {max_depth} below minimal derivation depth {need}"

@@ -72,6 +72,7 @@ def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path
     # call, and its tracer times these names where the campaign reads them.
     # Each counter serves one call and then puts a fresh one in its place,
     # so a call through a name bound once and kept shows up as stale.
+    # unparse and execute record the text they made or ran.
     calls, stale = [], []
     phase = ["seed"]
 
@@ -83,8 +84,12 @@ def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path
             install(name, real)
             if name == "random_mutation":
                 phase[0] = "loop"
-            calls.append((phase[0], name))
-            return real(*args, **kwargs)
+            call = [phase[0], name, args[1] if name == "execute" else None]
+            calls.append(call)
+            result = real(*args, **kwargs)
+            if name == "unparse":
+                call[2] = result
+            return result
 
         spent = []
         setattr(campaign, name, counted)
@@ -99,23 +104,42 @@ def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path
     assert stale == []
     seeded = campaign.SEED_TREES + 1
     by_phase = {"seed": [], "loop": []}
-    for where, name in calls:
+    for where, name, text in calls:
         # a new crash is minimized and its result unparsed; drop that pair
-        if name == "unparse" and by_phase[where][-1:] == ["minimize"]:
-            by_phase[where][-1] = "minimized"
+        if name == "unparse" and by_phase[where][-1:] == [("minimize", None)]:
+            by_phase[where][-1] = ("minimized", None)
         else:
-            by_phase[where].append(name)
+            by_phase[where].append((name, text))
     seed_calls, loop_calls = by_phase["seed"], by_phase["loop"]
-    assert "minimized" in seed_calls and "minimized" in loop_calls
-    assert seed_calls.count("minimized") + loop_calls.count("minimized") == (
+    minimized = ("minimized", None)
+    assert minimized in seed_calls and minimized in loop_calls
+    assert seed_calls.count(minimized) + loop_calls.count(minimized) == (
         stats.crashes_unique
     )
-    assert [c for c in seed_calls if c != "minimized"] == ["unparse", "execute"] * seeded
-    assert [c for c in loop_calls if c != "minimized"] == [
-        "random_mutation",
-        "unparse",
-        "execute",
-    ] * (stats.execs - seeded)
+    seed_calls = [c for c in seed_calls if c != minimized]
+    loop_calls = [c for c in loop_calls if c != minimized]
+    # one worker consumes each answer before the next input is drawn, so
+    # an input runs, with the text it was unparsed to, unless an earlier
+    # exec had the same text: the validator never times out, and each
+    # answer it gives is replayed from the campaign's memo
+    answered = set()
+
+    def expected(texts, head):
+        out = []
+        for text in texts:
+            out += head + [("unparse", text)]
+            if text not in answered:
+                answered.add(text)
+                out.append(("execute", text))
+        return out
+
+    seed_texts = [text for name, text in seed_calls if name == "unparse"]
+    loop_texts = [text for name, text in loop_calls if name == "unparse"]
+    assert len(seed_texts) == seeded
+    assert len(loop_texts) == stats.execs - seeded
+    assert seed_calls == expected(seed_texts, [])
+    assert loop_calls == expected(loop_texts, [("random_mutation", None)])
+    assert len(answered) < stats.execs  # some answers were replayed
 
 
 def test_traced_campaign_feeds_the_hooks_and_checks(gnb_grammar, tmp_path):

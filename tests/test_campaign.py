@@ -2,6 +2,7 @@
 
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from conffuzz.campaign import (
     should_keep,
 )
 from conffuzz.gnb_validator import baseline_text
-from conffuzz.target import TargetSpec, execute
+from conffuzz.target import OutcomeKind, TargetSpec, execute
 
 VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
 
@@ -338,18 +339,20 @@ class TestTargetFault:
         from conffuzz.target import register_builtin
 
         calls = itertools.count(1)
+        consumed = [0]
+        at_fault = []
 
         def faulty(text):
             if next(calls) == 50:
+                at_fault.append(consumed[0])
                 return fault(text)
             return run_text(text)
 
         register_builtin("faulty-on-50th-call", faulty)
-        consumed = itertools.count()
         consume = campaign._Run.consume
 
         def counting(self, *args, **kwargs):
-            next(consumed)
+            consumed[0] += 1
             return consume(self, *args, **kwargs)
 
         monkeypatch.setattr(campaign._Run, "consume", counting)
@@ -364,7 +367,13 @@ class TestTargetFault:
         with pytest.raises(expected, match=match):
             run_campaign(cfg)
         stats = json.loads((out / "stats.json").read_text())
-        assert 0 < stats["execs"] == next(consumed) < 50
+        # A text drawn again is answered from the campaign's memo, so the
+        # calls do not keep step with the execs.  The results consumed are
+        # those submitted ahead of the faulting call: none past the count
+        # at the call inline, and at most 2 * workers - 1 past it with the
+        # pool's window of 2 * workers.
+        assert 0 < at_fault[0] <= stats["execs"] == consumed[0]
+        assert consumed[0] <= at_fault[0] + 2 * workers - 1
         assert stats["corpus_size"] == len(list((out / "corpus").iterdir()))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -440,6 +449,189 @@ class TestWorkers:
         assert first == snapshot(tmp_path / "b")
 
 
+def record_submissions(monkeypatch):
+    """The coordinator's order of events: ``("submit", text)`` for each
+    input it unparses to run, ``("consume", text, kind)`` for each answer
+    it consumes."""
+    from conffuzz import campaign
+
+    events = []
+    in_consume = []
+    unparse, consume = campaign.unparse, campaign._Run.consume
+
+    def unparsing(tree, g):
+        text = unparse(tree, g)
+        if not in_consume:  # a new crash's minimized tree is unparsed there
+            events.append(("submit", text))
+        return text
+
+    def consuming(self, tree, text, outcome, branches, **kwargs):
+        events.append(("consume", text, outcome.kind))
+        in_consume.append(True)
+        try:
+            return consume(self, tree, text, outcome, branches, **kwargs)
+        finally:
+            in_consume.pop()
+
+    monkeypatch.setattr(campaign, "unparse", unparsing)
+    monkeypatch.setattr(campaign._Run, "consume", consuming)
+    return events
+
+
+def expected_runs(events):
+    """How often each text reaches the target: once per submission that
+    finds no answer consumed before it.  A timeout is never replayed."""
+    answered, runs = set(), Counter()
+    for kind, text, *outcome_kind in events:
+        if kind == "consume":
+            if outcome_kind != [OutcomeKind.TIMEOUT]:
+                answered.add(text)
+        elif text not in answered:
+            runs[text] += 1
+    return runs
+
+
+def register_counting(name, answer, monkeypatch):
+    """Register builtin ``name``, which gives ``answer(text)`` and counts
+    each text the campaign runs; minimization's runs are not counted."""
+    import threading
+
+    from conffuzz import campaign
+    from conffuzz.target import register_builtin
+
+    calls = Counter()
+    minimizing = []
+
+    def counting(text):
+        on_main = threading.current_thread() is threading.main_thread()
+        if not (minimizing and on_main):
+            calls[text] += 1
+        return answer(text)
+
+    minimize = campaign.minimize
+
+    def flagged(*args, **kwargs):
+        minimizing.append(True)
+        try:
+            return minimize(*args, **kwargs)
+        finally:
+            minimizing.pop()
+
+    register_builtin(name, counting)
+    monkeypatch.setattr(campaign, "minimize", flagged)
+    return TargetSpec.parse(f"builtin:{name}"), calls
+
+
+class TestMemo:
+    # A text the campaign has run already is answered from its memo of
+    # answers instead of running the target again.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_text_runs_once_and_the_bytes_hold(
+        self, gnb_grammar_path, tmp_path, monkeypatch, workers
+    ):
+        from conffuzz import campaign
+        from conffuzz.gnb_validator import run_text
+
+        spec, calls = register_counting("memo-counting", run_text, monkeypatch)
+        events = record_submissions(monkeypatch)
+
+        def run(out):
+            return run_campaign(
+                CampaignConfig(
+                    gnb_grammar_path, spec, out, seed=1, max_execs=2000,
+                    workers=workers,
+                )
+            )
+
+        stats = run(tmp_path / "memo")
+        assert stats.crashes_unique > 0
+        # every text drawn reaches the target, and once only, but for a
+        # text drawn again while a pool thread still runs it
+        assert set(calls) == {e[1] for e in events if e[0] == "submit"}
+        assert calls == expected_runs(events)
+        assert sum(calls.values()) < stats.execs / 2
+        if workers == 1:
+            assert set(calls.values()) == {1}
+        calls.clear()
+        # a memo that keeps no text is empty at every lookup
+        monkeypatch.setattr(campaign, "_MEMO_CHARS", -1)
+        run(tmp_path / "none")
+        assert sum(calls.values()) == stats.execs
+        with_memo, without = snapshot(tmp_path / "memo"), snapshot(tmp_path / "none")
+        for key in WALL_CLOCK_KEYS:
+            with_memo[0].pop(key), without[0].pop(key)
+        assert with_memo == without
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_timeout_runs_on_every_repeat(
+        self, gnb_grammar_path, tmp_path, monkeypatch, workers
+    ):
+        from conffuzz.gnb_validator import run_text
+        from conffuzz.target import ExecOutcome
+
+        def answer(text):
+            outcome, branches = run_text(text)
+            if len(text) % 4 == 0:
+                return ExecOutcome(OutcomeKind.TIMEOUT), branches
+            return outcome, branches
+
+        spec, calls = register_counting("memo-timeouts", answer, monkeypatch)
+        events = record_submissions(monkeypatch)
+        stats = run_campaign(
+            CampaignConfig(
+                gnb_grammar_path, spec, tmp_path / "out", seed=1, max_execs=2000,
+                workers=workers,
+            )
+        )
+        consumed = Counter(e[1] for e in events if e[0] == "consume")
+        timed_out = {
+            e[1] for e in events if e[0] == "consume" and e[2] is OutcomeKind.TIMEOUT
+        }
+        assert max(consumed[text] for text in timed_out) > 1
+        assert all(calls[text] == consumed[text] for text in timed_out)
+        assert calls == expected_runs(events)
+        assert stats.timeouts == sum(consumed[text] for text in timed_out)
+        stored = json.loads((tmp_path / "out" / "stats.json").read_text())
+        assert stored["timeouts"] == stats.timeouts
+
+    def test_memo_stays_within_its_bounds(
+        self, gnb_grammar_path, tmp_path, monkeypatch
+    ):
+        from conffuzz import campaign
+        from conffuzz.gnb_validator import run_text
+
+        # the gnb grammar's texts are 390 to 397 characters long
+        monkeypatch.setattr(campaign, "_MEMO_ENTRIES", 3)
+        monkeypatch.setattr(campaign, "_MEMO_CHARS", 394)
+        sizes, kept = [], set()
+        remember = campaign._Run.remember
+
+        def watching(self, text, answer):
+            answer = remember(self, text, answer)
+            sizes.append((len(self.memo), len(self.branch_sets)))
+            kept.update(self.memo)
+            return answer
+
+        monkeypatch.setattr(campaign._Run, "remember", watching)
+        spec, calls = register_counting("memo-bounds", run_text, monkeypatch)
+        events = record_submissions(monkeypatch)
+        stats = run_campaign(
+            CampaignConfig(
+                gnb_grammar_path, spec, tmp_path / "out", seed=1, max_execs=2000
+            )
+        )
+        assert stats.execs == 2000
+        assert max(n for n, _ in sizes) == 3
+        assert all(sets <= n for n, sets in sizes)
+        assert kept and max(len(text) for text in kept) <= 394
+        consumed = Counter(e[1] for e in events if e[0] == "consume")
+        too_long = [text for text in consumed if len(text) > 394]
+        assert max(consumed[text] for text in too_long) > 1
+        assert all(calls[text] == consumed[text] for text in too_long)
+        # so few texts are kept that some short ones run again too
+        assert sum(calls.values()) > len(calls)
+
+
 class TestThreadOwnership:
     def test_pool_runs_only_execute(self, gnb_grammar_path, tmp_path, monkeypatch):
         # the coordinator mutates and unparses every input; a pooled
@@ -448,12 +640,14 @@ class TestThreadOwnership:
 
         from conffuzz import campaign
 
+        events = record_submissions(monkeypatch)
         calls = []
 
         def recorded(kind, fn):
             def wrapper(*args, **kwargs):
                 on_main = threading.current_thread() is threading.main_thread()
-                calls.append((kind, on_main))
+                text = args[1] if kind == "execute" else None
+                calls.append((kind, on_main, text))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -473,12 +667,22 @@ class TestThreadOwnership:
             )
         )
         assert stats.execs == 300
-        first_mutation = [kind for kind, _ in calls].index("random_mutation")
-        assert all(on_main for kind, on_main in calls if kind != "execute")
+        assert len([e for e in events if e[0] == "submit"]) == 300
+        first_mutation = [kind for kind, _, _ in calls].index("random_mutation")
+        assert all(on_main for kind, on_main, _ in calls if kind != "execute")
+        # one execute per exec whose text had no answer to replay when it
+        # was submitted, so also one per text submitted again in flight
+        runs = expected_runs(events)
+        assert Counter(text for kind, _, text in calls if kind == "execute") == runs
+        assert sum(runs.values()) < 300 and max(runs.values()) > 1
+        seeded = campaign.SEED_TREES + 1
+        seed_runs = expected_runs(events[: 2 * seeded])
         loop_execs = [
-            on_main for kind, on_main in calls[first_mutation:] if kind == "execute"
+            on_main
+            for kind, on_main, _ in calls[first_mutation:]
+            if kind == "execute"
         ]
-        assert len(loop_execs) == 300 - (campaign.SEED_TREES + 1)
+        assert len(loop_execs) == sum(runs.values()) - sum(seed_runs.values())
         assert not any(loop_execs)
 
 

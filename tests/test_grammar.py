@@ -15,6 +15,7 @@ from conffuzz.grammar import (
     Rule,
     RuleItem,
     UndefinedTokenRefError,
+    check_max_depth,
     derive_tree,
     generate_tree,
     minimal_tree,
@@ -70,6 +71,13 @@ class TestParseGrammar:
         assert g.min_depth("<DIGIT>") == 1
         assert g.min_depth("<DIGITS>") == 2
         assert g.min_depth("<START>") == 3
+
+    def test_min_depth_is_an_int(self, gnb_grammar):
+        # the cost tables hold floats; a depth is a whole number of levels
+        assert type(gnb_grammar.min_depth("<START>")) is int
+        with pytest.raises(DepthInfeasibleError) as info:
+            check_max_depth(gnb_grammar, 0)
+        assert str(info.value).endswith("below minimal derivation depth 2")
 
     def test_undefined_ref_strict(self):
         with pytest.raises(UndefinedTokenRefError):

@@ -13,7 +13,8 @@ modules the interpreter loads at start-up on its own do not count.
 Every name a module lists in ``__all__`` must exist and be read by the
 system itself (the package or the benchmark), and no module of the
 package imports an underscore-prefixed name from a sibling: what modules
-share is public.
+share is public.  Each module reads every name its top-level imports
+bind.
 """
 
 from __future__ import annotations
@@ -153,6 +154,31 @@ def test_private_names_are_used_in_their_module(name):
     }
     unused = [n for n in _private_top_level_names(tree) if n not in read]
     assert unused == []
+
+
+def _top_level_imports(tree: ast.Module):
+    """Each name a module-level import binds; ``__future__`` binds none."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_every_imported_name_is_read_in_its_module(name):
+    # an import nothing reads costs start-up time and misleads the reader
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    read.update(node.value for node in _exports(tree))
+    unread = [n for n in _top_level_imports(tree) if n not in read]
+    assert unread == []
 
 
 # exported although nothing in the system calls it: the tree checker the
