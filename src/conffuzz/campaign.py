@@ -121,11 +121,6 @@ class CampaignConfig:
         self.max_depth = max_depth
         self.progress = progress
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CampaignConfig:
-            return NotImplemented
-        return vars(self) == vars(other)
-
 
 class CampaignStats:
     """A campaign's counters, as written to ``stats.json``."""
@@ -164,11 +159,6 @@ class CampaignStats:
         self.seed = seed
         self.started_unix_ms = started_unix_ms
         self.finished_unix_ms = finished_unix_ms
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CampaignStats:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -20,6 +20,8 @@ import threading
 from itertools import islice
 from typing import Iterator, Union
 
+from .record import Record
+
 __all__ = [
     "ConfigDocument",
     "ConfigError",
@@ -78,23 +80,18 @@ Scalar = Union[int, float, str, bool]
 Value = Union[Scalar, dict, tuple]
 
 
-class ConfigDocument:
+class ConfigDocument(Record):
     """A parsed config: ``root`` maps each top-level name to its value.
     Immutable."""
 
-    __slots__ = ("root",)
+    __slots__ = _fields = ("root",)
 
     def __init__(self, root: dict) -> None:
         object.__setattr__(self, "root", root)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    # Equality tracks the canonical serialized form; this keeps 1, true and
-    # 1.0 apart, which dict equality would not, as bool subclasses int.
+    # Equality tracks the canonical serialized form, not the base's field
+    # by field; this keeps 1, true and 1.0 apart, which dict equality would
+    # not, as bool subclasses int.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConfigDocument):
             return NotImplemented
@@ -103,14 +100,11 @@ class ConfigDocument:
     def __hash__(self) -> int:
         return hash(serialize_config(self))
 
-    def __repr__(self) -> str:
-        return f"ConfigDocument(root={self.root!r})"
 
-
-class ParamPath:
+class ParamPath(Record):
     """Dotted parameter address; int segments index into lists.  Immutable."""
 
-    __slots__ = ("segments",)
+    __slots__ = _fields = ("segments",)
 
     def __init__(self, segments: tuple[Union[str, int], ...]) -> None:
         if not segments:
@@ -125,23 +119,6 @@ class ParamPath:
             if isinstance(seg, int) and seg < 0:
                 raise ValueError(f"negative list index in path: {seg}")
         object.__setattr__(self, "segments", segments)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ParamPath:
-            return NotImplemented
-        return self.segments == other.segments
-
-    def __hash__(self) -> int:
-        return hash(self.segments)
-
-    def __repr__(self) -> str:
-        return f"ParamPath(segments={self.segments!r})"
 
     _SEGMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)\Z")
 

@@ -21,6 +21,8 @@ from random import Random
 from types import MappingProxyType
 from typing import Callable, Mapping
 
+from .record import Record
+
 __all__ = [
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_START",
@@ -45,7 +47,6 @@ __all__ = [
     "sample_tree",
     "tree_size",
     "unparse",
-    "validate_tree",
 ]
 
 DEFAULT_START = "<START>"
@@ -95,39 +96,23 @@ class InvalidTreeError(GrammarError):
     """A derivation tree is inconsistent with the grammar it is unparsed against."""
 
 
-class RuleItem:
+class RuleItem(Record):
     """One element of a rule: literal text or a reference to another token.
     Immutable."""
 
-    __slots__ = ("text", "is_ref")
+    __slots__ = _fields = ("text", "is_ref")
 
     def __init__(self, text: str, is_ref: bool) -> None:
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "is_ref", is_ref)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RuleItem:
-            return NotImplemented
-        return (self.text, self.is_ref) == (other.text, other.is_ref)
-
-    def __hash__(self) -> int:
-        return hash((self.text, self.is_ref))
-
-    def __repr__(self) -> str:
-        return f"RuleItem(text={self.text!r}, is_ref={self.is_ref!r})"
-
-
-class Rule:
+class Rule(Record):
     """A rule's items, and the token names it references (``refs``, in
     order, derived from the items).  Immutable."""
 
     __slots__ = ("items", "refs")
+    _fields = ("items",)
 
     def __init__(self, items: tuple[RuleItem, ...]) -> None:
         object.__setattr__(self, "items", items)
@@ -135,25 +120,8 @@ class Rule:
             self, "refs", tuple(item.text for item in items if item.is_ref)
         )
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Rule:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
-
-    def __repr__(self) -> str:
-        return f"Rule(items={self.items!r})"
-
-
-class DerivationTree:
+class DerivationTree(Record):
     """A concrete derivation: token, the rule picked for it, one child per ref.
 
     Immutable.  ``paths`` and ``grafts`` are computed on first use and kept
@@ -161,6 +129,7 @@ class DerivationTree:
     """
 
     __slots__ = ("token", "rule_index", "children", "__dict__")
+    _fields = ("token", "rule_index", "children")
 
     def __init__(
         self, token: str, rule_index: int, children: tuple[DerivationTree, ...] = ()
@@ -169,12 +138,8 @@ class DerivationTree:
         _set_rule_index(self, rule_index)
         _set_children(self, children)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
+    # Written out rather than the base's: ``minimize`` compares trees about
+    # 30 times per crash, and this measured about twice as fast per compare.
     def __eq__(self, other: object) -> bool:
         if type(other) is not DerivationTree:
             return NotImplemented
@@ -186,12 +151,6 @@ class DerivationTree:
 
     def __hash__(self) -> int:
         return hash((self.token, self.rule_index, self.children))
-
-    def __repr__(self) -> str:
-        return (
-            f"DerivationTree(token={self.token!r}, rule_index={self.rule_index!r}, "
-            f"children={self.children!r})"
-        )
 
     @cached_property
     def paths(self) -> tuple[tuple[tuple[int, ...], "DerivationTree"], ...]:
@@ -223,10 +182,14 @@ _set_rule_index = DerivationTree.rule_index.__set__
 _set_children = DerivationTree.children.__set__
 
 
-class Grammar:
+class Grammar(Record):
     """A grammar's productions, read-only, and the tables built from them.
     Immutable: every table is built from the productions once, so neither
     they nor the tables may be rebound afterwards."""
+
+    _fields = ("productions",)
+    # unhashable, like the read-only mapping that holds its productions
+    __hash__ = None
 
     def __init__(self, productions: Mapping[str, tuple[Rule, ...]]) -> None:
         # read-only, and a copy, so the caller's dict cannot change it either
@@ -286,17 +249,6 @@ class Grammar:
                 if not rule.refs
             },
         )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Grammar:
-            return NotImplemented
-        return self.productions == other.productions
 
     def min_depth(self, token: str) -> int:
         """Minimal finite derivation depth of token (a lone leaf has depth 1)."""
@@ -503,7 +455,11 @@ def replace_subtree(
 
 
 def unparse(t: DerivationTree, g: Grammar) -> str:
-    """Concatenate literals in order, expanding child subtrees at each ref."""
+    """Concatenate literals in order, expanding child subtrees at each ref.
+
+    Raises InvalidTreeError on a node whose token is unknown, whose rule
+    index is out of range, or whose children do not match its rule's refs.
+    """
     out: list[str] = []
     _unparse_into(t, g, out)
     return "".join(out)
@@ -537,18 +493,6 @@ def _unparse_into(t: DerivationTree, g: Grammar, out: list[str]) -> None:
             _unparse_into(child, g, out)
         else:
             out.append(item.text)
-
-
-def validate_tree(t: DerivationTree, g: Grammar) -> bool:
-    """Total check that every node's rule index and child arity are consistent."""
-    for _, node in t.paths:
-        rules = g.productions.get(node.token)
-        if rules is None or not 0 <= node.rule_index < len(rules):
-            return False
-        refs = rules[node.rule_index].refs
-        if tuple(child.token for child in node.children) != refs:
-            return False
-    return True
 
 
 def tree_size(t: DerivationTree) -> int:

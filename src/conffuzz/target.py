@@ -23,6 +23,8 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
+from .record import Record
+
 __all__ = [
     "ExecOutcome",
     "OutcomeKind",
@@ -58,7 +60,7 @@ class OutcomeKind(str, enum.Enum):
 _CODED = (OutcomeKind.REJECT, OutcomeKind.CRASH)
 
 
-class ExecOutcome:
+class ExecOutcome(Record):
     """Result of one target execution.
 
     ``code`` is the rejection exit status for rejects and the crash
@@ -67,7 +69,7 @@ class ExecOutcome:
     mistake for a target's ``(outcome, branches)`` answer.
     """
 
-    __slots__ = ("kind", "code", "stderr_excerpt")
+    __slots__ = _fields = ("kind", "code", "stderr_excerpt")
 
     def __init__(
         self, kind: OutcomeKind, code: Optional[int] = None, stderr_excerpt: str = ""
@@ -80,30 +82,6 @@ class ExecOutcome:
         _set_kind(self, kind)
         _set_code(self, code)
         _set_excerpt(self, stderr_excerpt)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ExecOutcome:
-            return NotImplemented
-        return (self.kind, self.code, self.stderr_excerpt) == (
-            other.kind,
-            other.code,
-            other.stderr_excerpt,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.code, self.stderr_excerpt))
-
-    def __repr__(self) -> str:
-        return (
-            f"ExecOutcome(kind={self.kind!r}, code={self.code!r}, "
-            f"stderr_excerpt={self.stderr_excerpt!r})"
-        )
 
     @property
     def is_crash(self) -> bool:
@@ -145,8 +123,10 @@ def _lookup_builtin(name: str) -> BuiltinFn:
         raise ValueError(f"unknown builtin target: {name!r}") from None
 
 
-class TargetSpec:
+class TargetSpec(Record):
     """What to run for each input and how long to let it run.  Immutable."""
+
+    _fields = ("kind", "command", "timeout_ms")
 
     # the class attribute is the default the CLI's --timeout-ms shows
     timeout_ms = DEFAULT_TIMEOUT_MS
@@ -171,26 +151,6 @@ class TargetSpec:
                     f"cannot split external command {command!r}: {e}"
                 ) from None
         vars(self).update(kind=kind, command=command, timeout_ms=timeout_ms)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not TargetSpec:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.command, self.timeout_ms))
-
-    def __repr__(self) -> str:
-        return (
-            f"TargetSpec(kind={self.kind!r}, command={self.command!r}, "
-            f"timeout_ms={self.timeout_ms!r})"
-        )
 
     @classmethod
     def parse(

@@ -23,7 +23,6 @@ from conffuzz.grammar import (
     sample_tree,
     tree_size,
     unparse,
-    validate_tree,
 )
 
 BIT_GRAMMAR = '{"<START>": [["do_CSIRS = ", "<BIT>", ";"]], "<BIT>": [["0"], ["1"]]}'
@@ -236,7 +235,7 @@ class TestGenerateTree:
     def test_generated_trees_validate(self):
         g = parse_grammar(DIGITS_GRAMMAR)
         for seed in range(200):
-            assert validate_tree(generate_tree(g, seed, 16), g)
+            unparse(generate_tree(g, seed, 16), g)
 
 
 class TestUnparse:
@@ -258,26 +257,32 @@ class TestUnparse:
 
 
 class TestValidateTree:
+    """A tree is valid against a grammar exactly when ``unparse`` accepts it."""
+
     def test_fresh_tree_true(self):
         g = parse_grammar(BIT_GRAMMAR)
-        assert validate_tree(generate_tree(g, 9), g)
+        unparse(generate_tree(g, 9), g)
 
     def test_rule_index_at_rule_count_false(self):
         g = parse_grammar(BIT_GRAMMAR)
-        assert not validate_tree(DerivationTree("<BIT>", 2), g)
+        with pytest.raises(InvalidTreeError):
+            unparse(DerivationTree("<BIT>", 2), g)
 
     def test_child_removed_false(self):
         g = parse_grammar(BIT_GRAMMAR)
-        assert not validate_tree(DerivationTree("<START>", 0), g)
+        with pytest.raises(InvalidTreeError):
+            unparse(DerivationTree("<START>", 0), g)
 
     def test_wrong_child_token_false(self):
         g = parse_grammar(BIT_GRAMMAR)
         bad = DerivationTree("<START>", 0, (DerivationTree("<START>", 0),))
-        assert not validate_tree(bad, g)
+        with pytest.raises(InvalidTreeError):
+            unparse(bad, g)
 
     def test_unknown_token_false(self):
         g = parse_grammar(BIT_GRAMMAR)
-        assert not validate_tree(DerivationTree("<NOPE>", 0), g)
+        with pytest.raises(InvalidTreeError):
+            unparse(DerivationTree("<NOPE>", 0), g)
 
 
 class TestTreeSize:
@@ -306,7 +311,7 @@ class TestMinimalTree:
         assert t.rule_index == 0
         assert tree_size(t) == 2
         assert unparse(t, g) == "0"
-        assert validate_tree(t, g)
+        unparse(t, g)
 
 
 class TestDeriveTree:
@@ -314,7 +319,7 @@ class TestDeriveTree:
         g = parse_grammar(DIGITS_GRAMMAR)
         t = derive_tree(g, "142")
         assert t is not None
-        assert validate_tree(t, g)
+        unparse(t, g)
         assert unparse(t, g) == "142"
 
     def test_underivable_text(self):

@@ -4,11 +4,16 @@ The thread pool serves only pooled runs, the subprocess machinery only
 ``exec:`` targets, and an HTTP client only the HTTP explain backend; each
 is imported where it is used.  Nothing in the package imports ``uuid``;
 it stays in ``POOL_AND_SPAWN`` so that a start-up path that loads it
-again fails here.  The records are plain classes and named tuples, so no
-start-up, the ``exec:`` validator's included, pays for ``dataclasses``
-and the ``inspect`` it pulls in.  Every start-up
-check runs in a fresh interpreter and compares against a bare one, so
-modules the interpreter loads at start-up on its own do not count.
+again fails here.  The records are named tuples and plain classes on one
+base, ``conffuzz.record.Record``, so no start-up, the ``exec:``
+validator's included, pays for ``dataclasses`` and the ``inspect`` it
+pulls in.  Every start-up check runs in a fresh interpreter and compares
+against a bare one, so modules the interpreter loads at start-up on its
+own do not count.
+
+Every record class subclasses ``Record``, the one place that writes a
+record's ``__setattr__``, ``__delattr__``, ``__repr__`` and
+``__reduce__``.
 
 Every name a module lists in ``__all__`` must exist and be read by the
 system itself (the package or the benchmark), and no module of the
@@ -29,7 +34,9 @@ import sys
 
 import pytest
 
+from conffuzz.record import Record
 from conftest import GRAMMAR_PATH, REPO_ROOT
+from test_records import FROZEN
 
 PACKAGE = REPO_ROOT / "src" / "conffuzz"
 PERFBENCH = REPO_ROOT / "perfbench"
@@ -156,6 +163,24 @@ def test_private_names_are_used_in_their_module(name):
     assert unused == []
 
 
+RECORD_METHODS = {"__setattr__", "__delattr__", "__repr__", "__reduce__"}
+
+
+def test_records_share_one_base():
+    # a record's methods are written once, so the next record cannot copy
+    # them again
+    written = [
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "record"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in RECORD_METHODS
+    ]
+    assert written == []
+    classes = [case[0] for case in FROZEN if not issubclass(case[0], tuple)]
+    assert [cls.__name__ for cls in classes if not issubclass(cls, Record)] == []
+
+
 def _top_level_imports(tree: ast.Module):
     """Each name a module-level import binds; ``__future__`` binds none."""
     for node in tree.body:
@@ -179,11 +204,6 @@ def test_every_imported_name_is_read_in_its_module(name):
     read.update(node.value for node in _exports(tree))
     unread = [n for n in _top_level_imports(tree) if n not in read]
     assert unread == []
-
-
-# exported although nothing in the system calls it: the tree checker the
-# tests use to assert mutation closure
-TEST_ONLY_EXPORTS = {"grammar.validate_tree"}
 
 
 def _entry_points() -> set[str]:
@@ -234,4 +254,4 @@ def test_every_exported_name_is_read_by_the_system():
         for node in nodes
         if node.value not in read
     }
-    assert sorted(dead - _entry_points() - TEST_ONLY_EXPORTS) == []
+    assert sorted(dead - _entry_points()) == []

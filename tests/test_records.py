@@ -1,12 +1,19 @@
 """The record types: immutable where they were frozen, and equal and
-hashed field by field.
+hashed field by field.  The classes among them subclass
+``conffuzz.record.Record``, which writes those methods once; the named
+tuples get theirs from ``tuple``.
 
 Each case builds a record by keyword from the same values twice; the two
 must be equal with equal hashes, changing any one field must make them
 differ, and assigning or deleting a field must raise ``AttributeError``.
+Its repr must read ``Name(field=value, ...)``, and it must come back equal
+from ``pickle``, ``copy.copy`` and ``copy.deepcopy``.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import pytest
 
@@ -132,4 +139,18 @@ def test_frozen_record_contract(cls, fields, other, derived):
             delattr(a, name)
         assert getattr(a, name) is before
     assert a == b
+    shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+    assert repr(a) == f"{cls.__name__}({shown})"
+    assert copy.copy(a) == a
+    if cls is Grammar:
+        # its productions are a read-only mapping, which neither pickles nor
+        # deep-copies; no worker needs a grammar
+        return
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+    if cls is DerivationTree:
+        # the cached walks are derived, so they are not pickled
+        assert a.paths and a.grafts and vars(a)
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and vars(back) == {}
 
