@@ -28,13 +28,19 @@ the same text always gets the same answer.  So the coordinator keeps a
 memo of the answer each text it ran got, and a text drawn again is
 answered from the memo instead of running the target; the replayed
 answer is consumed, and counted as an exec, exactly as a second run's
-would be.  A timeout is never kept, so a hang always runs again.  The
-memo keeps at most ``_MEMO_ENTRIES`` (4096) texts of at most
-``_MEMO_CHARS`` (1024) characters and is emptied when full: at most 4.7
-MiB, each entry's own ~180 bytes included, for answers without stderr,
-plus one branch set for each distinct set among them.  An answer's
-stderr excerpt adds at most ``STDERR_EXCERPT_BYTES`` (4 KiB), so an
-``exec:`` target whose stderr fills it adds about 16 MiB more.
+would be.  A text drawn again while its run is still in flight takes
+that run's answer.  ``minimize`` asks the campaign for its answers too,
+so a crash's first reproduce and every candidate the campaign has seen
+cost no run, and each text it runs is kept for later draws.  A crash's
+dedup key is worked out once per distinct (crash code, branch set)
+pair.  A timeout is never kept, so a hang runs again when it is drawn
+after its answer was consumed.  The memo keeps at most
+``_MEMO_ENTRIES`` (4096) texts of at most ``_MEMO_CHARS`` (1024)
+characters and is emptied when full, along with the routed pairs: at
+most 4.7 MiB, each entry's own ~180 bytes included, for answers without
+stderr, plus one branch set for each distinct set among them.  An
+answer's stderr excerpt adds at most ``STDERR_EXCERPT_BYTES`` (4 KiB),
+so an ``exec:`` target whose stderr fills it adds about 16 MiB more.
 """
 
 from __future__ import annotations
@@ -198,8 +204,9 @@ class CorpusScheduler:
 
 class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
-    scheduler, stats and the memo of answers.  Only the coordinator reads
-    or changes it; no worker thread is ever handed it."""
+    scheduler, stats, the memo of answers and the runs in flight.  Only
+    the coordinator reads or changes it; no worker thread is ever handed
+    it."""
 
     def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path):
         self.cfg = cfg
@@ -216,6 +223,12 @@ class _Run:
         # one object per distinct set
         self.memo: dict[str, tuple[ExecOutcome, frozenset[str]]] = {}
         self.branch_sets: dict[frozenset[str], frozenset[str]] = {}
+        # the (crash code, branch set) pairs routed so far; a crash's key
+        # is a function of its pair, so each pair is keyed once
+        self.routed: set[tuple[Optional[int], frozenset[str]]] = set()
+        # each text submitted to run whose answer is not consumed yet,
+        # and the future that will give it
+        self.in_flight: dict = {}
 
     def throughput(self) -> float:
         elapsed = max(time.monotonic() - self.t0, 1e-9)
@@ -228,12 +241,23 @@ class _Run:
         timeout is not kept, so a hang is always run again."""
         outcome, branches = answer
         if outcome.kind is not OutcomeKind.TIMEOUT and len(text) <= _MEMO_CHARS:
-            if len(self.memo) >= _MEMO_ENTRIES:
+            if len(self.memo) >= _MEMO_ENTRIES and text not in self.memo:
                 self.memo.clear()
                 self.branch_sets.clear()
+                self.routed.clear()
             branches = self.branch_sets.setdefault(branches, branches)
             self.memo[text] = (outcome, branches)
         return outcome, branches
+
+    def answer(self, text: str) -> tuple[ExecOutcome, frozenset[str]]:
+        """``text``'s answer: the memo's, else its run in flight's, else
+        a fresh run's, each of the last two kept by ``remember``."""
+        known = self.memo.get(text)
+        if known is not None:
+            return known
+        running = self.in_flight.get(text)
+        fresh = running.result() if running else execute(self.cfg.target, text)
+        return self.remember(text, fresh)
 
     def retain(self, tree: DerivationTree, text: str) -> None:
         (self.out / "corpus" / f"{len(self.corpus)}.conf").write_text(
@@ -243,15 +267,17 @@ class _Run:
         self.stats.corpus_size = len(self.corpus)
 
     def route_crash(self, outcome, branches, tree, text) -> None:
+        pair = (outcome.code, branches)
+        if pair in self.routed:
+            return
+        self.routed.add(pair)
         key = dedup_key(outcome, branches)
         if key in self.known_keys:
             return
         self.known_keys.add(key)
         self.stats.crashes_unique += 1
         try:
-            minimized = unparse(
-                minimize(tree, self.g, self.cfg.target, key), self.g
-            )
+            minimized = unparse(minimize(tree, self.g, self.answer, key), self.g)
         except NonReproducibleError:
             minimized = text  # flaky target; keep the original witness
         report = make_crash_report(key, outcome, text, minimized, self.stats.execs)
@@ -290,10 +316,7 @@ def _seed_corpus(run: _Run) -> None:
         if run.stats.execs >= cfg.max_execs:
             break
         text = unparse(tree, run.g)
-        answer = run.memo.get(text) or run.remember(
-            text, execute(cfg.target, text)
-        )
-        run.consume(tree, text, *answer, retain_always=True)
+        run.consume(tree, text, *run.answer(text), retain_always=True)
 
 
 def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
@@ -319,9 +342,9 @@ def _loop(run: _Run) -> None:
     # Mutants are drawn and consumed in submission order, mutant ``n``
     # drawing from stream ``n % workers``; one worker is a window of one
     # run inline, so nothing is drawn ahead of a consume.  The memo is
-    # read at submission and written at consumption, both here; so with
-    # more workers a text drawn again while it is still in flight runs
-    # twice.
+    # read at submission and written at consumption, both here; a text
+    # drawn again while its run is still in flight takes that run's
+    # future, which ``in_flight`` holds until the run is consumed.
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     submitted = run.stats.execs
@@ -338,12 +361,18 @@ def _loop(run: _Run) -> None:
         while submitted < cfg.max_execs or pending:
             while submitted < cfg.max_execs and len(pending) < window:
                 tree, text = _mutant(run, streams[submitted % cfg.workers])
-                known = run.memo.get(text)
-                running = None if known else submit(execute, cfg.target, text)
+                known, running = run.memo.get(text), None
+                if known is None:
+                    running = run.in_flight.get(text) or submit(
+                        execute, cfg.target, text
+                    )
+                    run.in_flight[text] = running
                 pending.append((tree, text, known, running))
                 submitted += 1
             tree, text, answer, running = pending.popleft()
             if running is not None:
+                if run.in_flight.get(text) is running:
+                    del run.in_flight[text]
                 answer = run.remember(text, running.result())
             run.consume(tree, text, *answer)
     finally:

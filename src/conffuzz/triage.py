@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 from collections import deque, namedtuple
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import gnb_validator
 from .configfmt import (
@@ -85,7 +86,12 @@ def _bfs_paths(
 
 
 def minimize(
-    tree: DerivationTree, g: Grammar, target: TargetSpec, key: str
+    tree: DerivationTree,
+    g: Grammar,
+    target: Union[
+        TargetSpec, Callable[[str], tuple[ExecOutcome, frozenset[str]]]
+    ],
+    key: str,
 ) -> DerivationTree:
     """Shrink a crashing tree while its dedup key is preserved.
 
@@ -93,17 +99,29 @@ def minimize(
     replacement, until no node can be swapped for its token's minimal
     derivation.  The result never has more nodes than the input.
 
+    ``target`` is a ``TargetSpec``, each of whose runs goes through
+    ``execute``, or a function from an input text to the target's
+    answer, ``(ExecOutcome, frozenset[str])``.  A campaign passes its
+    memory of answers: a text it has answered already costs no run, and
+    each text minimize runs is kept for the campaign's later draws.  The
+    first text asked for is the crashing input itself, and
+    ``NonReproducibleError`` is raised when it no longer crashes with
+    ``key``.  Inside a campaign that first answer comes from the memory,
+    so a flaky target is caught there only for a text the memory does
+    not keep, one longer than its length bound.
+
     The target must be deterministic: a candidate that failed is not run
     again while it is unchanged.  A replacement accepted at ``p`` leaves
     the candidates of ``p``'s ancestors as they were, since each of them
     swaps out a subtree holding ``p``; every other failed path is tried
     again.
     """
+    run = partial(execute, target) if isinstance(target, TargetSpec) else target
     # the key is a function of the crash code and the branch set
     verdicts: dict[tuple[Optional[int], frozenset[str]], bool] = {}
 
     def reproduces(t: DerivationTree) -> bool:
-        outcome, branches = execute(target, unparse(t, g))
+        outcome, branches = run(unparse(t, g))
         if not outcome.is_crash:
             return False
         seen = (outcome.code, branches)

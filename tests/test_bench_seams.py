@@ -72,7 +72,8 @@ def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path
     # call, and its tracer times these names where the campaign reads them.
     # Each counter serves one call and then puts a fresh one in its place,
     # so a call through a name bound once and kept shows up as stale.
-    # unparse and execute record the text they made or ran.
+    # unparse and execute record the text they made or ran, and minimize
+    # records each text it asks the campaign to answer.
     calls, stale = [], []
     phase = ["seed"]
 
@@ -86,6 +87,14 @@ def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path
                 phase[0] = "loop"
             call = [phase[0], name, args[1] if name == "execute" else None]
             calls.append(call)
+            if name == "minimize":
+                tree, g, answer, key = args
+
+                def asking(text):
+                    calls.append([phase[0], "ask", text])
+                    return answer(text)
+
+                args = (tree, g, asking, key)
             result = real(*args, **kwargs)
             if name == "unparse":
                 call[2] = result
@@ -102,43 +111,49 @@ def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path
         campaign.CampaignConfig(GRAMMAR_PATH, VALIDATOR, tmp_path / "out", max_execs=100)
     )
     assert stale == []
-    seeded = campaign.SEED_TREES + 1
-    by_phase = {"seed": [], "loop": []}
+    # a minimization asks for texts, and the campaign's next unparse is
+    # its result's; name that one "minimized"
+    steps, minimizing = [], False
     for where, name, text in calls:
-        # a new crash is minimized and its result unparsed; drop that pair
-        if name == "unparse" and by_phase[where][-1:] == [("minimize", None)]:
-            by_phase[where][-1] = ("minimized", None)
-        else:
-            by_phase[where].append((name, text))
-    seed_calls, loop_calls = by_phase["seed"], by_phase["loop"]
-    minimized = ("minimized", None)
-    assert minimized in seed_calls and minimized in loop_calls
-    assert seed_calls.count(minimized) + loop_calls.count(minimized) == (
-        stats.crashes_unique
-    )
-    seed_calls = [c for c in seed_calls if c != minimized]
-    loop_calls = [c for c in loop_calls if c != minimized]
-    # one worker consumes each answer before the next input is drawn, so
-    # an input runs, with the text it was unparsed to, unless an earlier
-    # exec had the same text: the validator never times out, and each
-    # answer it gives is replayed from the campaign's memo
+        if name == "minimize":
+            minimizing = True
+        elif name == "unparse" and minimizing:
+            minimizing, name = False, "minimized"
+        steps.append((where, name, text))
+    seed_steps = [(name, text) for where, name, text in steps if where == "seed"]
+    loop_steps = [(name, text) for where, name, text in steps if where == "loop"]
+    assert ("minimize", None) in seed_steps and ("minimize", None) in loop_steps
+    assert [name for _, name, _ in steps].count("minimized") == stats.crashes_unique
+    # one worker consumes each answer before the next input is drawn, and
+    # the validator never times out: a text reaches the target, with the
+    # text it was unparsed to, the first time it is drawn or asked for by
+    # a minimization, and its answer is the campaign's from then on
     answered = set()
 
-    def expected(texts, head):
+    def expected(steps):
         out = []
-        for text in texts:
-            out += head + [("unparse", text)]
-            if text not in answered:
+        for name, text in steps:
+            out.append((name, text))
+            if name in ("unparse", "ask") and text not in answered:
                 answered.add(text)
                 out.append(("execute", text))
         return out
 
-    seed_texts = [text for name, text in seed_calls if name == "unparse"]
-    loop_texts = [text for name, text in loop_calls if name == "unparse"]
-    assert len(seed_texts) == seeded
-    assert len(loop_texts) == stats.execs - seeded
-    assert seed_calls == expected(seed_texts, [])
-    assert loop_calls == expected(loop_texts, [("random_mutation", None)])
+    seed_plan = [step for step in seed_steps if step[0] != "execute"]
+    loop_plan = [step for step in loop_steps if step[0] != "execute"]
+    assert seed_steps == expected(seed_plan)
+    assert loop_steps == expected(loop_plan)
+    seed_texts = [text for name, text in seed_plan if name == "unparse"]
+    assert len(seed_texts) == campaign.SEED_TREES + 1
+    drawn = [name for name, _ in loop_plan if name in ("random_mutation", "unparse")]
+    assert drawn == ["random_mutation", "unparse"] * (stats.execs - len(seed_texts))
+    # a minimization first asks for the crash just drawn, whose answer
+    # the campaign already holds, so that costs no run
+    for plan in (seed_plan, loop_plan):
+        for i, step in enumerate(plan):
+            if step == ("minimize", None):
+                crash = next(t for n, t in reversed(plan[:i]) if n == "unparse")
+                assert plan[i + 1] == ("ask", crash)
     assert len(answered) < stats.execs  # some answers were replayed
 
 

@@ -225,6 +225,34 @@ class TestCrashRouting:
         assert payload["outcome"]["code"] == 104
         assert payload["first_seen_exec"] == 1  # the very first execution
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_key_per_distinct_answer(self, tmp_path, monkeypatch, workers):
+        # a crash's key is a function of its code and branch set, so it is
+        # worked out once per distinct pair, however often a pair repeats
+        from test_campaign_bytes import SEED1_2000_DIGESTS, artifact_digest, campaign
+
+        from conffuzz import campaign as campaign_module
+
+        keyed, crashed = [], []
+        dedup_key, consume = campaign_module.dedup_key, campaign_module._Run.consume
+
+        def keying(outcome, branches):
+            keyed.append((outcome.code, branches))
+            return dedup_key(outcome, branches)
+
+        def consuming(self, tree, text, outcome, branches, **kwargs):
+            if outcome.is_crash:
+                crashed.append((outcome.code, branches))
+            return consume(self, tree, text, outcome, branches, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "dedup_key", keying)
+        monkeypatch.setattr(campaign_module._Run, "consume", consuming)
+        out = campaign(tmp_path / "out", workers)
+        assert len(keyed) == len(set(keyed))
+        assert set(keyed) == set(crashed)
+        assert len(keyed) < len(crashed) / 10
+        assert artifact_digest(out) == SEED1_2000_DIGESTS[workers]
+
     def test_stats_json_key_order(self, gnb_grammar_path, tmp_path):
         out = tmp_path / "out"
         run_campaign(
@@ -452,12 +480,14 @@ class TestWorkers:
 def record_submissions(monkeypatch):
     """The coordinator's order of events: ``("submit", text)`` for each
     input it unparses to run, ``("consume", text, kind)`` for each answer
-    it consumes."""
+    it consumes, and ``("ask", text, kind)`` for each text a minimization
+    asks the campaign to answer."""
     from conffuzz import campaign
 
     events = []
     in_consume = []
     unparse, consume = campaign.unparse, campaign._Run.consume
+    minimize = campaign.minimize
 
     def unparsing(tree, g):
         text = unparse(tree, g)
@@ -473,58 +503,69 @@ def record_submissions(monkeypatch):
         finally:
             in_consume.pop()
 
+    def asking(tree, g, target, key):
+        def answer(text):
+            outcome, branches = target(text)
+            events.append(("ask", text, outcome.kind))
+            return outcome, branches
+
+        return minimize(tree, g, answer, key)
+
     monkeypatch.setattr(campaign, "unparse", unparsing)
     monkeypatch.setattr(campaign._Run, "consume", consuming)
+    monkeypatch.setattr(campaign, "minimize", asking)
     return events
 
 
-def expected_runs(events):
-    """How often each text reaches the target: once per submission that
-    finds no answer consumed before it.  A timeout is never replayed."""
-    answered, runs = set(), Counter()
+def expected_runs(events, kept=lambda text: True):
+    """How often each text reaches the target: once per submission or ask
+    that finds it neither answered nor in flight.  A text is in flight
+    from the submission that runs it to that submission's consume, and
+    answered once consumed or asked for, unless it timed out or ``kept``
+    says the memo does not keep it."""
+    answered, in_flight, runs = set(), {}, Counter()
+    submitted = consumed = 0
     for kind, text, *outcome_kind in events:
+        if kind == "submit":
+            if text not in answered and text not in in_flight:
+                runs[text] += 1
+                in_flight[text] = submitted
+            submitted += 1
+            continue
         if kind == "consume":
-            if outcome_kind != [OutcomeKind.TIMEOUT]:
-                answered.add(text)
-        elif text not in answered:
+            if in_flight.get(text) == consumed:
+                del in_flight[text]
+            consumed += 1
+        elif text not in answered and text not in in_flight:
             runs[text] += 1
+        if outcome_kind != [OutcomeKind.TIMEOUT] and kept(text):
+            answered.add(text)
     return runs
 
 
-def register_counting(name, answer, monkeypatch):
+def register_counting(name, answer):
     """Register builtin ``name``, which gives ``answer(text)`` and counts
-    each text the campaign runs; minimization's runs are not counted."""
+    each text it runs, minimization's runs included."""
     import threading
 
-    from conffuzz import campaign
     from conffuzz.target import register_builtin
 
     calls = Counter()
-    minimizing = []
+    lock = threading.Lock()  # pool threads and the coordinator both count
 
     def counting(text):
-        on_main = threading.current_thread() is threading.main_thread()
-        if not (minimizing and on_main):
+        with lock:
             calls[text] += 1
         return answer(text)
 
-    minimize = campaign.minimize
-
-    def flagged(*args, **kwargs):
-        minimizing.append(True)
-        try:
-            return minimize(*args, **kwargs)
-        finally:
-            minimizing.pop()
-
     register_builtin(name, counting)
-    monkeypatch.setattr(campaign, "minimize", flagged)
     return TargetSpec.parse(f"builtin:{name}"), calls
 
 
 class TestMemo:
-    # A text the campaign has run already is answered from its memo of
-    # answers instead of running the target again.
+    # A text the campaign has answered already, or is running, is
+    # answered from its memo of answers instead of running the target
+    # again; a minimization asks the campaign for its answers too.
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_text_runs_once_and_the_bytes_hold(
         self, gnb_grammar_path, tmp_path, monkeypatch, workers
@@ -532,7 +573,7 @@ class TestMemo:
         from conffuzz import campaign
         from conffuzz.gnb_validator import run_text
 
-        spec, calls = register_counting("memo-counting", run_text, monkeypatch)
+        spec, calls = register_counting("memo-counting", run_text)
         events = record_submissions(monkeypatch)
 
         def run(out):
@@ -545,18 +586,25 @@ class TestMemo:
 
         stats = run(tmp_path / "memo")
         assert stats.crashes_unique > 0
-        # every text drawn reaches the target, and once only, but for a
-        # text drawn again while a pool thread still runs it
-        assert set(calls) == {e[1] for e in events if e[0] == "submit"}
+        asked = {e[1] for e in events if e[0] == "ask"}
+        drawn = {e[1] for e in events if e[0] == "submit"}
+        assert asked - drawn and asked & drawn
+        # every text drawn or asked for by a minimization reaches the
+        # target once only, whether it is drawn again, drawn while its run
+        # is in flight, or asked for by a minimization
+        assert set(calls) == asked | drawn
         assert calls == expected_runs(events)
+        assert set(calls.values()) == {1}
         assert sum(calls.values()) < stats.execs / 2
-        if workers == 1:
-            assert set(calls.values()) == {1}
         calls.clear()
+        events.clear()
         # a memo that keeps no text is empty at every lookup
         monkeypatch.setattr(campaign, "_MEMO_CHARS", -1)
         run(tmp_path / "none")
-        assert sum(calls.values()) == stats.execs
+        assert calls == expected_runs(events, kept=lambda text: False)
+        if workers == 1:
+            asks = sum(e[0] == "ask" for e in events)
+            assert sum(calls.values()) == stats.execs + asks
         with_memo, without = snapshot(tmp_path / "memo"), snapshot(tmp_path / "none")
         for key in WALL_CLOCK_KEYS:
             with_memo[0].pop(key), without[0].pop(key)
@@ -575,7 +623,7 @@ class TestMemo:
                 return ExecOutcome(OutcomeKind.TIMEOUT), branches
             return outcome, branches
 
-        spec, calls = register_counting("memo-timeouts", answer, monkeypatch)
+        spec, calls = register_counting("memo-timeouts", answer)
         events = record_submissions(monkeypatch)
         stats = run_campaign(
             CampaignConfig(
@@ -584,15 +632,47 @@ class TestMemo:
             )
         )
         consumed = Counter(e[1] for e in events if e[0] == "consume")
+        asked = Counter(e[1] for e in events if e[0] == "ask")
         timed_out = {
-            e[1] for e in events if e[0] == "consume" and e[2] is OutcomeKind.TIMEOUT
+            e[1] for e in events if e[0] != "submit" and e[2] is OutcomeKind.TIMEOUT
         }
         assert max(consumed[text] for text in timed_out) > 1
-        assert all(calls[text] == consumed[text] for text in timed_out)
+        if workers == 1:
+            assert all(
+                calls[text] == consumed[text] + asked[text] for text in timed_out
+            )
+        # with more workers, a repeat drawn while its run is in flight
+        # takes that run's answer, a timeout too
         assert calls == expected_runs(events)
         assert stats.timeouts == sum(consumed[text] for text in timed_out)
         stored = json.loads((tmp_path / "out" / "stats.json").read_text())
         assert stored["timeouts"] == stats.timeouts
+
+    def test_an_answer_in_flight_is_waited_for(
+        self, gnb_grammar_path, gnb_grammar, tmp_path, monkeypatch
+    ):
+        # a minimization that asks for a text still running on the pool
+        # takes that run's answer; the gnb campaigns never do, since a
+        # minimization's candidates are seldom the mutants in flight
+        from concurrent.futures import Future
+
+        from conffuzz import campaign
+
+        def elsewhere(spec, text):
+            raise AssertionError("ran a text whose run is in flight")
+
+        run = campaign._Run(
+            CampaignConfig(gnb_grammar_path, VALIDATOR, tmp_path, workers=2),
+            gnb_grammar,
+            tmp_path,
+        )
+        text = baseline_text()
+        running = Future()
+        running.set_result(execute(VALIDATOR, text))
+        run.in_flight[text] = running
+        monkeypatch.setattr(campaign, "execute", elsewhere)
+        assert run.answer(text) == running.result()
+        assert run.memo[text] == running.result()
 
     def test_memo_stays_within_its_bounds(
         self, gnb_grammar_path, tmp_path, monkeypatch
@@ -608,12 +688,12 @@ class TestMemo:
 
         def watching(self, text, answer):
             answer = remember(self, text, answer)
-            sizes.append((len(self.memo), len(self.branch_sets)))
+            sizes.append((len(self.memo), len(self.branch_sets), len(self.routed)))
             kept.update(self.memo)
             return answer
 
         monkeypatch.setattr(campaign._Run, "remember", watching)
-        spec, calls = register_counting("memo-bounds", run_text, monkeypatch)
+        spec, calls = register_counting("memo-bounds", run_text)
         events = record_submissions(monkeypatch)
         stats = run_campaign(
             CampaignConfig(
@@ -621,13 +701,19 @@ class TestMemo:
             )
         )
         assert stats.execs == 2000
-        assert max(n for n, _ in sizes) == 3
-        assert all(sets <= n for n, sets in sizes)
+        assert max(n for n, _, _ in sizes) == 3
+        assert all(sets <= n for n, sets, _ in sizes)
+        # the routed crash answers are emptied along with the memo
+        after_clear = [
+            routed for (was, _, _), (n, _, routed) in zip(sizes, sizes[1:]) if n < was
+        ]
+        assert after_clear and not any(after_clear)
         assert kept and max(len(text) for text in kept) <= 394
         consumed = Counter(e[1] for e in events if e[0] == "consume")
-        too_long = [text for text in consumed if len(text) > 394]
+        asked = Counter(e[1] for e in events if e[0] == "ask")
+        too_long = [text for text in consumed | asked if len(text) > 394]
         assert max(consumed[text] for text in too_long) > 1
-        assert all(calls[text] == consumed[text] for text in too_long)
+        assert all(calls[text] == consumed[text] + asked[text] for text in too_long)
         # so few texts are kept that some short ones run again too
         assert sum(calls.values()) > len(calls)
 
@@ -667,23 +753,30 @@ class TestThreadOwnership:
             )
         )
         assert stats.execs == 300
-        assert len([e for e in events if e[0] == "submit"]) == 300
-        first_mutation = [kind for kind, _, _ in calls].index("random_mutation")
+        drawn = [e[1] for e in events if e[0] == "submit"]
+        assert len(drawn) == 300
         assert all(on_main for kind, on_main, _ in calls if kind != "execute")
-        # one execute per exec whose text had no answer to replay when it
-        # was submitted, so also one per text submitted again in flight
+        # one execute per text: a repeat takes the answer the campaign
+        # has, or will have once the run in flight is done, and so does a
+        # minimization's ask
         runs = expected_runs(events)
         assert Counter(text for kind, _, text in calls if kind == "execute") == runs
-        assert sum(runs.values()) < 300 and max(runs.values()) > 1
-        seeded = campaign.SEED_TREES + 1
-        seed_runs = expected_runs(events[: 2 * seeded])
-        loop_execs = [
-            on_main
-            for kind, on_main, _ in calls[first_mutation:]
-            if kind == "execute"
-        ]
-        assert len(loop_execs) == sum(runs.values()) - sum(seed_runs.values())
-        assert not any(loop_execs)
+        assert sum(runs.values()) < 300 and max(runs.values()) == 1
+        # the seed phase and the minimizations run their texts on the
+        # coordinator, every other text runs on a pool thread
+        first_seen = {}
+        for kind, text, *_ in events:
+            if kind != "consume":
+                first_seen.setdefault(text, kind)
+        seeded = set(drawn[: campaign.SEED_TREES + 1])
+        asked_first = {text for text, kind in first_seen.items() if kind == "ask"}
+        assert asked_first
+        ran_on = {True: set(), False: set()}
+        for kind, on_main, text in calls:
+            if kind == "execute":
+                ran_on[on_main].add(text)
+        assert ran_on[True] == seeded | asked_first
+        assert ran_on[False] == set(first_seen) - seeded - asked_first
 
 
 class TestExternalTargetCleanup:

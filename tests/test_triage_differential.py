@@ -16,6 +16,10 @@ still reproduces the key.
 The random grammars of ``test_grammar_differential.py`` check the last
 two claims of ``minimize`` alone, on a probe that crashes on any text
 but the empty one.
+
+On all three, ``minimize`` handed a memo-backed function, as a campaign
+hands it one, must return the tree it returns with the target spec and
+ask for the same texts in the same order.
 """
 
 from __future__ import annotations
@@ -195,3 +199,64 @@ def test_minimize_never_grows_and_keeps_the_key_over_random_grammars(case):
     assert tree_size(out) <= tree_size(tree)
     outcome, branches = execute(LENGTH, unparse(out, g))
     assert outcome.is_crash and triage.dedup_key(outcome, branches) == key
+
+
+def check_memo_against_spec(tree, g, spec, key):
+    """minimize handed a function that answers from a memo, as a campaign
+    hands it one, returns the tree it returns with the spec, and is asked
+    for the texts the spec runs through ``triage.execute``, in the same
+    order."""
+    ran = []
+    real = triage.execute
+
+    def running(spec, text):
+        ran.append(text)
+        return real(spec, text)
+
+    def elsewhere(spec, text):
+        raise AssertionError("minimize ran the target past the function")
+
+    # the campaign holds the crash's answer before it minimizes it
+    text = unparse(tree, g)
+    memo, asked = {text: execute(spec, text)}, []
+
+    def answer(text):
+        asked.append(text)
+        if text not in memo:
+            memo[text] = execute(spec, text)
+        return memo[text]
+
+    try:
+        triage.execute = running
+        by_spec = triage.minimize(tree, g, spec, key)
+        triage.execute = elsewhere
+        by_memo = triage.minimize(tree, g, answer, key)
+    finally:
+        triage.execute = real
+    assert by_memo == by_spec
+    assert asked == ran
+
+
+@settings(max_examples=100, deadline=None)
+@given(NESTED_TEXTS)
+def test_memo_backed_minimize_agrees_on_the_nested_grammar(text):
+    outcome, branches = execute(PROBE, text)
+    assume(outcome.is_crash)
+    tree = derive_tree(NESTED, text)
+    check_memo_against_spec(tree, NESTED, PROBE, triage.dedup_key(outcome, branches))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memo_backed_minimize_agrees_on_the_gnb_grammar(gnb_grammar, seed):
+    tree, key = crashing_tree(gnb_grammar, seed)
+    check_memo_against_spec(tree, gnb_grammar, VALIDATOR, key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loaded())
+def test_memo_backed_minimize_agrees_over_random_grammars(case):
+    g, _, tree, _ = case
+    outcome, branches = execute(LENGTH, unparse(tree, g))
+    assume(outcome.is_crash)
+    check_memo_against_spec(tree, g, LENGTH, triage.dedup_key(outcome, branches))
