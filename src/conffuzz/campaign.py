@@ -41,6 +41,18 @@ most 4.7 MiB, each entry's own ~180 bytes included, for answers without
 stderr, plus one branch set for each distinct set among them.  An
 answer's stderr excerpt adds at most ``STDERR_EXCERPT_BYTES`` (4 KiB),
 so an ``exec:`` target whose stderr fills it adds about 16 MiB more.
+
+The coordinator also keeps a memo of edits, which it hands to
+``random_mutation``: a mutation that makes the same edit to the same
+corpus entry as before (the same path, the same subtree) returns the
+mutant built then, whose tree keeps its text, so it costs only its
+draws, with no rebuild and no unparse.  A freshly sampled subtree is
+never kept, since it cannot repeat, and neither is a mutant whose text
+is longer than ``_MEMO_CHARS``.  The memo keeps at most
+``_MEMO_ENTRIES`` mutants and is emptied when full: on ``gnb.json`` an
+entry, its new root and its text included, is about 1 KiB, so at most
+~4.2 MiB.  A deeper grammar's entry also holds one new node per level
+of its edit's path.
 """
 
 from __future__ import annotations
@@ -83,7 +95,7 @@ __all__ = [
 
 SEED_TREES = 10
 
-# the memo's bound; see the module docstring
+# the memos' bounds; see the module docstring
 _MEMO_ENTRIES = 4096
 _MEMO_CHARS = 1024
 
@@ -204,7 +216,8 @@ class CorpusScheduler:
 
 class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
-    scheduler, stats, the memo of answers and the runs in flight.  Only
+    scheduler, stats, the memo of answers, the runs in flight and the
+    memo of edits.  Only
     the coordinator reads or changes it; no worker thread is ever handed
     it."""
 
@@ -229,6 +242,8 @@ class _Run:
         # each text submitted to run whose answer is not consumed yet,
         # and the future that will give it
         self.in_flight: dict = {}
+        # the mutants built so far, by their edit; see ``random_mutation``
+        self.edits: dict = {}
 
     def throughput(self) -> float:
         elapsed = max(time.monotonic() - self.t0, 1e-9)
@@ -322,10 +337,17 @@ def _seed_corpus(run: _Run) -> None:
 def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
     tree = run.scheduler.schedule_next(run.corpus)
     donor = run.corpus[rng.randrange(len(run.corpus))]
+    edits = run.edits
+    if len(edits) >= _MEMO_ENTRIES:
+        edits.clear()
+    size = len(edits)
     mutated, _ = random_mutation(
-        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth
+        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth, memo=edits
     )
-    return mutated, unparse(mutated, run.g)
+    text = unparse(mutated, run.g)
+    if len(text) > _MEMO_CHARS and len(edits) > size:
+        edits.popitem()  # the entry just made, which would keep the long text
+    return mutated, text
 
 
 class _Inline:

@@ -124,8 +124,18 @@ class Rule(Record):
 class DerivationTree(Record):
     """A concrete derivation: token, the rule picked for it, one child per ref.
 
-    Immutable.  ``paths`` and ``grafts`` are computed on first use and kept
-    in the instance ``__dict__``, which is all that dict holds.
+    Immutable.  The instance ``__dict__`` holds what is derived from the
+    fields on first use, and nothing else; none of it takes part in
+    equality, hashing, ``repr`` or pickling:
+
+    - ``paths`` and ``grafts``, which depend on the tree alone;
+    - ``_text``, the tree's ``unparse`` text under one grammar, as a
+      ``(grammar, text)`` pair;
+    - ``_swap_sites`` and ``_tweak_sites``, the sites that rule-swap and
+      scalar-tweak may edit under one grammar, as ``(grammar, sites)``.
+
+    A pair keyed by another grammar object is built again, and replaces
+    the one kept.
     """
 
     __slots__ = ("token", "rule_index", "children", "__dict__")
@@ -459,10 +469,17 @@ def unparse(t: DerivationTree, g: Grammar) -> str:
 
     Raises InvalidTreeError on a node whose token is unknown, whose rule
     index is out of range, or whose children do not match its rule's refs.
+    The text is kept in ``t.__dict__``, keyed by the grammar object, so a
+    tree unparsed again under the same grammar is not walked again.
     """
+    kept = t.__dict__.get("_text")
+    if kept is not None and kept[0] is g:
+        return kept[1]
     out: list[str] = []
     _unparse_into(t, g, out)
-    return "".join(out)
+    text = "".join(out)
+    t.__dict__["_text"] = (g, text)
+    return text
 
 
 def _unparse_into(t: DerivationTree, g: Grammar, out: list[str]) -> None:

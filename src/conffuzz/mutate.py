@@ -1,16 +1,19 @@
 """Structure-preserving mutations over derivation trees.
 
-Every operator takes a valid tree and returns a valid tree for the same
-grammar, so mutated inputs always stay inside the grammar's language.
-Operators draw all randomness from the generator they are handed, never
-seed one of their own, and fall back to returning the input unchanged when
-no applicable mutation site exists.
+Every operator takes a valid tree and yields one edit of it: the path of
+a node and a subtree for the same token, so the edited tree is valid for
+the same grammar and mutated inputs always stay inside the grammar's
+language.  Operators draw all randomness from the generator they are
+handed, never seed one of their own, and yield no edit when no applicable
+mutation site exists, which leaves the input unchanged.
 
 ``random_mutation`` picks one operator by configurable weight and applies
 it, which is the per-iteration step of a fuzzing campaign; a single-entry
 weight dict such as ``{MutationKind.SPLICE: 1}`` forces one operator.  A
 campaign hands it one worker's stream, so successive mutations continue
-that stream instead of reseeding.
+that stream instead of reseeding.  A campaign also hands it a memo of
+the edits made so far, keyed by the tree, the path and the subtree, so an
+edit it repeats costs only its draws.
 """
 
 from __future__ import annotations
@@ -83,53 +86,75 @@ def _draw_table(
 
 _DEFAULT_DRAW = _draw_table(DEFAULT_WEIGHTS)
 
+# what an operator returns: the path of the node it replaces, and the
+# subtree that takes its place
+_Edit = tuple[tuple[int, ...], DerivationTree]
+
 
 def _regenerate(
     t: DerivationTree, g: Grammar, rng: Random, max_depth: int
-) -> DerivationTree:
+) -> _Edit:
     sites = t.paths
     path, node = sites[rng.randrange(len(sites))]
     # never drop below the minimal finite depth, even for deep nodes
     budget = max(max_depth - len(path), g.min_depth(node.token))
-    return replace_subtree(t, path, sample_tree(g, node.token, budget, rng))
+    return path, sample_tree(g, node.token, budget, rng)
 
 
-def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
+def _kept_sites(t: DerivationTree, g: Grammar, name: str, build) -> list:
+    """``build(t, g)``, kept in ``t.__dict__`` under ``name`` beside
+    ``paths`` and keyed by the grammar object: a corpus entry is mutated
+    many times, and another grammar builds its own list."""
+    kept = t.__dict__.get(name)
+    if kept is None or kept[0] is not g:
+        kept = t.__dict__[name] = (g, build(t, g))
+    return kept[1]
+
+
+def _swap_sites(t: DerivationTree, g: Grammar) -> list:
     swappable = g.swappable
-    sites = [(path, node) for path, node in t.paths if node.token in swappable]
+    return [(path, node) for path, node in t.paths if node.token in swappable]
+
+
+def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> Optional[_Edit]:
+    sites = _kept_sites(t, g, "_swap_sites", _swap_sites)
     if not sites:
-        return t
+        return None
     path, node = sites[rng.randrange(len(sites))]
     idx = rng.randrange(len(g.productions[node.token]) - 1)
     if idx >= node.rule_index:
         idx += 1
     # the new rule's children are minimal
-    return replace_subtree(t, path, g.smallest(node.token, idx))
+    return path, g.smallest(node.token, idx)
 
 
 def _splice(
     t: DerivationTree, donor: DerivationTree, g: Grammar, rng: Random
-) -> DerivationTree:
+) -> Optional[_Edit]:
     pool = donor.grafts
     sites = [(path, node) for path, node in t.paths if node.token in pool]
     if not sites:
-        return t
+        return None
     path, node = sites[rng.randrange(len(sites))]
     grafts = pool[node.token]
-    return replace_subtree(t, path, grafts[rng.randrange(len(grafts))])
+    return path, grafts[rng.randrange(len(grafts))]
 
 
-def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> DerivationTree:
-    sites = [
+def _tweak_sites(t: DerivationTree, g: Grammar) -> list:
+    return [
         (path, node, options)
         for path, node in t.paths
         if (options := g.numeric_steps(node.token, node.rule_index))
     ]
+
+
+def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> Optional[_Edit]:
+    sites = _kept_sites(t, g, "_tweak_sites", _tweak_sites)
     if not sites:
-        return t
+        return None
     path, node, options = sites[rng.randrange(len(sites))]
     idx = options[rng.randrange(len(options))]
-    return replace_subtree(t, path, g.smallest(node.token, idx))
+    return path, g.smallest(node.token, idx)
 
 
 def random_mutation(
@@ -140,6 +165,7 @@ def random_mutation(
     *,
     donor: Optional[DerivationTree] = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
+    memo: Optional[dict] = None,
 ) -> tuple[DerivationTree, MutationKind]:
     """Apply one weighted-random operator drawn from ``rng``; returns the
     tree and the kind.
@@ -147,6 +173,10 @@ def random_mutation(
     A kind missing from ``weights`` gets weight zero, so passing a
     single-entry dict forces that operator.  Splicing uses ``donor`` as
     the source of grafts and falls back to the input tree itself.
+
+    With a ``memo``, owned and bounded by the caller, an edit made to the
+    same tree before returns the mutant it built then: the draws are the
+    same, and only ``replace_subtree`` is skipped.
     """
     total, steps = _DEFAULT_DRAW if weights is None else _draw_table(weights)
     x = rng.random() * total
@@ -157,9 +187,27 @@ def random_mutation(
             break
 
     if chosen is MutationKind.REGENERATE:
-        return _regenerate(t, g, rng, max_depth), chosen
-    if chosen is MutationKind.RULE_SWAP:
-        return _rule_swap(t, g, rng), chosen
-    if chosen is MutationKind.SPLICE:
-        return _splice(t, donor if donor is not None else t, g, rng), chosen
-    return _scalar_tweak(t, g, rng), chosen
+        edit = _regenerate(t, g, rng, max_depth)
+    elif chosen is MutationKind.RULE_SWAP:
+        edit = _rule_swap(t, g, rng)
+    elif chosen is MutationKind.SPLICE:
+        edit = _splice(t, donor if donor is not None else t, g, rng)
+    else:
+        edit = _scalar_tweak(t, g, rng)
+    if edit is None:
+        return t, chosen
+    path, subtree = edit
+    if memo is None:
+        return replace_subtree(t, path, subtree), chosen
+    # An entry holds the tree and the mutant, and the mutant holds the
+    # subtree, so neither id is reused while the entry stands.
+    key = (id(t), path, id(subtree))
+    known = memo.get(key)
+    if known is not None:
+        return known[0], chosen
+    mutant = replace_subtree(t, path, subtree)
+    # a sampled subtree with children is a new object, so its edit can
+    # never repeat; a shared leaf can
+    if chosen is not MutationKind.REGENERATE or not subtree.children:
+        memo[key] = (mutant, t)
+    return mutant, chosen

@@ -717,6 +717,45 @@ class TestMemo:
         # so few texts are kept that some short ones run again too
         assert sum(calls.values()) > len(calls)
 
+    def test_edit_memo_stays_within_its_bounds(
+        self, gnb_grammar_path, tmp_path, monkeypatch
+    ):
+        from conffuzz import campaign
+        from conffuzz.grammar import unparse
+
+        def run(out):
+            run_campaign(
+                CampaignConfig(gnb_grammar_path, VALIDATOR, out, seed=1, max_execs=2000)
+            )
+            stats, corpus, crashes = snapshot(out)
+            for key in WALL_CLOCK_KEYS:
+                stats.pop(key)
+            return stats, corpus, crashes
+
+        unbounded = run(tmp_path / "unbounded")
+        # the gnb grammar's texts are 390 to 397 characters long
+        monkeypatch.setattr(campaign, "_MEMO_ENTRIES", 40)
+        monkeypatch.setattr(campaign, "_MEMO_CHARS", 394)
+        mutate, memos, sizes, lengths = campaign.random_mutation, set(), [], set()
+
+        def watching(tree, g, *args, memo, **kwargs):
+            # a kept mutant keeps its text, so a long one is not kept
+            assert all(len(unparse(m, g)) <= 394 for m, _ in memo.values())
+            result = mutate(tree, g, *args, memo=memo, **kwargs)
+            memos.add(id(memo))
+            sizes.append(len(memo))
+            lengths.add(len(unparse(result[0], g)))
+            return result
+
+        monkeypatch.setattr(campaign, "random_mutation", watching)
+        bounded = run(tmp_path / "bounded")
+        # one memo per campaign, emptied when full, and the same bytes
+        assert len(memos) == 1
+        assert max(sizes) == 40
+        assert any(now < was for was, now in zip(sizes, sizes[1:]))
+        assert bounded == unbounded
+        assert min(lengths) <= 394 < max(lengths)
+
 
 class TestThreadOwnership:
     def test_pool_runs_only_execute(self, gnb_grammar_path, tmp_path, monkeypatch):

@@ -255,6 +255,28 @@ class TestUnparse:
         with pytest.raises(InvalidTreeError):
             unparse(DerivationTree("<START>", 0), g)
 
+    def test_kept_text_is_per_grammar(self):
+        # two grammars over the same tokens, with other literals
+        g = parse_grammar(BIT_GRAMMAR)
+        other = parse_grammar(BIT_GRAMMAR.replace("do_CSIRS", "do_SRS"))
+        t = DerivationTree("<START>", 0, (DerivationTree("<BIT>", 1),))
+        assert unparse(t, g) == "do_CSIRS = 1;"
+        assert unparse(t, other) == "do_SRS = 1;"
+        assert unparse(t, g) == "do_CSIRS = 1;"
+        assert unparse(t, g) is unparse(t, g)
+
+    def test_kept_text_does_not_vouch_for_another_grammar(self):
+        g = parse_grammar(BIT_GRAMMAR)
+        one_bit = parse_grammar(
+            json.dumps({"<START>": [["do_CSIRS = ", "<BIT>", ";"]], "<BIT>": [["0"]]})
+        )
+        t = DerivationTree("<START>", 0, (DerivationTree("<BIT>", 1),))
+        assert unparse(t, g) == "do_CSIRS = 1;"
+        for _ in range(2):
+            with pytest.raises(InvalidTreeError):
+                unparse(t, one_bit)
+        assert unparse(t, g) == "do_CSIRS = 1;"
+
 
 class TestValidateTree:
     """A tree is valid against a grammar exactly when ``unparse`` accepts it."""

@@ -1,6 +1,7 @@
 """Mutation operators: closure, determinism, weighting, site selection."""
 
 import json
+import pickle
 from collections import Counter
 from random import Random
 
@@ -98,8 +99,38 @@ class TestWalkCache:
         t = generate_tree(DIGITS, seed=4, max_depth=8)
         fresh = DerivationTree(t.token, t.rule_index, t.children)
         t.paths
+        text = unparse(t, DIGITS)
+        random_mutation(t, DIGITS, Random(1), RULE_SWAP)
+        random_mutation(t, DIGITS, Random(1), SCALAR_TWEAK)
+        assert {"paths", "_text", "_swap_sites", "_tweak_sites"} <= set(vars(t))
         assert fresh == t and hash(fresh) == hash(t)
-        assert "paths" not in repr(t)
+        shown = repr(t)
+        assert shown == repr(fresh)
+        assert "paths" not in shown and "sites" not in shown
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and vars(back) == {}
+        assert unparse(back, DIGITS) == text
+
+    def test_kept_sites_are_per_grammar(self):
+        # two grammars over the same tokens: <X> has two numeric rules in
+        # one and <Y> in the other, so each swaps and tweaks another node
+        one = parse_grammar(
+            json.dumps(
+                {"<START>": [["<X>", "<Y>"]], "<X>": [["0"], ["1"]], "<Y>": [["5"]]}
+            )
+        )
+        other = parse_grammar(
+            json.dumps(
+                {"<START>": [["<X>", "<Y>"]], "<X>": [["0"]], "<Y>": [["5"], ["6"]]}
+            )
+        )
+        t = generate_tree(one, seed=1)
+        for weights in (RULE_SWAP, SCALAR_TWEAK):
+            for g, text in ((one, "15"), (other, "06"), (one, "15")):
+                mutant, _ = random_mutation(t, g, Random(3), weights)
+                fresh = DerivationTree(t.token, t.rule_index, t.children)
+                assert mutant == random_mutation(fresh, g, Random(3), weights)[0]
+                assert unparse(mutant, g) == text
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 12))

@@ -11,7 +11,10 @@ same kind, on ``grammars/gnb.json`` and on the random grammars of
 ``test_grammar_differential.py``.  Weights that
 are negative or all zero must raise the same exception with the same
 message.  Every token's minimal tree, and every rule's smallest tree,
-must equal the one the reference's recursion builds.
+must equal the one the reference's recursion builds.  Drawn many times
+from one tree with a memo of edits, ``random_mutation`` must give what
+it gives without one, draw by draw, and leave the generator in the same
+state.
 """
 
 from __future__ import annotations
@@ -80,6 +83,23 @@ def same_mutation(case, seed, weights, use_donor):
     got = outcome(random_mutation, tree, g, Random(seed), weights, **kwargs)
     want = outcome(mutate_reference.random_mutation, tree, g, seed, weights, **kwargs)
     assert got == want
+    same_with_memo(tree, g, seed, weights, kwargs)
+
+
+def same_with_memo(tree, g, seed, weights, kwargs, draws=40):
+    """Many draws from one tree, so that edits repeat: with a memo, each
+    draw gives the tree and kind it gives without one, and leaves the
+    generator in the same state.  Returns the memo and the mutants."""
+    plain, memoized, memo, mutants = Random(seed), Random(seed), {}, []
+    for _ in range(draws):
+        want = outcome(random_mutation, tree, g, plain, weights, **kwargs)
+        got = outcome(random_mutation, tree, g, memoized, weights, memo=memo, **kwargs)
+        assert got == want
+        assert memoized.getstate() == plain.getstate()
+        if isinstance(got[0], type):
+            break  # the weights were refused, as without a memo
+        mutants.append(got[0])
+    return memo, mutants
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,6 +112,22 @@ def test_gnb_mutation_matches_reference(case, seed, weights, use_donor):
 @given(loaded(), SEEDS, WEIGHTS, st.booleans())
 def test_random_grammar_mutation_matches_reference(case, seed, weights, use_donor):
     same_mutation(case, seed, weights, use_donor)
+
+
+def test_gnb_memo_answers_repeated_edits():
+    tree = generate_tree(GNB, 1)
+    donor = generate_tree(GNB, 2)
+    kwargs = {"donor": donor, "max_depth": DEFAULT_MAX_DEPTH}
+    memo, mutants = same_with_memo(tree, GNB, 7, None, kwargs, draws=400)
+    # the gnb tree has 8 slots of at most 8 values each: most edits repeat,
+    # and a repeat returns the very mutant its first draw built
+    assert len({id(m) for m in mutants}) < 200
+    assert len(memo) < 200
+    for (_, path, _), (mutant, kept) in memo.items():
+        assert kept is tree and any(m is mutant for m in mutants)
+        # a regenerated root is sampled anew and never kept; only a
+        # splice of the donor's root replaces the root in the memo
+        assert path or mutant is donor
 
 
 @settings(max_examples=200, deadline=None)
