@@ -34,25 +34,29 @@ so a crash's first reproduce and every candidate the campaign has seen
 cost no run, and each text it runs is kept for later draws.  A crash's
 dedup key is worked out once per distinct (crash code, branch set)
 pair.  A timeout is never kept, so a hang runs again when it is drawn
-after its answer was consumed.  The memo keeps at most
-``_MEMO_ENTRIES`` (4096) texts of at most ``_MEMO_CHARS`` (1024)
-characters and is emptied when full, along with the routed pairs: at
-most 4.7 MiB, each entry's own ~180 bytes included, for answers without
-stderr, plus one branch set for each distinct set among them.  An
-answer's stderr excerpt adds at most ``STDERR_EXCERPT_BYTES`` (4 KiB),
-so an ``exec:`` target whose stderr fills it adds about 16 MiB more.
+after its answer was consumed.
 
 The coordinator also keeps a memo of edits, which it hands to
 ``random_mutation``: a mutation that makes the same edit to the same
 corpus entry as before (the same path, the same subtree) returns the
 mutant built then, whose tree keeps its text, so it costs only its
 draws, with no rebuild and no unparse.  A freshly sampled subtree is
-never kept, since it cannot repeat, and neither is a mutant whose text
-is longer than ``_MEMO_CHARS``.  The memo keeps at most
-``_MEMO_ENTRIES`` mutants and is emptied when full: on ``gnb.json`` an
-entry, its new root and its text included, is about 1 KiB, so at most
-~4.2 MiB.  A deeper grammar's entry also holds one new node per level
-of its edit's path.
+never kept, since it cannot repeat.
+
+Each cache follows the rule of ``cache.keep`` on its own bound:
+
+- the memo of answers keeps at most ``_MEMO_ENTRIES`` (4096) texts of at
+  most ``_MEMO_CHARS`` (1024) characters: at most 4.7 MiB, each entry's
+  own ~180 bytes included, for answers without stderr.  An answer's
+  stderr excerpt adds at most ``STDERR_EXCERPT_BYTES`` (4 KiB), so an
+  ``exec:`` target whose stderr fills it adds about 16 MiB more;
+- the interned branch sets, at most ``_BRANCH_SETS`` (4096) sets: a
+  ``gnb.json`` set is ~0.8 KiB, and the memo's answers share them;
+- the routed (crash code, branch set) pairs, at most ``_ROUTED`` (1024);
+- the memo of edits, at most ``mutate``'s 4096 mutants, none with a text
+  longer than ``_MEMO_CHARS``: on ``gnb.json`` an entry, its new root and
+  its text included, is about 1 KiB, so at most ~4.2 MiB.  A deeper
+  grammar's entry also holds one new node per level of its edit's path.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from random import Random
 from typing import Callable, Optional, Union
 
 from . import gnb_validator
+from .cache import keep
 from .grammar import (
     DEFAULT_MAX_DEPTH,
     DerivationTree,
@@ -95,9 +100,11 @@ __all__ = [
 
 SEED_TREES = 10
 
-# the memos' bounds; see the module docstring
+# the caches' bounds; see the module docstring
 _MEMO_ENTRIES = 4096
 _MEMO_CHARS = 1024
+_BRANCH_SETS = 4096
+_ROUTED = 1024
 
 
 class CampaignConfig:
@@ -156,27 +163,12 @@ class CampaignStats:
         "finished_unix_ms",
     )
 
-    def __init__(
-        self,
-        execs: int = 0,
-        crashes_total: int = 0,
-        crashes_unique: int = 0,
-        timeouts: int = 0,
-        corpus_size: int = 0,
-        execs_per_sec: float = 0.0,
-        seed: int = 0,
-        started_unix_ms: int = 0,
-        finished_unix_ms: int = 0,
-    ) -> None:
-        self.execs = execs
-        self.crashes_total = crashes_total
-        self.crashes_unique = crashes_unique
-        self.timeouts = timeouts
-        self.corpus_size = corpus_size
-        self.execs_per_sec = execs_per_sec
+    def __init__(self, seed: int) -> None:
+        self.execs = self.crashes_total = self.crashes_unique = 0
+        self.timeouts = self.corpus_size = 0
+        self.execs_per_sec = 0.0
         self.seed = seed
-        self.started_unix_ms = started_unix_ms
-        self.finished_unix_ms = finished_unix_ms
+        self.started_unix_ms = self.finished_unix_ms = 0
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -237,8 +229,9 @@ class _Run:
         self.memo: dict[str, tuple[ExecOutcome, frozenset[str]]] = {}
         self.branch_sets: dict[frozenset[str], frozenset[str]] = {}
         # the (crash code, branch set) pairs routed so far; a crash's key
-        # is a function of its pair, so each pair is keyed once
-        self.routed: set[tuple[Optional[int], frozenset[str]]] = set()
+        # is a function of its pair, and ``known_keys`` holds it, so a
+        # pair routed again is keyed again only after ``routed`` emptied
+        self.routed: dict[tuple[Optional[int], frozenset[str]], None] = {}
         # each text submitted to run whose answer is not consumed yet,
         # and the future that will give it
         self.in_flight: dict = {}
@@ -252,17 +245,13 @@ class _Run:
     def remember(
         self, text: str, answer: tuple[ExecOutcome, frozenset[str]]
     ) -> tuple[ExecOutcome, frozenset[str]]:
-        """Keep ``text``'s fresh answer in the memo and return it.  A
-        timeout is not kept, so a hang is always run again."""
+        """Keep ``text``'s fresh answer in the memo and return the answer
+        kept.  A timeout is not kept, so a hang is always run again."""
         outcome, branches = answer
-        if outcome.kind is not OutcomeKind.TIMEOUT and len(text) <= _MEMO_CHARS:
-            if len(self.memo) >= _MEMO_ENTRIES and text not in self.memo:
-                self.memo.clear()
-                self.branch_sets.clear()
-                self.routed.clear()
-            branches = self.branch_sets.setdefault(branches, branches)
-            self.memo[text] = (outcome, branches)
-        return outcome, branches
+        if outcome.kind is OutcomeKind.TIMEOUT or len(text) > _MEMO_CHARS:
+            return answer
+        branches = keep(self.branch_sets, branches, branches, _BRANCH_SETS)
+        return keep(self.memo, text, (outcome, branches), _MEMO_ENTRIES)
 
     def answer(self, text: str) -> tuple[ExecOutcome, frozenset[str]]:
         """``text``'s answer: the memo's, else its run in flight's, else
@@ -285,7 +274,7 @@ class _Run:
         pair = (outcome.code, branches)
         if pair in self.routed:
             return
-        self.routed.add(pair)
+        keep(self.routed, pair, None, _ROUTED)
         key = dedup_key(outcome, branches)
         if key in self.known_keys:
             return
@@ -338,15 +327,17 @@ def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
     tree = run.scheduler.schedule_next(run.corpus)
     donor = run.corpus[rng.randrange(len(run.corpus))]
     edits = run.edits
-    if len(edits) >= _MEMO_ENTRIES:
-        edits.clear()
-    size = len(edits)
     mutated, _ = random_mutation(
         tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth, memo=edits
     )
     text = unparse(mutated, run.g)
-    if len(text) > _MEMO_CHARS and len(edits) > size:
-        edits.popitem()  # the entry just made, which would keep the long text
+    # A kept mutant keeps its text, so one whose text is long is dropped.
+    # Such a mutant is never left kept, so it is new: if ``random_mutation``
+    # kept it, it is the last entry, even when that store emptied the memo.
+    if len(text) > _MEMO_CHARS and edits:
+        last, _ = next(reversed(edits.values()))
+        if last is mutated:
+            edits.popitem()
     return mutated, text
 
 
@@ -409,6 +400,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     # no out dir and no stats.json behind
     check_max_depth(g, cfg.max_depth)
     out = Path(cfg.out_dir)
+    # another campaign's artifacts would mix with this one's
+    if out.is_dir() and any(out.iterdir()):
+        raise FileExistsError(f"out dir {str(out)!r} is not empty")
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     (out / "crashes").mkdir(parents=True, exist_ok=True)
 

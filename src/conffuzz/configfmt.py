@@ -20,6 +20,7 @@ import threading
 from itertools import islice
 from typing import Iterator, Union
 
+from .cache import keep
 from .record import Record
 
 __all__ = [
@@ -326,11 +327,11 @@ def _located(text: str, lexemes: list[str], failed: int, fail: _Fail) -> ConfigE
 
 # The lexemes of each line ``_lex`` has seen: a fuzzing campaign's mutants
 # differ from each other in a line or so, so nearly every line is one seen
-# before.  A line longer than ``_LINE_CHARS`` characters is not kept, and
-# the cache is emptied when it holds ``_LINE_ENTRIES`` lines, so whatever
-# the input it keeps at most 1024 lines of at most 128 characters and at
-# most 128 lexemes each.  Pooled campaign workers parse on threads, so a
-# store takes the lock that keeps the bound; a read needs none.
+# before.  Kept by ``cache.keep`` within ``_LINE_ENTRIES`` lines, and a
+# line longer than ``_LINE_CHARS`` characters is not kept, so whatever the
+# input it keeps at most 1024 lines of at most 128 characters and at most
+# 128 lexemes each.  Pooled campaign workers parse on threads, so a store
+# takes the lock that keeps the bound; a read needs none.
 _LINE_ENTRIES = 1024
 _LINE_CHARS = 128
 _lines: dict[str, tuple[str, ...]] = {}
@@ -352,9 +353,7 @@ def _lex(text: str) -> list[str]:
             lexed = tuple(filter(None, _TOKEN_RE.findall(line)))
             if len(line) <= _LINE_CHARS:
                 with _lines_lock:
-                    if len(lines) >= _LINE_ENTRIES:
-                        lines.clear()
-                    lines[line] = lexed
+                    keep(lines, line, lexed, _LINE_ENTRIES)
         lexemes += lexed
     lexemes.append("")
     return lexemes

@@ -41,6 +41,7 @@ __all__ = [
     "check_max_depth",
     "derive_tree",
     "generate_tree",
+    "grammar_slot",
     "minimal_tree",
     "parse_grammar",
     "replace_subtree",
@@ -129,13 +130,13 @@ class DerivationTree(Record):
     equality, hashing, ``repr`` or pickling:
 
     - ``paths`` and ``grafts``, which depend on the tree alone;
-    - ``_text``, the tree's ``unparse`` text under one grammar, as a
-      ``(grammar, text)`` pair;
+    - ``_text``, the tree's ``unparse`` text under one grammar;
     - ``_swap_sites`` and ``_tweak_sites``, the sites that rule-swap and
-      scalar-tweak may edit under one grammar, as ``(grammar, sites)``.
+      scalar-tweak may edit under one grammar.
 
-    A pair keyed by another grammar object is built again, and replaces
-    the one kept.
+    The last three are grammar-keyed slots, and ``grammar_slot`` is their
+    one owner: it writes each as a ``(grammar, value)`` pair, which another
+    grammar object builds again and replaces.
     """
 
     __slots__ = ("token", "rule_index", "children", "__dict__")
@@ -464,22 +465,35 @@ def replace_subtree(
     return DerivationTree(t.token, t.rule_index, children)
 
 
+def grammar_slot(t: DerivationTree, g: Grammar, name: str, build: Callable) -> object:
+    """``build(t, g)``, kept in ``t.__dict__[name]`` as a ``(g, value)``
+    pair: built once per tree and grammar object, and built again under
+    another grammar object, whose pair replaces the one kept."""
+    kept = t.__dict__.get(name)
+    if kept is None or kept[0] is not g:
+        kept = t.__dict__[name] = (g, build(t, g))
+    return kept[1]
+
+
 def unparse(t: DerivationTree, g: Grammar) -> str:
     """Concatenate literals in order, expanding child subtrees at each ref.
 
     Raises InvalidTreeError on a node whose token is unknown, whose rule
     index is out of range, or whose children do not match its rule's refs.
-    The text is kept in ``t.__dict__``, keyed by the grammar object, so a
-    tree unparsed again under the same grammar is not walked again.
+    The text is kept in the tree's ``_text`` slot (see ``grammar_slot``),
+    so a tree unparsed again under the same grammar is not walked again.
     """
+    # the slot read written out, since a call here is paid on every exec
     kept = t.__dict__.get("_text")
     if kept is not None and kept[0] is g:
         return kept[1]
+    return grammar_slot(t, g, "_text", _text)
+
+
+def _text(t: DerivationTree, g: Grammar) -> str:
     out: list[str] = []
     _unparse_into(t, g, out)
-    text = "".join(out)
-    t.__dict__["_text"] = (g, text)
-    return text
+    return "".join(out)
 
 
 def _unparse_into(t: DerivationTree, g: Grammar, out: list[str]) -> None:

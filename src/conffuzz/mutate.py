@@ -13,7 +13,8 @@ weight dict such as ``{MutationKind.SPLICE: 1}`` forces one operator.  A
 campaign hands it one worker's stream, so successive mutations continue
 that stream instead of reseeding.  A campaign also hands it a memo of
 the edits made so far, keyed by the tree, the path and the subtree, so an
-edit it repeats costs only its draws.
+edit it repeats costs only its draws; ``cache.keep`` keeps the memo
+within ``_EDIT_ENTRIES`` (4096) edits.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from random import Random
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from .cache import keep
 from .grammar import (
     DEFAULT_MAX_DEPTH,
     DerivationTree,
     Grammar,
+    grammar_slot,
     replace_subtree,
     sample_tree,
 )
@@ -58,6 +61,9 @@ DEFAULT_WEIGHTS: Mapping[MutationKind, int] = MappingProxyType(
 
 # walking a tuple is cheaper than iterating the enum class
 _KINDS = tuple(MutationKind)
+
+# the bound of a memo of edits; see the module docstring
+_EDIT_ENTRIES = 4096
 
 
 class AllZeroWeightsError(ValueError):
@@ -101,23 +107,13 @@ def _regenerate(
     return path, sample_tree(g, node.token, budget, rng)
 
 
-def _kept_sites(t: DerivationTree, g: Grammar, name: str, build) -> list:
-    """``build(t, g)``, kept in ``t.__dict__`` under ``name`` beside
-    ``paths`` and keyed by the grammar object: a corpus entry is mutated
-    many times, and another grammar builds its own list."""
-    kept = t.__dict__.get(name)
-    if kept is None or kept[0] is not g:
-        kept = t.__dict__[name] = (g, build(t, g))
-    return kept[1]
-
-
 def _swap_sites(t: DerivationTree, g: Grammar) -> list:
     swappable = g.swappable
     return [(path, node) for path, node in t.paths if node.token in swappable]
 
 
 def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> Optional[_Edit]:
-    sites = _kept_sites(t, g, "_swap_sites", _swap_sites)
+    sites = grammar_slot(t, g, "_swap_sites", _swap_sites)
     if not sites:
         return None
     path, node = sites[rng.randrange(len(sites))]
@@ -149,7 +145,7 @@ def _tweak_sites(t: DerivationTree, g: Grammar) -> list:
 
 
 def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> Optional[_Edit]:
-    sites = _kept_sites(t, g, "_tweak_sites", _tweak_sites)
+    sites = grammar_slot(t, g, "_tweak_sites", _tweak_sites)
     if not sites:
         return None
     path, node, options = sites[rng.randrange(len(sites))]
@@ -174,9 +170,9 @@ def random_mutation(
     single-entry dict forces that operator.  Splicing uses ``donor`` as
     the source of grafts and falls back to the input tree itself.
 
-    With a ``memo``, owned and bounded by the caller, an edit made to the
-    same tree before returns the mutant it built then: the draws are the
-    same, and only ``replace_subtree`` is skipped.
+    With a ``memo``, owned by the caller, an edit made to the same tree
+    before returns the mutant it built then: the draws are the same, and
+    only ``replace_subtree`` is skipped.
     """
     total, steps = _DEFAULT_DRAW if weights is None else _draw_table(weights)
     x = rng.random() * total
@@ -209,5 +205,5 @@ def random_mutation(
     # a sampled subtree with children is a new object, so its edit can
     # never repeat; a shared leaf can
     if chosen is not MutationKind.REGENERATE or not subtree.children:
-        memo[key] = (mutant, t)
+        keep(memo, key, (mutant, t), _EDIT_ENTRIES)
     return mutant, chosen

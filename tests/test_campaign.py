@@ -97,6 +97,30 @@ class TestConfigValidation:
             run_campaign(cfg)
 
 
+class TestOutDir:
+    def test_a_used_out_dir_is_refused_untouched(self, gnb_grammar_path, tmp_path):
+        out = tmp_path / "out"
+
+        def files():
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        run_campaign(CampaignConfig(gnb_grammar_path, VALIDATOR, out, max_execs=300))
+        before = files()
+        with pytest.raises(FileExistsError):
+            run_campaign(
+                CampaignConfig(gnb_grammar_path, VALIDATOR, out, seed=3, max_execs=20)
+            )
+        assert files() == before
+
+    def test_an_empty_out_dir_is_used(self, gnb_grammar_path, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        stats = run_campaign(
+            CampaignConfig(gnb_grammar_path, VALIDATOR, out, max_execs=20)
+        )
+        assert json.loads((out / "stats.json").read_text()) == stats.as_dict()
+
+
 class TestSeedPhase:
     def test_eleven_seed_entries(self, gnb_grammar_path, tmp_path):
         # ten generated trees plus the grammar-derived initial config
@@ -271,7 +295,7 @@ class TestCrashRouting:
             "finished_unix_ms",
         ]
         # the order comes from the record itself, not from the run
-        assert list(CampaignStats().as_dict()) == list(payload)
+        assert list(CampaignStats(seed=1).as_dict()) == list(payload)
 
 
 class TestCorpusReproducibility:
@@ -680,34 +704,44 @@ class TestMemo:
         from conffuzz import campaign
         from conffuzz.gnb_validator import run_text
 
-        # the gnb grammar's texts are 390 to 397 characters long
-        monkeypatch.setattr(campaign, "_MEMO_ENTRIES", 3)
+        def run(out):
+            return run_campaign(
+                CampaignConfig(gnb_grammar_path, spec, out, seed=1, max_execs=2000)
+            )
+
+        spec, calls = register_counting("memo-bounds", run_text)
+        run(tmp_path / "free")
+        free = snapshot(tmp_path / "free")
+        calls.clear()
+        # each cache has a bound of its own; the gnb grammar's texts are 390
+        # to 397 characters long
+        bounds = {"memo": 3, "branch_sets": 2, "routed": 1}
+        monkeypatch.setattr(campaign, "_MEMO_ENTRIES", bounds["memo"])
+        monkeypatch.setattr(campaign, "_BRANCH_SETS", bounds["branch_sets"])
+        monkeypatch.setattr(campaign, "_ROUTED", bounds["routed"])
         monkeypatch.setattr(campaign, "_MEMO_CHARS", 394)
         sizes, kept = [], set()
         remember = campaign._Run.remember
 
         def watching(self, text, answer):
             answer = remember(self, text, answer)
-            sizes.append((len(self.memo), len(self.branch_sets), len(self.routed)))
+            sizes.append({name: len(getattr(self, name)) for name in bounds})
             kept.update(self.memo)
             return answer
 
         monkeypatch.setattr(campaign._Run, "remember", watching)
-        spec, calls = register_counting("memo-bounds", run_text)
         events = record_submissions(monkeypatch)
-        stats = run_campaign(
-            CampaignConfig(
-                gnb_grammar_path, spec, tmp_path / "out", seed=1, max_execs=2000
-            )
-        )
+        stats = run(tmp_path / "out")
         assert stats.execs == 2000
-        assert max(n for n, _, _ in sizes) == 3
-        assert all(sets <= n for n, sets, _ in sizes)
-        # the routed crash answers are emptied along with the memo
+        for name, bound in bounds.items():
+            assert max(size[name] for size in sizes) == bound
+        # the memo empties on its own, not along with the other two
         after_clear = [
-            routed for (was, _, _), (n, _, routed) in zip(sizes, sizes[1:]) if n < was
+            now for was, now in zip(sizes, sizes[1:]) if now["memo"] < was["memo"]
         ]
-        assert after_clear and not any(after_clear)
+        assert after_clear
+        assert any(now["routed"] for now in after_clear)
+        assert any(now["branch_sets"] > now["memo"] for now in after_clear)
         assert kept and max(len(text) for text in kept) <= 394
         consumed = Counter(e[1] for e in events if e[0] == "consume")
         asked = Counter(e[1] for e in events if e[0] == "ask")
@@ -716,11 +750,15 @@ class TestMemo:
         assert all(calls[text] == consumed[text] + asked[text] for text in too_long)
         # so few texts are kept that some short ones run again too
         assert sum(calls.values()) > len(calls)
+        bounded = snapshot(tmp_path / "out")
+        for key in WALL_CLOCK_KEYS:
+            bounded[0].pop(key), free[0].pop(key)
+        assert bounded == free
 
     def test_edit_memo_stays_within_its_bounds(
         self, gnb_grammar_path, tmp_path, monkeypatch
     ):
-        from conffuzz import campaign
+        from conffuzz import campaign, mutate as mutation
         from conffuzz.grammar import unparse
 
         def run(out):
@@ -734,7 +772,7 @@ class TestMemo:
 
         unbounded = run(tmp_path / "unbounded")
         # the gnb grammar's texts are 390 to 397 characters long
-        monkeypatch.setattr(campaign, "_MEMO_ENTRIES", 40)
+        monkeypatch.setattr(mutation, "_EDIT_ENTRIES", 40)
         monkeypatch.setattr(campaign, "_MEMO_CHARS", 394)
         mutate, memos, sizes, lengths = campaign.random_mutation, set(), [], set()
 

@@ -374,6 +374,20 @@ class TestFuzz:
         assert (out / "stats.json").is_file()
         assert json.loads((out / "stats.json").read_text()) == stats
 
+    def test_a_used_out_dir_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["fuzz", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        assert main(argv + ["--seed", "1", "--max-execs", "300"]) == 0
+        stats = (out / "stats.json").read_bytes()
+        corpus = sorted(p.name for p in (out / "corpus").iterdir())
+        capsys.readouterr()
+        assert main(argv + ["--seed", "3", "--max-execs", "20"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out dir {str(out)!r} is not empty\n"
+        assert captured.out == ""
+        assert (out / "stats.json").read_bytes() == stats
+        assert sorted(p.name for p in (out / "corpus").iterdir()) == corpus
+
     def test_bad_grammar_path(self, tmp_path, capsys):
         rc = main(
             ["fuzz", "--grammar", "nope.json", "--out", str(tmp_path / "x")]

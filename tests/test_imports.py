@@ -13,7 +13,8 @@ own do not count.
 
 Every record class subclasses ``Record``, the one place that writes a
 record's ``__setattr__``, ``__delattr__``, ``__repr__`` and
-``__reduce__``.
+``__reduce__``.  Every bounded cache stores through ``cache.keep``, the
+one place that empties a cache.
 
 Every name a module lists in ``__all__`` must exist and be read by the
 system itself (the package or the benchmark), and no module of the
@@ -179,6 +180,20 @@ def test_records_share_one_base():
     assert written == []
     classes = [case[0] for case in FROZEN if not issubclass(case[0], tuple)]
     assert [cls.__name__ for cls in classes if not issubclass(cls, Record)] == []
+
+
+def test_only_the_cache_rule_empties_a_cache():
+    # each cache's bound and emptying follow one rule, written once
+    cleared = [
+        f"{path.stem}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "cache"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "clear"
+    ]
+    assert cleared == []
 
 
 def _top_level_imports(tree: ast.Module):
