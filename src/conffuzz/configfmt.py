@@ -34,7 +34,6 @@ __all__ = [
     "diff_params",
     "format_scalar",
     "get_param",
-    "iter_params",
     "parse_config",
     "serialize_config",
 ]
@@ -197,14 +196,21 @@ def _expected(what: str, found: str) -> _Fail:
     return _Fail(f"expected {what}, found {found or 'end of input'!r}")
 
 
-def _settings(it: Iterator[str], closer: str, depth: int) -> dict:
+def _settings(it: Iterator, closer: str, depth: int) -> dict:
     """Settings up to and including ``closer``; ``""`` is the end of input.
 
-    ``depth`` counts the groups and lists around them.
+    ``depth`` counts the groups and lists around them.  A kept setting
+    line (see ``_lex``) stands where a setting name is read.
     """
     settings: dict = {}
     while True:
         name = next(it)
+        if type(name) is tuple:
+            name, value = name
+            if name in settings:
+                raise _Fail("", duplicate=name)
+            settings[name] = value
+            continue
         if name == closer:
             return settings
         if not name:
@@ -219,7 +225,7 @@ def _settings(it: Iterator[str], closer: str, depth: int) -> dict:
         lex = next(it)
         # up to 18 digits is always inside 64 bits, so a plain integer, the
         # commonest value, needs none of ``_value``'s tests
-        if lex.isdecimal() and len(lex) < 19:
+        if type(lex) is str and lex.isdecimal() and len(lex) < 19:
             value = int(lex)
         else:
             value = _value(it, lex, depth)
@@ -229,8 +235,10 @@ def _settings(it: Iterator[str], closer: str, depth: int) -> dict:
         settings[name] = value
 
 
-def _value(it: Iterator[str], lex: str, depth: int) -> Value:
+def _value(it: Iterator, lex: str, depth: int) -> Value:
     """The value that starts with ``lex``, the lexeme just consumed."""
+    if type(lex) is not str:
+        raise _Fail("expected value, found a setting")
     first = lex[:1]
     if first == "{" or first == "(":
         if depth == MAX_NESTING:
@@ -272,7 +280,7 @@ def _long_int(lex: str) -> int:
     return -value if lex[0] == "-" else value
 
 
-def _list(it: Iterator[str], depth: int) -> tuple:
+def _list(it: Iterator, depth: int) -> tuple:
     lex = next(it)
     if lex == ")":
         return ()
@@ -325,42 +333,71 @@ def _located(text: str, lexemes: list[str], failed: int, fail: _Fail) -> ConfigE
     return ConfigSyntaxError(str(fail), line, col)
 
 
-# The lexemes of each line ``_lex`` has seen: a fuzzing campaign's mutants
-# differ from each other in a line or so, so nearly every line is one seen
-# before.  Kept by ``cache.keep`` within ``_LINE_ENTRIES`` lines, and a
-# line longer than ``_LINE_CHARS`` characters is not kept, so whatever the
-# input it keeps at most 1024 lines of at most 128 characters and at most
-# 128 lexemes each.  Pooled campaign workers parse on threads, so a store
-# takes the lock that keeps the bound; a read needs none.
+# What ``_lex`` has made of each line it has seen: its lexemes, or, for a
+# line that is exactly one ``name = scalar;`` setting, the one pair
+# ``(name, value)`` that ``_settings`` takes in place of those four
+# lexemes.  A fuzzing campaign's mutants differ from each other in a line
+# or so, so nearly every line is one seen before, and most lines of a gnb
+# config are one setting each.  Kept by ``cache.keep`` within
+# ``_LINE_ENTRIES`` lines, and a line longer than ``_LINE_CHARS``
+# characters is not kept, so whatever the input it keeps at most 1024
+# lines of at most 128 characters and at most 128 lexemes each.  Pooled
+# campaign workers parse on threads, so a store takes the lock that keeps
+# the bound; a read needs none.
 _LINE_ENTRIES = 1024
 _LINE_CHARS = 128
-_lines: dict[str, tuple[str, ...]] = {}
+_lines: dict[str, tuple] = {}
 _lines_lock = threading.Lock()
 
 
-def _lex(text: str) -> list[str]:
-    """``_TOKEN_RE.findall(text)`` with one empty lexeme at the end.
+def _line_items(line: str) -> tuple:
+    """The line's lexemes, or its one setting as a ``(name, value)`` pair."""
+    # the empty lexemes are the line's end
+    lexed = tuple(filter(None, _TOKEN_RE.findall(line)))
+    if (
+        len(lexed) == 4
+        and lexed[0][0] in _NAME_START
+        and lexed[1] == "="
+        and lexed[2] not in ("{", "(")
+        and lexed[3] == ";"
+    ):
+        try:
+            return ((lexed[0], _value(iter(()), lexed[2], 0)),)
+        except _Fail:
+            pass
+    return lexed
 
-    ``findall`` yields one or two there, two after a trailing comment; the
-    parser stops at the first, so the lists read the same to it.
+
+def _lex(text: str) -> list:
+    """``_TOKEN_RE.findall(text)`` with one empty lexeme at the end, and
+    each one-setting line as its pair.
+
+    ``findall`` yields one or two empty lexemes at the end, two after a
+    trailing comment; the parser stops at the first, so the lists read the
+    same to it.
     """
-    lexemes: list[str] = []
+    items: list = []
     lines = _lines
     for line in text.split("\n"):
         lexed = lines.get(line)
         if lexed is None:
-            # the empty lexemes are the line's end
-            lexed = tuple(filter(None, _TOKEN_RE.findall(line)))
+            lexed = _line_items(line)
             if len(line) <= _LINE_CHARS:
                 with _lines_lock:
                     keep(lines, line, lexed, _LINE_ENTRIES)
-        lexemes += lexed
-    lexemes.append("")
-    return lexemes
+        items += lexed
+    items.append("")
+    return items
 
 
 def parse_config(text: str) -> ConfigDocument:
-    lexemes = _lex(text)
+    try:
+        return ConfigDocument(_settings(iter(_lex(text)), "", 0))
+    except _Fail:
+        pass
+    # a pair stands for four lexemes, so the parse is made again over the
+    # text's own lexemes, which locate the failure
+    lexemes = _TOKEN_RE.findall(text)
     it = iter(lexemes)
     try:
         return ConfigDocument(_settings(it, "", 0))
@@ -458,20 +495,17 @@ def get_param(d: ConfigDocument, p: ParamPath) -> Scalar:
     return value
 
 
-def iter_params(d: ConfigDocument) -> Iterator[tuple[ParamPath, Scalar]]:
-    """All scalar parameters with their paths, in document order."""
-
-    def walk(value: Value, prefix: tuple[Union[str, int], ...]):
-        if isinstance(value, dict):
-            for name, item in value.items():
-                yield from walk(item, prefix + (name,))
-        elif isinstance(value, tuple):
-            for i, item in enumerate(value):
-                yield from walk(item, prefix + (i,))
-        else:
-            yield ParamPath(prefix), value
-
-    yield from walk(d.root, ())
+def _scalars(value: Value, prefix: tuple) -> Iterator[tuple[tuple, Scalar]]:
+    """(path segments, scalar) for every scalar under ``value``, in
+    document order."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _scalars(item, prefix + (name,))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _scalars(item, prefix + (i,))
+    else:
+        yield prefix, value
 
 
 def _scalar_eq(a: Scalar, b: Scalar) -> bool:
@@ -483,9 +517,11 @@ def diff_params(
     a: ConfigDocument, b: ConfigDocument
 ) -> list[tuple[ParamPath, Scalar, Scalar]]:
     """Scalar paths present in both documents whose values differ, in a's order."""
-    b_values = {p: v for p, v in iter_params(b)}
+    b_values = dict(_scalars(b.root, ()))
     out = []
-    for p, va in iter_params(a):
-        if p in b_values and not _scalar_eq(va, b_values[p]):
-            out.append((p, va, b_values[p]))
+    for segments, va in _scalars(a.root, ()):
+        if segments in b_values:
+            vb = b_values[segments]
+            if not _scalar_eq(va, vb):
+                out.append((ParamPath(segments), va, vb))
     return out

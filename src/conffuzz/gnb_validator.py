@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
+from itertools import groupby
 from pathlib import Path
 
 from .configfmt import (
@@ -91,10 +92,16 @@ WATCH_PATHS = tuple(
 )
 
 
-# (name, path segments, failure branch) per watched parameter, in order
+# (parent's path segments, ((name, failure branch), ...)) per parent of the
+# watched parameters, the parents and their names in WATCH_PATHS order, so
+# that a parent is read once and the first unreadable parameter still
+# fails with its own branch
 _WATCHED = tuple(
-    (p.segments[-1], p.segments, f"chk:extract:{p.segments[-1]}:fail")
-    for p in WATCH_PATHS
+    (
+        parent,
+        tuple((p.segments[-1], f"chk:extract:{p.segments[-1]}:fail") for p in paths),
+    )
+    for parent, paths in groupby(WATCH_PATHS, lambda p: p.segments[:-1])
 )
 
 
@@ -103,22 +110,25 @@ def _extract_view(
 ) -> dict[str, int] | None:
     """The eight parameters the validator reads, keyed by name."""
     view = {}
-    root = d.root
-    for name, segments, fail in _WATCHED:
+    for segments, params in _WATCHED:
         # plain subscripts: a missing name or index, or a value of the
         # wrong shape on the way, raises one of these; a string indexed by
-        # [0] gets through, but every path ends in a name, which it refuses
-        v = root
+        # [0] gets through, but only a group holds parameters
+        parent = d.root
         try:
             for seg in segments:
-                v = v[seg]
+                parent = parent[seg]
         except (KeyError, IndexError, TypeError):
-            v = None
-        # strict int: bool is a different parameter type here
-        if type(v) is not int:
-            branches.add(fail)
-            return None
-        view[name] = v
+            parent = None
+        if not isinstance(parent, dict):
+            parent = {}
+        for name, fail in params:
+            v = parent.get(name)
+            # strict int: bool is a different parameter type here
+            if type(v) is not int:
+                branches.add(fail)
+                return None
+            view[name] = v
     branches.add("chk:extract:ok")
     return view
 

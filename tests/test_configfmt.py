@@ -16,7 +16,6 @@ from conffuzz.configfmt import (
     diff_params,
     format_scalar,
     get_param,
-    iter_params,
     parse_config,
     serialize_config,
 )
@@ -332,12 +331,15 @@ class TestGetSetDiff:
         with pytest.raises(NotAScalarError, match=r"^gNBs\[0\] addresses a group$"):
             get_param(d, ParamPath.parse("gNBs[0]"))
 
-    def test_iter_params_document_order(self):
-        d = parse_config(NESTED)
-        assert [str(p) for p, _ in iter_params(d)] == [
-            "gNBs[0].gNB_ID",
-            "gNBs[0].cells[0].physCellId",
-            "gNBs[0].cells[1].physCellId",
+    def test_diff_follows_document_order(self):
+        a = parse_config(NESTED)
+        b = parse_config(
+            NESTED.replace("3584", "2").replace("= 0;", "= 7;").replace("= 1;", "= 2;")
+        )
+        assert [(str(p), va, vb) for p, va, vb in diff_params(a, b)] == [
+            ("gNBs[0].gNB_ID", 3584, 2),
+            ("gNBs[0].cells[0].physCellId", 0, 7),
+            ("gNBs[0].cells[1].physCellId", 1, 2),
         ]
 
     def test_diff_ignores_type_identical_values(self):
@@ -395,3 +397,63 @@ def test_round_trip_property(root):
     again = parse_config(text)
     assert again == doc
     assert serialize_config(again) == text
+
+
+# Hypothesis: diff_params gives the list its earlier definition gave, which
+# built a ParamPath for every scalar of both documents.
+
+
+def _reference_iter_params(d: ConfigDocument):
+    def walk(value, prefix):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                yield from walk(item, prefix + (name,))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from walk(item, prefix + (i,))
+        else:
+            yield ParamPath(prefix), value
+
+    yield from walk(d.root, ())
+
+
+def _reference_diff_params(a: ConfigDocument, b: ConfigDocument):
+    b_values = {p: v for p, v in _reference_iter_params(b)}
+    out = []
+    for p, va in _reference_iter_params(a):
+        if p in b_values and not (
+            type(va) is type(b_values[p]) and va == b_values[p]
+        ):
+            out.append((p, va, b_values[p]))
+    return out
+
+
+@st.composite
+def _edited(draw, value):
+    """``value`` with some scalars replaced and some settings dropped, so
+    that a pair of documents shares most of its paths."""
+    if isinstance(value, dict):
+        return {
+            name: draw(_edited(item))
+            for name, item in value.items()
+            if draw(st.integers(0, 5))
+        }
+    if isinstance(value, tuple):
+        return tuple(draw(_edited(item)) for item in value)
+    return draw(st.one_of(st.just(value), _scalars))
+
+
+@st.composite
+def _document_pairs(draw):
+    a = draw(_groups(2))
+    b = draw(st.one_of(_edited(a), _groups(2)))
+    return ConfigDocument(a), ConfigDocument(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_document_pairs())
+def test_diff_params_matches_its_reference(pair):
+    a, b = pair
+    # repr shows each scalar's type, which == would not
+    assert repr(diff_params(a, b)) == repr(_reference_diff_params(a, b))
+    assert diff_params(a, a) == []

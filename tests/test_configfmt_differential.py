@@ -14,11 +14,16 @@ repr (which shows each scalar's type) and their serialized bytes, or the
 same exception type, message, line and column.
 
 ``parse_config`` lexes a text line by line through a bounded cache of each
-line's lexemes.  Over the same texts, with separators that probe the line
-split added, lexing line by line must give the whole text's lexemes, and
+line's lexemes, which keeps a line that is exactly one ``name = scalar;``
+setting as its parsed ``(name, value)`` pair.  Over the same texts, with
+separators that probe the line split added, lexing line by line must give
+the whole text's lexemes, each such line's four standing as its pair, and
 the parser must agree with the reference whether the cache is cold or
 warm, and once the cache has been filled past its bound, by one thread
-or by several at once.
+or by several at once.  Whole setting lines are spliced in where a value,
+a list element, ``=``, ``;``, ``,`` or ``)`` belongs, repeat a name, and
+run past the cache's line length, so that a pair reaches every place the
+parser reads a lexeme.
 """
 
 from __future__ import annotations
@@ -94,18 +99,30 @@ LINE_SEPARATORS = st.one_of(
     ),
 )
 
-NOISE = st.sampled_from(
-    [
-        "+", "-", ".", "1e", "1E+", "@", "'x'", "/", "#", "//",
-        '"open', '"a\\\nb"', r'"\q"', '"\n"',
-        str(2**63), str(-(2**63) - 1), "99999999999999999999",
-        "1" * 5000, "0" * 5000 + "1", "-" + "\u0660" * 4400 + "7", "1e999", "-1E999",
-        "{", "}", "(", ")", ",", ";", "=", "maybe", "\u0663", "\u00b2", "\xa0",
-        "{ a = " * 120, "(" * 120, "( {" * 60,
-        "{ a = " * 99 + "1;" + " };" * 99, "(" * 100 + "1" + ")" * 100,
-        *sorted(DIGIT_RUNS.values()),
-    ]
-)
+NOISE_TEXTS = [
+    "+", "-", ".", "1e", "1E+", "@", "'x'", "/", "#", "//",
+    '"open', '"a\\\nb"', r'"\q"', '"\n"',
+    str(2**63), str(-(2**63) - 1), "99999999999999999999",
+    "1" * 5000, "0" * 5000 + "1", "-" + "\u0660" * 4400 + "7", "1e999", "-1E999",
+    "{", "}", "(", ")", ",", ";", "=", "maybe", "\u0663", "\u00b2", "\xa0",
+    "{ a = " * 120, "(" * 120, "( {" * 60,
+    "{ a = " * 99 + "1;" + " };" * 99, "(" * 100 + "1" + ")" * 100,
+    *sorted(DIGIT_RUNS.values()),
+]
+NOISE = st.sampled_from(NOISE_TEXTS)
+
+# whole one-setting lines, one of them longer than the cache keeps, for
+# splicing anywhere into a text; the names repeat ``NAMES``
+SETTING_LINES = [
+    "\na = 1;\n",
+    "\nb = -2.5e3;\n",
+    '\ng = "s";\n',
+    "\nx_1 = true;\n",
+    "\ntrue = 7;\n",
+    "\nfalse = false;\n",
+    '\na = "' + "s" * configfmt._LINE_CHARS + '";\n',
+]
+SETTING_NOISE = st.sampled_from(NOISE_TEXTS + SETTING_LINES)
 
 
 @st.composite
@@ -136,14 +153,14 @@ def settings_list(draw, depth: int) -> list[str]:
 
 
 @st.composite
-def config_texts(draw, separators=SEPARATORS) -> str:
+def config_texts(draw, separators=SEPARATORS, noise=NOISE) -> str:
     tokens = draw(settings_list(3))
     # each edit inserts noise, drops a token or duplicates one
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(tokens)))
         edit = draw(st.sampled_from(["insert", "drop", "repeat"]))
         if edit == "insert":
-            tokens.insert(at, draw(NOISE))
+            tokens.insert(at, draw(noise))
         elif tokens and at < len(tokens):
             if edit == "drop":
                 del tokens[at]
@@ -215,25 +232,134 @@ def test_agrees_with_reference(text):
     assert _outcome(parse_config, text) == _outcome(reference_parse_config, text)
 
 
+def _line_items(line: str) -> list:
+    """What ``_lex`` must make of one line: its lexemes, or, when they are
+    one ``name = scalar;`` setting by the reference parser, the pair of
+    that setting's name and value."""
+    lexemes = [lex for lex in configfmt._TOKEN_RE.findall(line) if lex]
+    if len(lexemes) == 4:
+        try:
+            root = reference_parse_config(line).root
+        except ConfigError:
+            root = {}
+        if len(root) == 1:
+            ((name, value),) = root.items()
+            if not isinstance(value, (dict, tuple)):
+                assert lexemes[:2] == [name, "="] and lexemes[3] == ";"
+                return [(name, value)]
+    return lexemes
+
+
 @settings(max_examples=400, deadline=None)
-@given(config_texts(LINE_SEPARATORS))
+@given(config_texts(LINE_SEPARATORS, SETTING_NOISE))
 def test_lexing_line_by_line_equals_lexing_the_whole_text(text):
     whole = configfmt._TOKEN_RE.findall(text)
+    lines = text.split("\n")
     by_line = [
-        lex for line in text.split("\n") for lex in configfmt._TOKEN_RE.findall(line)
-        if lex
+        lex for line in lines for lex in configfmt._TOKEN_RE.findall(line) if lex
     ]
     # the whole text's lexemes are the lines', then one or two empty ones
     assert whole[: len(by_line)] == by_line
     assert whole[len(by_line) :] in ([""], ["", ""])
+    # each one-setting line's four lexemes stand as its pair; repr shows
+    # each value's type
+    items = [item for line in lines for item in _line_items(line)]
+    assert len(by_line) == sum(4 if type(i) is tuple else 1 for i in items)
     configfmt._lines.clear()
-    assert configfmt._lex(text) == by_line + [""]
-    assert configfmt._lex(text) == by_line + [""]
+    assert repr(configfmt._lex(text)) == repr(items + [""])
+    assert repr(configfmt._lex(text)) == repr(items + [""])
 
 
 @settings(max_examples=400, deadline=None)
 @given(config_texts(LINE_SEPARATORS))
 def test_agrees_with_reference_with_the_line_cache_cold_and_warm(text):
+    expected = _outcome(reference_parse_config, text)
+    configfmt._lines.clear()
+    assert _outcome(parse_config, text) == expected
+    assert _outcome(parse_config, text) == expected
+
+
+def _on_threads(work) -> None:
+    """``work(worker)`` for four workers at once on threads that share a
+    cold line cache, switching between threads as often as they can."""
+    configfmt._lines.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+LONG_SETTING = 'a = "' + "s" * configfmt._LINE_CHARS + '";'
+
+# a whole setting line where each other lexeme belongs, a name repeated
+# through setting lines, and a setting line longer than the cache keeps
+SETTING_LINE_CASES = {
+    "after-equals": "a =\nb = 1;\n",
+    "after-equals-long": "b =\n" + LONG_SETTING,
+    "after-equals-bool-name": "a =\ntrue = 1;\n",
+    "list-element": "a = (\nb = 1;\n);",
+    "after-comma": "a = ( 1,\nb = 1;\n);",
+    "for-equals": "a\nb = 1;\n= 1;",
+    "for-semicolon": "a = 1\nb = 1;\n",
+    "for-comma-or-paren": "a = ( 1\nb = 1;\n);",
+    "for-closer": "a = {\nb = 1;\n",
+    "true-value-then-equals": "a = (\ntrue = 1;\n);",
+    "repeat-two-lines": "a = 1;\nb = 2;\na = 3;\n",
+    "repeat-after-plain": "a = 1; b = 2;\na = 3;\n",
+    "repeat-before-plain": "a = 3;\nb = 2; a = 1;\n",
+    "repeat-in-group": "g = {\na = 1;\na = 2;\n};",
+    "same-name-other-groups": "g = {\na = 1;\n};\nx_1 = {\na = 1;\n};\na = 1;",
+    "repeat-long": LONG_SETTING + "\n" + LONG_SETTING,
+    "long-then-short": LONG_SETTING + "\na = 1;",
+    "group-closes": "g = {\na = 1;\n};\nb = 2;",
+    "bad-value-line": "a = 1;\nb = 1e999;\nc = @;",
+    "bad-char-after": "a = 1;\nb = 2;\n@",
+    "out-of-range": "a = 1;\nb = " + str(2**63) + ";",
+    "bad-escape": 'a = 1;\nb = "\\q";',
+    "open-list-at-end": "a = (\nb = 1;",
+    # four lexemes, but the third opens a group or a list
+    "group-opens-in-line": "a = {;\nb = 1;\n};",
+    "list-opens-in-line": "a = (;\n);",
+}
+
+
+@pytest.mark.parametrize(
+    "text", SETTING_LINE_CASES.values(), ids=SETTING_LINE_CASES.keys()
+)
+def test_agrees_on_setting_lines_cold_and_warm(text):
+    expected = _outcome(reference_parse_config, text)
+    configfmt._lines.clear()
+    assert _outcome(parse_config, text) == expected
+    assert _outcome(parse_config, text) == expected
+
+
+def test_agrees_on_setting_lines_shared_by_threads():
+    texts = list(SETTING_LINE_CASES.values())
+    expected = [_outcome(reference_parse_config, text) for text in texts]
+    faults: list[str] = []
+
+    def parse_all(worker: int) -> None:
+        for _ in range(20):
+            # each thread starts at another case
+            for i in range(worker, worker + len(texts)):
+                text = texts[i % len(texts)]
+                if _outcome(parse_config, text) != expected[i % len(texts)]:
+                    faults.append(text)
+
+    _on_threads(parse_all)
+    assert faults == []
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_texts(SEPARATORS, st.sampled_from(SETTING_LINES)))
+def test_agrees_with_setting_lines_spliced_in(text):
     expected = _outcome(reference_parse_config, text)
     configfmt._lines.clear()
     assert _outcome(parse_config, text) == expected
@@ -276,18 +402,5 @@ def test_line_cache_stays_bounded_under_threads():
             if len(configfmt._lines) > entries:
                 faults.append(f"{len(configfmt._lines)} lines cached")
 
-    configfmt._lines.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=parse_fresh_lines, args=(w,)) for w in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _on_threads(parse_fresh_lines)
     assert faults == []

@@ -8,7 +8,7 @@ and bug window, dropped, or retyped as a bool or a string: one parameter
 at a time for every value, and several at once under hypothesis.  Both
 validators must then give the same outcome kind, code, stderr excerpt and
 branch set.  So must they when a list or group on the way to the watched
-parameters is replaced by a value of another kind.
+parameters is replaced by a value of another kind, or dropped.
 """
 
 from __future__ import annotations
@@ -157,3 +157,15 @@ def test_reshaped_prefixes_match_reference(prefix):
         # no watched parameter under the prefix can be read any more
         assert kind is OutcomeKind.REJECT, value
         assert "chk:extract:ok" not in branches, value
+
+
+@pytest.mark.parametrize(
+    "name, first_watched",
+    [("gNBs", "do_CSIRS"), ("servingCellConfigCommon", "controlResourceSetZero")],
+)
+def test_dropped_prefixes_match_reference(name, first_watched):
+    # a parent that cannot be reached fails on the first parameter under it
+    kind, _, _, branches = _assert_same(_drop(baseline_document(), name))
+    assert kind is OutcomeKind.REJECT
+    assert f"chk:extract:{first_watched}:fail" in branches
+    assert "chk:extract:ok" not in branches
