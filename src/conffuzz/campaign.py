@@ -31,19 +31,22 @@ answer is consumed, and counted as an exec, exactly as a second run's
 would be.  A text drawn again while its run is still in flight takes
 that run's answer.  ``minimize`` asks the campaign for its answers too,
 so a crash's first reproduce and every candidate the campaign has seen
-cost no run, and each text it runs is kept for later draws.  A crash's
-dedup key is worked out once per distinct (crash code, branch set)
-pair.  A timeout is never kept, so a hang runs again when it is drawn
-after its answer was consumed.
+cost no run, and each text it runs is kept for later draws.  The seed
+phase, the loop and ``minimize`` all look an answer up through
+``_Run.ask``: the memo, then the run in flight, then a new run.  A
+timeout is never kept, so a hang runs again when it is drawn after its
+answer was consumed.  A crash's dedup key is kept by ``dedup_key``
+itself, once per distinct (crash code, branch set) pair.
 
-The coordinator also keeps a memo of edits, which it hands to
+The coordinator also holds a memo of edits, which it hands to
 ``random_mutation``: a mutation that makes the same edit to the same
 corpus entry as before (the same path, the same subtree) returns the
 mutant built then, whose tree keeps its text, so it costs only its
-draws, with no rebuild and no unparse.  A freshly sampled subtree is
-never kept, since it cannot repeat.
+draws, with no rebuild and no unparse.  ``mutate`` alone decides what
+that memo keeps, and bounds it.
 
-Each cache follows the rule of ``cache.keep`` on its own bound:
+The campaign's own caches follow the rule of ``cache.keep``, each on its
+own bound:
 
 - the memo of answers keeps at most ``_MEMO_ENTRIES`` (4096) texts of at
   most ``_MEMO_CHARS`` (1024) characters: at most 4.7 MiB, each entry's
@@ -51,12 +54,7 @@ Each cache follows the rule of ``cache.keep`` on its own bound:
   stderr excerpt adds at most ``STDERR_EXCERPT_BYTES`` (4 KiB), so an
   ``exec:`` target whose stderr fills it adds about 16 MiB more;
 - the interned branch sets, at most ``_BRANCH_SETS`` (4096) sets: a
-  ``gnb.json`` set is ~0.8 KiB, and the memo's answers share them;
-- the routed (crash code, branch set) pairs, at most ``_ROUTED`` (1024);
-- the memo of edits, at most ``mutate``'s 4096 mutants, none with a text
-  longer than ``_MEMO_CHARS``: on ``gnb.json`` an entry, its new root and
-  its text included, is about 1 KiB, so at most ~4.2 MiB.  A deeper
-  grammar's entry also holds one new node per level of its edit's path.
+  ``gnb.json`` set is ~0.8 KiB, and the memo's answers share them.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ from .grammar import (
     unparse,
 )
 from .mutate import random_mutation
-from .target import ExecOutcome, OutcomeKind, TargetSpec, execute
+from .target import ExecOutcome, OutcomeKind, TargetSpec, execute, lookup_builtin
 from .triage import (
     NonReproducibleError,
     dedup_key,
@@ -104,7 +102,6 @@ SEED_TREES = 10
 _MEMO_ENTRIES = 4096
 _MEMO_CHARS = 1024
 _BRANCH_SETS = 4096
-_ROUTED = 1024
 
 
 class CampaignConfig:
@@ -228,10 +225,6 @@ class _Run:
         # one object per distinct set
         self.memo: dict[str, tuple[ExecOutcome, frozenset[str]]] = {}
         self.branch_sets: dict[frozenset[str], frozenset[str]] = {}
-        # the (crash code, branch set) pairs routed so far; a crash's key
-        # is a function of its pair, and ``known_keys`` holds it, so a
-        # pair routed again is keyed again only after ``routed`` emptied
-        self.routed: dict[tuple[Optional[int], frozenset[str]], None] = {}
         # each text submitted to run whose answer is not consumed yet,
         # and the future that will give it
         self.in_flight: dict = {}
@@ -242,26 +235,31 @@ class _Run:
         elapsed = max(time.monotonic() - self.t0, 1e-9)
         return round(self.stats.execs / elapsed, 1)
 
-    def remember(
-        self, text: str, answer: tuple[ExecOutcome, frozenset[str]]
-    ) -> tuple[ExecOutcome, frozenset[str]]:
-        """Keep ``text``'s fresh answer in the memo and return the answer
-        kept.  A timeout is not kept, so a hang is always run again."""
-        outcome, branches = answer
+    def ask(self, text: str, submit) -> tuple:
+        """``text``'s answer from the memo and ``None``, or else ``None``
+        and a future of it: its run in flight, or else a new run from
+        ``submit``, called as ``submit(execute, target, text)``."""
+        known = self.memo.get(text)
+        if known is not None:
+            return known, None
+        running = self.in_flight.get(text)
+        return None, running or submit(execute, self.cfg.target, text)
+
+    def take(self, text: str, running) -> tuple[ExecOutcome, frozenset[str]]:
+        """The answer of ``running``, a future of ``text``'s answer from
+        ``ask``, kept in the memo; the answer returned is the one kept.  A
+        timeout is not kept, so a hang is always run again."""
+        outcome, branches = answer = running.result()
         if outcome.kind is OutcomeKind.TIMEOUT or len(text) > _MEMO_CHARS:
             return answer
         branches = keep(self.branch_sets, branches, branches, _BRANCH_SETS)
         return keep(self.memo, text, (outcome, branches), _MEMO_ENTRIES)
 
     def answer(self, text: str) -> tuple[ExecOutcome, frozenset[str]]:
-        """``text``'s answer: the memo's, else its run in flight's, else
-        a fresh run's, each of the last two kept by ``remember``."""
-        known = self.memo.get(text)
-        if known is not None:
-            return known
-        running = self.in_flight.get(text)
-        fresh = running.result() if running else execute(self.cfg.target, text)
-        return self.remember(text, fresh)
+        """``text``'s answer through ``ask``, a new run running inline:
+        the seed phase's and ``minimize``'s way to an answer."""
+        known, running = self.ask(text, _Inline)
+        return known if running is None else self.take(text, running)
 
     def retain(self, tree: DerivationTree, text: str) -> None:
         (self.out / "corpus" / f"{len(self.corpus)}.conf").write_text(
@@ -271,10 +269,6 @@ class _Run:
         self.stats.corpus_size = len(self.corpus)
 
     def route_crash(self, outcome, branches, tree, text) -> None:
-        pair = (outcome.code, branches)
-        if pair in self.routed:
-            return
-        keep(self.routed, pair, None, _ROUTED)
         key = dedup_key(outcome, branches)
         if key in self.known_keys:
             return
@@ -326,19 +320,10 @@ def _seed_corpus(run: _Run) -> None:
 def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
     tree = run.scheduler.schedule_next(run.corpus)
     donor = run.corpus[rng.randrange(len(run.corpus))]
-    edits = run.edits
     mutated, _ = random_mutation(
-        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth, memo=edits
+        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth, memo=run.edits
     )
-    text = unparse(mutated, run.g)
-    # A kept mutant keeps its text, so one whose text is long is dropped.
-    # Such a mutant is never left kept, so it is new: if ``random_mutation``
-    # kept it, it is the last entry, even when that store emptied the memo.
-    if len(text) > _MEMO_CHARS and edits:
-        last, _ = next(reversed(edits.values()))
-        if last is mutated:
-            edits.popitem()
-    return mutated, text
+    return mutated, unparse(mutated, run.g)
 
 
 class _Inline:
@@ -355,9 +340,9 @@ def _loop(run: _Run) -> None:
     # Mutants are drawn and consumed in submission order, mutant ``n``
     # drawing from stream ``n % workers``; one worker is a window of one
     # run inline, so nothing is drawn ahead of a consume.  The memo is
-    # read at submission and written at consumption, both here; a text
-    # drawn again while its run is still in flight takes that run's
-    # future, which ``in_flight`` holds until the run is consumed.
+    # read at submission by ``ask`` and written at consumption by
+    # ``take``; a text drawn again while its run is still in flight takes
+    # that run's future, which ``in_flight`` holds until it is consumed.
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     submitted = run.stats.execs
@@ -374,11 +359,8 @@ def _loop(run: _Run) -> None:
         while submitted < cfg.max_execs or pending:
             while submitted < cfg.max_execs and len(pending) < window:
                 tree, text = _mutant(run, streams[submitted % cfg.workers])
-                known, running = run.memo.get(text), None
-                if known is None:
-                    running = run.in_flight.get(text) or submit(
-                        execute, cfg.target, text
-                    )
+                known, running = run.ask(text, submit)
+                if running is not None:
                     run.in_flight[text] = running
                 pending.append((tree, text, known, running))
                 submitted += 1
@@ -386,7 +368,7 @@ def _loop(run: _Run) -> None:
             if running is not None:
                 if run.in_flight.get(text) is running:
                     del run.in_flight[text]
-                answer = run.remember(text, running.result())
+                answer = run.take(text, running)
             run.consume(tree, text, *answer)
     finally:
         if pool is not None:
@@ -396,9 +378,11 @@ def _loop(run: _Run) -> None:
 
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     g = parse_grammar(Path(cfg.grammar_path).read_text(encoding="utf-8"))
-    # before anything is written, so a depth the grammar cannot meet leaves
-    # no out dir and no stats.json behind
+    # before anything is written, so a depth the grammar cannot meet, or a
+    # builtin that is not registered, leaves no out dir and no stats.json
+    # behind
     check_max_depth(g, cfg.max_depth)
+    lookup_builtin(cfg.target)
     out = Path(cfg.out_dir)
     # another campaign's artifacts would mix with this one's
     if out.is_dir() and any(out.iterdir()):

@@ -13,8 +13,14 @@ weight dict such as ``{MutationKind.SPLICE: 1}`` forces one operator.  A
 campaign hands it one worker's stream, so successive mutations continue
 that stream instead of reseeding.  A campaign also hands it a memo of
 the edits made so far, keyed by the tree, the path and the subtree, so an
-edit it repeats costs only its draws; ``cache.keep`` keeps the memo
-within ``_EDIT_ENTRIES`` (4096) edits.
+edit it repeats costs only its draws.  ``random_mutation`` alone decides
+what the memo keeps.  A kept mutant is unparsed and keeps its text, so
+one whose text is longer than ``_EDIT_CHARS`` (1024) characters is not
+kept, and neither is a freshly sampled subtree's, which cannot repeat.
+``cache.keep`` keeps the memo within ``_EDIT_ENTRIES`` (4096) edits: on
+``gnb.json`` an entry, its new root and its text included, is about
+1 KiB, so at most ~4.2 MiB.  A deeper grammar's entry also holds one new
+node per level of its edit's path.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .grammar import (
     grammar_slot,
     replace_subtree,
     sample_tree,
+    unparse,
 )
 
 __all__ = [
@@ -62,8 +69,9 @@ DEFAULT_WEIGHTS: Mapping[MutationKind, int] = MappingProxyType(
 # walking a tuple is cheaper than iterating the enum class
 _KINDS = tuple(MutationKind)
 
-# the bound of a memo of edits; see the module docstring
+# the bounds of a memo of edits; see the module docstring
 _EDIT_ENTRIES = 4096
+_EDIT_CHARS = 1024
 
 
 class AllZeroWeightsError(ValueError):
@@ -170,9 +178,10 @@ def random_mutation(
     single-entry dict forces that operator.  Splicing uses ``donor`` as
     the source of grafts and falls back to the input tree itself.
 
-    With a ``memo``, owned by the caller, an edit made to the same tree
-    before returns the mutant it built then: the draws are the same, and
-    only ``replace_subtree`` is skipped.
+    With a ``memo``, held by the caller, an edit made to the same tree
+    before returns the mutant it built then, which keeps its text: the
+    draws are the same, and only ``replace_subtree`` and ``unparse`` are
+    skipped.
     """
     total, steps = _DEFAULT_DRAW if weights is None else _draw_table(weights)
     x = rng.random() * total
@@ -203,7 +212,8 @@ def random_mutation(
         return known[0], chosen
     mutant = replace_subtree(t, path, subtree)
     # a sampled subtree with children is a new object, so its edit can
-    # never repeat; a shared leaf can
+    # never repeat; a shared leaf can.  A kept mutant keeps its text.
     if chosen is not MutationKind.REGENERATE or not subtree.children:
-        keep(memo, key, (mutant, t), _EDIT_ENTRIES)
+        if len(unparse(mutant, g)) <= _EDIT_CHARS:
+            keep(memo, key, (mutant, t), _EDIT_ENTRIES)
     return mutant, chosen

@@ -33,6 +33,7 @@ __all__ = [
     "TargetSpec",
     "classify_outcome",
     "execute",
+    "lookup_builtin",
     "register_builtin",
     "stable_hash64",
 ]
@@ -56,8 +57,10 @@ class OutcomeKind(str, enum.Enum):
     TIMEOUT = "timeout"
 
 
-# the kinds whose outcome carries a code
+# the kinds whose outcome carries a code, and the kinds filed as crashes;
+# a member read through the enum class costs more than the whole test
 _CODED = (OutcomeKind.REJECT, OutcomeKind.CRASH)
+_CRASHING = (OutcomeKind.CRASH, OutcomeKind.TIMEOUT)
 
 
 class ExecOutcome(Record):
@@ -85,7 +88,7 @@ class ExecOutcome(Record):
 
     @property
     def is_crash(self) -> bool:
-        return self.kind in (OutcomeKind.CRASH, OutcomeKind.TIMEOUT)
+        return self.kind in _CRASHING
 
 
 # the slots' own setters, which bypass the refusing ``__setattr__``: every
@@ -113,7 +116,12 @@ def register_builtin(name: str, fn: BuiltinFn) -> None:
     _BUILTINS[name] = fn
 
 
-def _lookup_builtin(name: str) -> BuiltinFn:
+def lookup_builtin(spec: TargetSpec) -> Optional[BuiltinFn]:
+    """The function a builtin ``spec`` runs, or None for an external one.
+    Raises ValueError for a builtin name that is not registered."""
+    if spec.kind is not TargetKind.BUILTIN:
+        return None
+    name = spec.command
     if name not in _BUILTINS:
         # registration happens at import time
         from . import gnb_validator  # noqa: F401
@@ -249,7 +257,7 @@ def _execute_external(
 
 def execute(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, frozenset[str]]:
     """Run the target once on ``input_text``: its outcome and branch set."""
-    if spec.kind is TargetKind.BUILTIN:
-        fn = _lookup_builtin(spec.command)
+    fn = lookup_builtin(spec)
+    if fn is not None:
         return fn(input_text)
     return _execute_external(spec, input_text)

@@ -9,17 +9,25 @@ strips every parameter that does not contribute to the crash.
 ``extract_param_table`` lines up the watched parameters of several crashes
 next to the known-good initial configuration; staring at the columns is
 usually enough to spot the pattern a crash bucket shares.
+
+A key is a function of its (crash code, branch set) pair, and a campaign
+meets the same few pairs over and over, so ``dedup_key`` keeps each
+pair's key: at most ``_KEYS`` (1024) pairs, by the rule of
+``cache.keep``.  Each pair holds its branch set, about 0.8 KiB on
+``gnb.json``, which the campaign's memo of answers may share.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from collections import deque, namedtuple
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from . import gnb_validator
+from .cache import keep
 from .configfmt import (
     ConfigDocument,
     ConfigError,
@@ -57,6 +65,14 @@ class NonReproducibleError(Exception):
     """The input no longer triggers the crash it was filed under."""
 
 
+# each (crash code, branch set) pair keyed so far and its key; see the
+# module docstring.  Pooled campaign workers may key on threads, so a
+# store takes the lock that keeps the bound; a read needs none.
+_KEYS = 1024
+_keys: dict[tuple[Optional[int], frozenset[str]], str] = {}
+_keys_lock = threading.Lock()
+
+
 def dedup_key(outcome: ExecOutcome, branches: frozenset[str]) -> str:
     """16-char lowercase hex key over (crash id, coverage digest).
 
@@ -64,12 +80,18 @@ def dedup_key(outcome: ExecOutcome, branches: frozenset[str]) -> str:
     joined by newlines, so the key depends neither on the set's iteration
     order nor on the interpreter's hash seed.  Targets that report no
     branches collapse to a constant digest, so their crashes dedup on the
-    crash id alone.
+    crash id alone.  Each pair's key is kept, within ``_KEYS`` pairs.
     """
     if not outcome.is_crash:
         raise NotACrashError(f"cannot dedup a {outcome.kind.value} outcome")
-    digest = stable_hash64("\n".join(sorted(branches)))
-    return f"{stable_hash64(f'{outcome.code}|{digest:016x}'):016x}"
+    pair = (outcome.code, branches)
+    key = _keys.get(pair)
+    if key is None:
+        digest = stable_hash64("\n".join(sorted(branches)))
+        key = f"{stable_hash64(f'{outcome.code}|{digest:016x}'):016x}"
+        with _keys_lock:
+            keep(_keys, pair, key, _KEYS)
+    return key
 
 
 def _bfs_paths(
@@ -117,17 +139,10 @@ def minimize(
     again.
     """
     run = partial(execute, target) if isinstance(target, TargetSpec) else target
-    # the key is a function of the crash code and the branch set
-    verdicts: dict[tuple[Optional[int], frozenset[str]], bool] = {}
 
     def reproduces(t: DerivationTree) -> bool:
         outcome, branches = run(unparse(t, g))
-        if not outcome.is_crash:
-            return False
-        seen = (outcome.code, branches)
-        if seen not in verdicts:
-            verdicts[seen] = dedup_key(outcome, branches) == key
-        return verdicts[seen]
+        return outcome.is_crash and dedup_key(outcome, branches) == key
 
     if not reproduces(tree):
         raise NonReproducibleError(f"input does not reproduce key {key}")

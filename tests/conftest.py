@@ -1,3 +1,5 @@
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,20 @@ def table1_dir() -> Path:
 @pytest.fixture(scope="session")
 def explain_dir() -> Path:
     return EXPLAIN_DIR
+
+
+def on_threads(work) -> None:
+    """``work(worker)`` for four workers at once on threads, switching
+    between threads as often as they can; a test that shares a cache
+    between them empties it first."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)

@@ -112,6 +112,16 @@ class TestOutDir:
             )
         assert files() == before
 
+    def test_an_unknown_builtin_leaves_no_out_dir(self, gnb_grammar_path, tmp_path):
+        # refused before anything is written, so a corrected run can use
+        # the same out dir
+        out = tmp_path / "out"
+        typo = TargetSpec.parse("builtin:gnb-validatr")
+        with pytest.raises(ValueError) as refused:
+            run_campaign(CampaignConfig(gnb_grammar_path, typo, out, max_execs=20))
+        assert str(refused.value) == "unknown builtin target: 'gnb-validatr'"
+        assert not out.exists()
+
     def test_an_empty_out_dir_is_used(self, gnb_grammar_path, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -252,26 +262,35 @@ class TestCrashRouting:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_key_per_distinct_answer(self, tmp_path, monkeypatch, workers):
         # a crash's key is a function of its code and branch set, so it is
-        # worked out once per distinct pair, however often a pair repeats
+        # worked out once per distinct pair, however often a pair repeats:
+        # two hashes, the branch set's digest and then the key over
+        # ``code|digest``
         from test_campaign_bytes import SEED1_2000_DIGESTS, artifact_digest, campaign
 
-        from conffuzz import campaign as campaign_module
+        from conffuzz import campaign as campaign_module, triage
 
-        keyed, crashed = [], []
-        dedup_key, consume = campaign_module.dedup_key, campaign_module._Run.consume
+        hashed, crashed = [], []
+        stable_hash64 = triage.stable_hash64
+        consume = campaign_module._Run.consume
 
-        def keying(outcome, branches):
-            keyed.append((outcome.code, branches))
-            return dedup_key(outcome, branches)
+        def hashing(s):
+            hashed.append(s)
+            return stable_hash64(s)
 
         def consuming(self, tree, text, outcome, branches, **kwargs):
             if outcome.is_crash:
                 crashed.append((outcome.code, branches))
             return consume(self, tree, text, outcome, branches, **kwargs)
 
-        monkeypatch.setattr(campaign_module, "dedup_key", keying)
+        monkeypatch.setattr(triage, "_keys", {})
+        monkeypatch.setattr(triage, "stable_hash64", hashing)
         monkeypatch.setattr(campaign_module._Run, "consume", consuming)
         out = campaign(tmp_path / "out", workers)
+        assert len(hashed) % 2 == 0
+        keyed = [
+            (int(coded.partition("|")[0]), frozenset(labels.split("\n")) - {""})
+            for labels, coded in zip(hashed[::2], hashed[1::2])
+        ]
         assert len(keyed) == len(set(keyed))
         assert set(keyed) == set(crashed)
         assert len(keyed) < len(crashed) / 10
@@ -701,7 +720,7 @@ class TestMemo:
     def test_memo_stays_within_its_bounds(
         self, gnb_grammar_path, tmp_path, monkeypatch
     ):
-        from conffuzz import campaign
+        from conffuzz import campaign, triage
         from conffuzz.gnb_validator import run_text
 
         def run(out):
@@ -715,32 +734,35 @@ class TestMemo:
         calls.clear()
         # each cache has a bound of its own; the gnb grammar's texts are 390
         # to 397 characters long
-        bounds = {"memo": 3, "branch_sets": 2, "routed": 1}
+        bounds = {"memo": 3, "branch_sets": 2}
         monkeypatch.setattr(campaign, "_MEMO_ENTRIES", bounds["memo"])
         monkeypatch.setattr(campaign, "_BRANCH_SETS", bounds["branch_sets"])
-        monkeypatch.setattr(campaign, "_ROUTED", bounds["routed"])
         monkeypatch.setattr(campaign, "_MEMO_CHARS", 394)
+        # the crash keys are triage's, bounded on their own
+        monkeypatch.setattr(triage, "_keys", {})
+        monkeypatch.setattr(triage, "_KEYS", 1)
         sizes, kept = [], set()
-        remember = campaign._Run.remember
+        take = campaign._Run.take
 
-        def watching(self, text, answer):
-            answer = remember(self, text, answer)
+        def watching(self, text, running):
+            answer = take(self, text, running)
             sizes.append({name: len(getattr(self, name)) for name in bounds})
+            sizes[-1]["keys"] = len(triage._keys)
             kept.update(self.memo)
             return answer
 
-        monkeypatch.setattr(campaign._Run, "remember", watching)
+        monkeypatch.setattr(campaign._Run, "take", watching)
         events = record_submissions(monkeypatch)
         stats = run(tmp_path / "out")
         assert stats.execs == 2000
-        for name, bound in bounds.items():
+        for name, bound in {**bounds, "keys": 1}.items():
             assert max(size[name] for size in sizes) == bound
         # the memo empties on its own, not along with the other two
         after_clear = [
             now for was, now in zip(sizes, sizes[1:]) if now["memo"] < was["memo"]
         ]
         assert after_clear
-        assert any(now["routed"] for now in after_clear)
+        assert any(now["keys"] for now in after_clear)
         assert any(now["branch_sets"] > now["memo"] for now in after_clear)
         assert kept and max(len(text) for text in kept) <= 394
         consumed = Counter(e[1] for e in events if e[0] == "consume")
@@ -773,7 +795,7 @@ class TestMemo:
         unbounded = run(tmp_path / "unbounded")
         # the gnb grammar's texts are 390 to 397 characters long
         monkeypatch.setattr(mutation, "_EDIT_ENTRIES", 40)
-        monkeypatch.setattr(campaign, "_MEMO_CHARS", 394)
+        monkeypatch.setattr(mutation, "_EDIT_CHARS", 394)
         mutate, memos, sizes, lengths = campaign.random_mutation, set(), [], set()
 
         def watching(tree, g, *args, memo, **kwargs):

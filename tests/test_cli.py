@@ -388,6 +388,19 @@ class TestFuzz:
         assert (out / "stats.json").read_bytes() == stats
         assert sorted(p.name for p in (out / "corpus").iterdir()) == corpus
 
+    def test_a_typo_in_the_target_leaves_the_out_dir_free(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["fuzz", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        argv += ["--max-execs", "20"]
+        assert main(argv + ["--target", "builtin:gnb-validatr"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown builtin target: 'gnb-validatr'\n"
+        assert captured.out == ""
+        assert not out.exists()
+        # the corrected run is not refused
+        assert main(argv + ["--target", "builtin:gnb-validator"]) == 0
+        assert json.loads((out / "stats.json").read_text())["execs"] == 20
+
     def test_bad_grammar_path(self, tmp_path, capsys):
         rc = main(
             ["fuzz", "--grammar", "nope.json", "--out", str(tmp_path / "x")]

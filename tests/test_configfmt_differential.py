@@ -28,11 +28,9 @@ parser reads a lexeme.
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import pytest
 from configfmt_reference import reference_parse_config
+from conftest import on_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -279,23 +277,6 @@ def test_agrees_with_reference_with_the_line_cache_cold_and_warm(text):
     assert _outcome(parse_config, text) == expected
 
 
-def _on_threads(work) -> None:
-    """``work(worker)`` for four workers at once on threads that share a
-    cold line cache, switching between threads as often as they can."""
-    configfmt._lines.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-
-
 LONG_SETTING = 'a = "' + "s" * configfmt._LINE_CHARS + '";'
 
 # a whole setting line where each other lexeme belongs, a name repeated
@@ -353,7 +334,8 @@ def test_agrees_on_setting_lines_shared_by_threads():
                 if _outcome(parse_config, text) != expected[i % len(texts)]:
                     faults.append(text)
 
-    _on_threads(parse_all)
+    configfmt._lines.clear()
+    on_threads(parse_all)
     assert faults == []
 
 
@@ -402,5 +384,6 @@ def test_line_cache_stays_bounded_under_threads():
             if len(configfmt._lines) > entries:
                 faults.append(f"{len(configfmt._lines)} lines cached")
 
-    _on_threads(parse_fresh_lines)
+    configfmt._lines.clear()
+    on_threads(parse_fresh_lines)
     assert faults == []

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from conffuzz import triage
 from conffuzz.configfmt import ParamPath, parse_config, serialize_config
 from conffuzz.gnb_validator import WATCH_PATHS, baseline_document, run_text
 from conffuzz.grammar import derive_tree, tree_size, unparse
@@ -29,7 +30,7 @@ from conffuzz.triage import (
     store_crash_report,
 )
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, on_threads
 from test_gnb_validator import CELL, PARAM_MATRIX, with_param
 
 VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
@@ -155,6 +156,67 @@ class TestDedupKeyStability:
             check=True,
         )
         assert fresh.stdout.split() == here
+
+
+def _written_out_key(code, labels) -> str:
+    """The key over (crash id, coverage digest), two blake2b hashes."""
+
+    def blake(s):
+        return int.from_bytes(
+            hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big"
+        )
+
+    digest = blake("\n".join(sorted(labels)))
+    return f"{blake(f'{code}|{digest:016x}'):016x}"
+
+
+PAIRS = st.lists(st.tuples(CODES, LABELS), min_size=1, max_size=12)
+
+
+class TestKeyMemo:
+    # ``dedup_key`` keeps each (code, branch set) pair's key within its
+    # bound; a kept key must be the key written out, and a bound of one to
+    # three makes the few pairs below empty the memo again and again
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), PAIRS)
+    def test_kept_keys_are_the_written_out_keys(self, bound, pairs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(triage, "_KEYS", bound)
+            mp.setattr(triage, "_keys", {})
+            for _ in ("cold", "warm"):
+                for code, labels in pairs:
+                    key = dedup_key(_crash(code), frozenset(labels))
+                    assert key == _written_out_key(code, labels)
+                    assert 0 < len(triage._keys) <= bound
+            assert triage._keys == {
+                (code, labels): _written_out_key(code, labels)
+                for code, labels in triage._keys
+            }
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3), PAIRS)
+    def test_kept_keys_hold_under_threads(self, bound, pairs):
+        # pooled campaign workers may key on threads that share the memo
+        expected = [_written_out_key(code, labels) for code, labels in pairs]
+        faults: list[str] = []
+
+        def key_all(worker: int) -> None:
+            for _ in range(20):
+                # each thread starts at another pair
+                for i in range(worker, worker + len(pairs)):
+                    code, labels = pairs[i % len(pairs)]
+                    if dedup_key(_crash(code), frozenset(labels)) != expected[
+                        i % len(pairs)
+                    ]:
+                        faults.append(f"wrong key for {(code, labels)!r}")
+                    if len(triage._keys) > bound:
+                        faults.append(f"{len(triage._keys)} keys kept")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(triage, "_KEYS", bound)
+            mp.setattr(triage, "_keys", {})
+            on_threads(key_all)
+        assert faults == []
 
 
 class TestMinimize:
