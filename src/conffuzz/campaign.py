@@ -103,6 +103,10 @@ _MEMO_ENTRIES = 4096
 _MEMO_CHARS = 1024
 _BRANCH_SETS = 4096
 
+# read on every exec, where a member read through the enum class costs
+# more than the test itself
+_TIMEOUT, _CRASH = OutcomeKind.TIMEOUT, OutcomeKind.CRASH
+
 
 class CampaignConfig:
     """One campaign's settings.  The class attributes are the defaults,
@@ -250,7 +254,7 @@ class _Run:
         ``ask``, kept in the memo; the answer returned is the one kept.  A
         timeout is not kept, so a hang is always run again."""
         outcome, branches = answer = running.result()
-        if outcome.kind is OutcomeKind.TIMEOUT or len(text) > _MEMO_CHARS:
+        if outcome.kind is _TIMEOUT or len(text) > _MEMO_CHARS:
             return answer
         branches = keep(self.branch_sets, branches, branches, _BRANCH_SETS)
         return keep(self.memo, text, (outcome, branches), _MEMO_ENTRIES)
@@ -283,9 +287,9 @@ class _Run:
 
     def consume(self, tree, text, outcome, branches, *, retain_always=False) -> None:
         self.stats.execs += 1
-        if outcome.kind is OutcomeKind.TIMEOUT:
+        if outcome.kind is _TIMEOUT:
             self.stats.timeouts += 1
-        if outcome.kind is OutcomeKind.CRASH:
+        if outcome.kind is _CRASH:
             self.stats.crashes_total += 1
             self.route_crash(outcome, branches, tree, text)
         novel = should_keep(branches, self.seen)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator, Union
 
 from .cache import keep
 from .record import Record
@@ -75,9 +75,9 @@ class NotAScalarError(ConfigError):
     pass
 
 
-Scalar = Union[int, float, str, bool]
+Scalar = int | float | str | bool
 # a group is a dict from name to value in document order; a list is a tuple
-Value = Union[Scalar, dict, tuple]
+Value = Scalar | dict | tuple
 
 
 class ConfigDocument(Record):
@@ -106,7 +106,7 @@ class ParamPath(Record):
 
     __slots__ = _fields = ("segments",)
 
-    def __init__(self, segments: tuple[Union[str, int], ...]) -> None:
+    def __init__(self, segments: tuple[str | int, ...]) -> None:
         if not segments:
             raise ValueError("empty parameter path")
         if not isinstance(segments[0], str):
@@ -124,7 +124,7 @@ class ParamPath(Record):
 
     @classmethod
     def parse(cls, text: str) -> "ParamPath":
-        segments: list[Union[str, int]] = []
+        segments: list[str | int] = []
         for chunk in text.split("."):
             m = cls._SEGMENT_RE.fullmatch(chunk)
             if not m:
@@ -222,13 +222,7 @@ def _settings(it: Iterator, closer: str, depth: int) -> dict:
         lex = next(it)
         if lex != "=":
             raise _expected("'='", lex)
-        lex = next(it)
-        # up to 18 digits is always inside 64 bits, so a plain integer, the
-        # commonest value, needs none of ``_value``'s tests
-        if type(lex) is str and lex.isdecimal() and len(lex) < 19:
-            value = int(lex)
-        else:
-            value = _value(it, lex, depth)
+        value = _value(it, next(it), depth)
         lex = next(it)
         if lex != ";":
             raise _expected("';'", lex)

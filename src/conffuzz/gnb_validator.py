@@ -26,7 +26,6 @@ import os
 import sys
 from collections import namedtuple
 from itertools import groupby
-from pathlib import Path
 
 from .configfmt import (
     ConfigDocument,
@@ -282,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: gnb-validator CONFIG_FILE", file=sys.stderr)
         return 1
     try:
-        text = Path(args[0]).read_text(encoding="utf-8")
+        with open(args[0], encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read {args[0]}: {e}", file=sys.stderr)
         return 1

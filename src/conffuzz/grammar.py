@@ -392,8 +392,6 @@ def parse_grammar(text: str, strict: bool = True) -> Grammar:
 
     if DEFAULT_START not in productions:
         raise MissingStartError(f"grammar does not define {DEFAULT_START!r}")
-    if not productions[DEFAULT_START]:
-        raise NoFiniteDerivationError(f"{DEFAULT_START!r} has no rules")
     return Grammar(productions)
 
 

@@ -16,12 +16,9 @@ branch set into a crash bucket is :func:`conffuzz.triage.dedup_key`'s job.
 from __future__ import annotations
 
 import enum
-import hashlib
 import os
-import tempfile
 import time
-from pathlib import Path
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .record import Record
 
@@ -45,6 +42,9 @@ BRANCH_PREFIX = b"##branch:"
 
 def stable_hash64(s: str) -> int:
     """64-bit hash of a string, stable across processes and platforms."""
+    # imported here so the validator, run as an external target, never loads it
+    import hashlib
+
     return int.from_bytes(
         hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big"
     )
@@ -75,7 +75,7 @@ class ExecOutcome(Record):
     __slots__ = _fields = ("kind", "code", "stderr_excerpt")
 
     def __init__(
-        self, kind: OutcomeKind, code: Optional[int] = None, stderr_excerpt: str = ""
+        self, kind: OutcomeKind, code: int | None = None, stderr_excerpt: str = ""
     ) -> None:
         if kind in _CODED:
             if code is None:
@@ -116,7 +116,7 @@ def register_builtin(name: str, fn: BuiltinFn) -> None:
     _BUILTINS[name] = fn
 
 
-def lookup_builtin(spec: TargetSpec) -> Optional[BuiltinFn]:
+def lookup_builtin(spec: TargetSpec) -> BuiltinFn | None:
     """The function a builtin ``spec`` runs, or None for an external one.
     Raises ValueError for a builtin name that is not registered."""
     if spec.kind is not TargetKind.BUILTIN:
@@ -176,7 +176,7 @@ class TargetSpec(Record):
 
 
 def classify_outcome(
-    returncode: Optional[int], elapsed_ms: float, timeout_ms: int
+    returncode: int | None, elapsed_ms: float, timeout_ms: int
 ) -> ExecOutcome:
     """Map a subprocess exit to an outcome.
 
@@ -195,10 +195,6 @@ def classify_outcome(
     return ExecOutcome(OutcomeKind.REJECT, returncode)
 
 
-def _tmp_base() -> Path:
-    return Path(os.environ.get("CONFFUZZ_TMPDIR", tempfile.gettempdir()))
-
-
 def _execute_external(
     spec: TargetSpec, input_text: str
 ) -> tuple[ExecOutcome, frozenset[str]]:
@@ -206,10 +202,12 @@ def _execute_external(
     import shlex
     import signal
     import subprocess
+    import tempfile
+    from pathlib import Path
 
     # a fresh name per call, so concurrent callers cannot clobber each
     # other's input; nothing outlives the call, even a failed write or spawn
-    base = _tmp_base()
+    base = Path(os.environ.get("CONFFUZZ_TMPDIR", tempfile.gettempdir()))
     base.mkdir(parents=True, exist_ok=True)
     fd, path = tempfile.mkstemp(suffix=".conf", dir=base)
     try:

@@ -91,6 +91,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CampaignConfig(gnb_grammar_path, VALIDATOR, tmp_path, workers=0)
 
+    def test_energy_per_entry_positive(self, gnb_grammar_path, tmp_path):
+        with pytest.raises(ValueError, match="energy_per_entry must be at least 1"):
+            CampaignConfig(gnb_grammar_path, VALIDATOR, tmp_path, energy_per_entry=0)
+
     def test_missing_grammar_propagates(self, tmp_path):
         cfg = CampaignConfig(tmp_path / "nope.json", VALIDATOR, tmp_path / "out")
         with pytest.raises(OSError):
@@ -716,6 +720,35 @@ class TestMemo:
         monkeypatch.setattr(campaign, "execute", elsewhere)
         assert run.answer(text) == running.result()
         assert run.memo[text] == running.result()
+
+    def test_a_flaky_crash_keeps_its_original_witness(
+        self, gnb_grammar_path, tmp_path, monkeypatch
+    ):
+        # a text the memo does not keep is run again by minimize's first
+        # ask; a crash that happens on a text's first run only does not
+        # reproduce there, so the stored minimized input is the input
+        from conffuzz import campaign
+        from conffuzz.gnb_validator import run_text
+        from conffuzz.target import ExecOutcome
+
+        def crashes_on_first_run(text):
+            outcome, branches = run_text(text)
+            if calls[text] == 1:
+                return ExecOutcome(OutcomeKind.CRASH, 7), branches
+            return outcome, branches
+
+        spec, calls = register_counting("crashes-on-first-run", crashes_on_first_run)
+        monkeypatch.setattr(campaign, "_MEMO_CHARS", 0)
+        out = tmp_path / "out"
+        stats = run_campaign(
+            CampaignConfig(gnb_grammar_path, spec, out, seed=1, max_execs=100)
+        )
+        crash_dirs = sorted((out / "crashes").iterdir())
+        assert len(crash_dirs) == stats.crashes_unique > 0
+        for crash_dir in crash_dirs:
+            text = (crash_dir / "input.conf").read_text(encoding="utf-8")
+            assert (crash_dir / "minimized.conf").read_text(encoding="utf-8") == text
+            assert calls[text] >= 2
 
     def test_memo_stays_within_its_bounds(
         self, gnb_grammar_path, tmp_path, monkeypatch

@@ -319,6 +319,18 @@ class TestTriage:
                 ),
                 "missing field 'stderr_excerpt'",
             ),
+            (
+                lambda p: json.dumps(
+                    {**p, "outcome": {**p["outcome"], "class": "hang"}}
+                ),
+                "field 'outcome': 'hang' is not a valid OutcomeKind",
+            ),
+            (
+                lambda p: json.dumps(
+                    {**p, "param_diff": [{"path": "a..b", "initial": 1, "crash": 2}]}
+                ),
+                "field 'param_diff[0].path': malformed parameter path: 'a..b'",
+            ),
         ],
         ids=[
             "missing-outcome",
@@ -329,6 +341,8 @@ class TestTriage:
             "bool-code",
             "ill-typed-excerpt",
             "missing-excerpt",
+            "unknown-class",
+            "malformed-path",
         ],
     )
     def test_bad_report_json_is_a_usage_error(

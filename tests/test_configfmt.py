@@ -310,6 +310,10 @@ class TestParamPath:
             ParamPath((0, "a"))
         with pytest.raises(ValueError):
             ParamPath(("a", True))
+        with pytest.raises(ValueError, match=r"^bad identifier in path: '1a'$"):
+            ParamPath(("a", "1a"))
+        with pytest.raises(ValueError, match=r"^negative list index in path: -1$"):
+            ParamPath(("a", -1))
 
 
 class TestGetSetDiff:

@@ -133,6 +133,11 @@ class TestParseGrammar:
         with pytest.raises(NoFiniteDerivationError):
             parse_grammar('{"<START>": [["<A>"]], "<A>": []}')
 
+    def test_start_with_no_rules_rejected(self):
+        with pytest.raises(NoFiniteDerivationError) as err:
+            parse_grammar('{"<START>": []}')
+        assert str(err.value) == "token(s) with no finite derivation: <START>"
+
     def test_epsilon_rule_allowed(self):
         g = parse_grammar('{"<START>": [[]]}')
         assert unparse(generate_tree(g, 3), g) == ""

@@ -1,15 +1,19 @@
 """Imports: what the package loads, and what its modules export and share.
 
-The thread pool serves only pooled runs, the subprocess machinery only
-``exec:`` targets, and an HTTP client only the HTTP explain backend; each
-is imported where it is used.  Nothing in the package imports ``uuid``;
-it stays in ``POOL_AND_SPAWN`` so that a start-up path that loads it
-again fails here.  The records are named tuples and plain classes on one
-base, ``conffuzz.record.Record``, so no start-up, the ``exec:``
-validator's included, pays for ``dataclasses`` and the ``inspect`` it
-pulls in.  Every start-up check runs in a fresh interpreter and compares
-against a bare one, so modules the interpreter loads at start-up on its
-own do not count.
+A module imports at top level only what every run of it uses.  The
+thread pool serves only pooled runs, the subprocess, temp-file and path
+machinery only ``exec:`` targets, the hash only crash keys, and an HTTP
+client only the HTTP explain backend; each is imported where it is used,
+and no module of the validator's start-up loads ``typing``.  Nothing in
+the package imports ``uuid``; it stays in ``POOL_AND_SPAWN`` so that a
+start-up path that loads it again fails here.  The records are named
+tuples and plain classes on one base, ``conffuzz.record.Record``, so no
+start-up, the ``exec:`` validator's included, pays for ``dataclasses``
+and the ``inspect`` it pulls in.  Every start-up check runs in a fresh
+interpreter and compares against a bare one, so modules the interpreter
+loads at start-up on its own do not count; the validator's own start-up
+is also measured under ``-S``, where no site hook preloads modules into
+the bare one.
 
 Every record class subclasses ``Record``, the one place that writes a
 record's ``__setattr__``, ``__delattr__``, ``__repr__`` and
@@ -46,14 +50,15 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 POOL_AND_SPAWN = {"concurrent.futures", "subprocess", "uuid"}
 HTTP_CLIENT = {"requests", "urllib.request", "http.client"}
 RECORD_MACHINERY = {"dataclasses", "inspect"}
+EXEC_ONLY = {"tempfile", "shutil", "pathlib", "hashlib", "typing"}
 
 
-def _loaded_by(code: str) -> set[str]:
+def _loaded_by(code: str, *flags: str) -> set[str]:
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *flags, "-c", probe],
         capture_output=True,
         text=True,
         env=env,
@@ -84,6 +89,14 @@ def test_import_adds_no_unused_machinery(bare, code, absent):
     added = _loaded_by(code) - bare
     assert "conffuzz" in added
     assert sorted(added & absent) == []
+
+
+def test_validator_start_up_loads_no_exec_machinery():
+    # what each ``exec:`` run of the standalone validator imports, with no
+    # site hook: a site-packages ``.pth`` file may load these on its own
+    added = _loaded_by("import conffuzz.gnb_validator", "-S") - _loaded_by("", "-S")
+    assert "conffuzz.gnb_validator" in added
+    assert sorted(added & EXEC_ONLY) == []
 
 
 def test_single_worker_run_loads_no_pool(bare, tmp_path):
