@@ -62,9 +62,9 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from collections.abc import Callable
 from pathlib import Path
 from random import Random
-from typing import Callable, Optional, Union
 
 from . import gnb_validator
 from .cache import keep
@@ -79,7 +79,7 @@ from .grammar import (
     unparse,
 )
 from .mutate import random_mutation
-from .target import ExecOutcome, OutcomeKind, TargetSpec, execute, lookup_builtin
+from .target import ExecOutcome, OutcomeKind, TargetSpec, execute
 from .triage import (
     NonReproducibleError,
     dedup_key,
@@ -121,15 +121,15 @@ class CampaignConfig:
 
     def __init__(
         self,
-        grammar_path: Union[str, Path],
+        grammar_path: str | Path,
         target: TargetSpec,
-        out_dir: Union[str, Path],
+        out_dir: str | Path,
         seed: int = seed,
         max_execs: int = max_execs,
         workers: int = workers,
         energy_per_entry: int = energy_per_entry,
         max_depth: int = max_depth,
-        progress: Optional[Callable[["CampaignStats"], None]] = progress,
+        progress: Callable[[CampaignStats], None] | None = progress,
     ) -> None:
         if max_execs < 1:
             raise ValueError("max_execs must be at least 1")
@@ -149,7 +149,8 @@ class CampaignConfig:
 
 
 class CampaignStats:
-    """A campaign's counters, as written to ``stats.json``."""
+    """A campaign's counters, as written to ``stats.json``;
+    ``execs_per_sec`` is set once, when the campaign ends."""
 
     # stats.json's key order is this order
     __slots__ = (
@@ -235,10 +236,6 @@ class _Run:
         # the mutants built so far, by their edit; see ``random_mutation``
         self.edits: dict = {}
 
-    def throughput(self) -> float:
-        elapsed = max(time.monotonic() - self.t0, 1e-9)
-        return round(self.stats.execs / elapsed, 1)
-
     def ask(self, text: str, submit) -> tuple:
         """``text``'s answer from the memo and ``None``, or else ``None``
         and a future of it: its run in flight, or else a new run from
@@ -299,7 +296,6 @@ class _Run:
         if novel or retain_always:
             self.retain(tree, text)
         if self.cfg.progress:
-            self.stats.execs_per_sec = self.throughput()
             self.cfg.progress(self.stats)
 
 
@@ -382,11 +378,9 @@ def _loop(run: _Run) -> None:
 
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     g = parse_grammar(Path(cfg.grammar_path).read_text(encoding="utf-8"))
-    # before anything is written, so a depth the grammar cannot meet, or a
-    # builtin that is not registered, leaves no out dir and no stats.json
-    # behind
+    # before anything is written, so a depth the grammar cannot meet leaves
+    # no out dir and no stats.json behind
     check_max_depth(g, cfg.max_depth)
-    lookup_builtin(cfg.target)
     out = Path(cfg.out_dir)
     # another campaign's artifacts would mix with this one's
     if out.is_dir() and any(out.iterdir()):
@@ -402,7 +396,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     finally:
         # flush whatever was gathered, even on interruption
         run.stats.finished_unix_ms = int(time.time() * 1000)
-        run.stats.execs_per_sec = run.throughput()
+        elapsed = max(time.monotonic() - run.t0, 1e-9)
+        run.stats.execs_per_sec = round(run.stats.execs / elapsed, 1)
         (out / "stats.json").write_text(
             json.dumps(run.stats.as_dict(), indent=2) + "\n", encoding="utf-8"
         )

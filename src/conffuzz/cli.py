@@ -185,16 +185,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    last_print = time.monotonic()
+    started = last_print = time.monotonic()
 
     def progress(stats):
         nonlocal last_print
         now = time.monotonic()
         if now - last_print >= PROGRESS_INTERVAL_S:
             last_print = now
+            rate = round(stats.execs / max(now - started, 1e-9), 1)
             print(
                 f"[fuzz] execs={stats.execs} corpus={stats.corpus_size} "
-                f"uniques={stats.crashes_unique} execs/s={stats.execs_per_sec}",
+                f"uniques={stats.crashes_unique} execs/s={rate}",
                 file=sys.stderr,
             )
 

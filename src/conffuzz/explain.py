@@ -18,8 +18,8 @@ import json
 import os
 import re
 from collections import namedtuple
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Union
 
 __all__ = [
     "BackendError",
@@ -149,8 +149,8 @@ def _iter_source_files(root: Path):
 
 
 def _find_switch_arms(
-    flags: Sequence[str], source_root: Union[str, Path]
-) -> dict[str, tuple[Optional[str], str]]:
+    flags: Sequence[str], source_root: str | Path
+) -> dict[str, tuple[str | None, str]]:
     """Locate ``case '<flag>':`` and the assignment it guards, per flag.
 
     Maps a flag to (variable name or None, arm snippet); a flag with no
@@ -159,7 +159,7 @@ def _find_switch_arms(
     file that contains a flag's arm decides, even when its arm assigns
     nothing.
     """
-    arms: dict[str, tuple[Optional[str], str]] = {}
+    arms: dict[str, tuple[str | None, str]] = {}
     pending = list(dict.fromkeys(flags))
     if not pending:
         return arms
@@ -185,14 +185,16 @@ def _find_switch_arms(
     return arms
 
 
-class ExplanationBackend(Protocol):
+class ExplanationBackend:
+    """What ``explain_params`` asks of a backend; matched by shape."""
+
     def explain(self, var_name: str, context: str) -> str: ...
 
 
 def explain_params(
     params: dict[str, tuple[str, ...]],
     backend: ExplanationBackend,
-    source_root: Union[str, Path],
+    source_root: str | Path,
 ) -> list[ParamInfo]:
     """Resolve and explain every flag, in the order the map provides.
 
@@ -219,7 +221,7 @@ def explain_params(
 def write_report(
     infos: Sequence[ParamInfo],
     tests: Sequence[TestCaseRecord],
-    out: Optional[Union[str, Path]] = None,
+    out: str | Path | None = None,
 ) -> str:
     lines = [f"[tests] {len(tests)}"]
     for info in infos:
@@ -237,7 +239,7 @@ def write_report(
 class GlossaryFileBackend:
     """Offline backend over a UTF-8 ``name<TAB>meaning`` file."""
 
-    def __init__(self, path: Union[str, Path]):
+    def __init__(self, path: str | Path):
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as e:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 import operator
 import re
+from collections.abc import Callable, Mapping
 from functools import cached_property
 from random import Random
 from types import MappingProxyType
-from typing import Callable, Mapping
 
 from .record import Record
 

@@ -26,9 +26,9 @@ node per level of its edit's path.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from random import Random
 from types import MappingProxyType
-from typing import Mapping, Optional
 
 from .cache import keep
 from .grammar import (
@@ -120,7 +120,7 @@ def _swap_sites(t: DerivationTree, g: Grammar) -> list:
     return [(path, node) for path, node in t.paths if node.token in swappable]
 
 
-def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> Optional[_Edit]:
+def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> _Edit | None:
     sites = grammar_slot(t, g, "_swap_sites", _swap_sites)
     if not sites:
         return None
@@ -134,7 +134,7 @@ def _rule_swap(t: DerivationTree, g: Grammar, rng: Random) -> Optional[_Edit]:
 
 def _splice(
     t: DerivationTree, donor: DerivationTree, g: Grammar, rng: Random
-) -> Optional[_Edit]:
+) -> _Edit | None:
     pool = donor.grafts
     sites = [(path, node) for path, node in t.paths if node.token in pool]
     if not sites:
@@ -152,7 +152,7 @@ def _tweak_sites(t: DerivationTree, g: Grammar) -> list:
     ]
 
 
-def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> Optional[_Edit]:
+def _scalar_tweak(t: DerivationTree, g: Grammar, rng: Random) -> _Edit | None:
     sites = grammar_slot(t, g, "_tweak_sites", _tweak_sites)
     if not sites:
         return None
@@ -165,11 +165,11 @@ def random_mutation(
     t: DerivationTree,
     g: Grammar,
     rng: Random,
-    weights: Optional[Mapping[MutationKind, float]] = None,
+    weights: Mapping[MutationKind, float] | None = None,
     *,
-    donor: Optional[DerivationTree] = None,
+    donor: DerivationTree | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    memo: Optional[dict] = None,
+    memo: dict | None = None,
 ) -> tuple[DerivationTree, MutationKind]:
     """Apply one weighted-random operator drawn from ``rng``; returns the
     tree and the kind.

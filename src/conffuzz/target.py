@@ -19,6 +19,7 @@ import enum
 import os
 import time
 from collections.abc import Callable
+from functools import partial
 
 from .record import Record
 
@@ -30,7 +31,6 @@ __all__ = [
     "TargetSpec",
     "classify_outcome",
     "execute",
-    "lookup_builtin",
     "register_builtin",
     "stable_hash64",
 ]
@@ -116,23 +116,11 @@ def register_builtin(name: str, fn: BuiltinFn) -> None:
     _BUILTINS[name] = fn
 
 
-def lookup_builtin(spec: TargetSpec) -> BuiltinFn | None:
-    """The function a builtin ``spec`` runs, or None for an external one.
-    Raises ValueError for a builtin name that is not registered."""
-    if spec.kind is not TargetKind.BUILTIN:
-        return None
-    name = spec.command
-    if name not in _BUILTINS:
-        # registration happens at import time
-        from . import gnb_validator  # noqa: F401
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown builtin target: {name!r}") from None
-
-
 class TargetSpec(Record):
-    """What to run for each input and how long to let it run.  Immutable."""
+    """What to run for each input and how long to let it run.  Immutable.
+    ``run``, derived once here, is the function from an input text to the
+    target's answer: a builtin's registered function, or a run of the argv
+    split from an ``exec:`` template."""
 
     _fields = ("kind", "command", "timeout_ms")
 
@@ -153,12 +141,20 @@ class TargetSpec(Record):
             import shlex
 
             try:
-                shlex.split(command)
+                argv = tuple(shlex.split(command))
             except ValueError as e:
                 raise ValueError(
                     f"cannot split external command {command!r}: {e}"
                 ) from None
-        vars(self).update(kind=kind, command=command, timeout_ms=timeout_ms)
+            run = partial(_execute_external, argv, timeout_ms)
+        else:
+            if command not in _BUILTINS:
+                # registration happens at import time
+                from . import gnb_validator  # noqa: F401
+            run = _BUILTINS.get(command)
+            if run is None:
+                raise ValueError(f"unknown builtin target: {command!r}")
+        vars(self).update(kind=kind, command=command, timeout_ms=timeout_ms, run=run)
 
     @classmethod
     def parse(
@@ -176,9 +172,9 @@ class TargetSpec(Record):
 
 
 def classify_outcome(
-    returncode: int | None, elapsed_ms: float, timeout_ms: int
+    returncode: int | None, elapsed_ms: float, timeout_ms: int, excerpt: str = ""
 ) -> ExecOutcome:
-    """Map a subprocess exit to an outcome.
+    """Map a subprocess exit to an outcome carrying ``excerpt``.
 
     A missing return code means the process had to be killed; overrunning
     the budget counts as a timeout even if the process then exited on its
@@ -187,19 +183,18 @@ def classify_outcome(
     rejections.
     """
     if returncode is None or elapsed_ms > timeout_ms:
-        return ExecOutcome(OutcomeKind.TIMEOUT)
+        return ExecOutcome(OutcomeKind.TIMEOUT, None, excerpt)
     if returncode == 0:
-        return ExecOutcome(OutcomeKind.OK)
+        return ExecOutcome(OutcomeKind.OK, None, excerpt)
     if returncode < 0:
-        return ExecOutcome(OutcomeKind.CRASH, -returncode)
-    return ExecOutcome(OutcomeKind.REJECT, returncode)
+        return ExecOutcome(OutcomeKind.CRASH, -returncode, excerpt)
+    return ExecOutcome(OutcomeKind.REJECT, returncode, excerpt)
 
 
 def _execute_external(
-    spec: TargetSpec, input_text: str
+    argv: tuple[str, ...], timeout_ms: int, input_text: str
 ) -> tuple[ExecOutcome, frozenset[str]]:
     # imported here so in-process (builtin) runs never load them
-    import shlex
     import signal
     import subprocess
     import tempfile
@@ -213,19 +208,19 @@ def _execute_external(
     try:
         with open(fd, "w", encoding="utf-8") as f:
             f.write(input_text)
-        argv = [tok.replace("{input}", path) for tok in shlex.split(spec.command)]
+        args = [tok.replace("{input}", path) for tok in argv]
         started = time.monotonic()
         try:
             proc = subprocess.Popen(
-                argv,
+                args,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
                 start_new_session=True,
             )
         except OSError as e:
-            raise SpawnFailureError(f"cannot start {argv[0]!r}: {e}") from e
+            raise SpawnFailureError(f"cannot start {args[0]!r}: {e}") from e
         try:
-            _, err = proc.communicate(timeout=spec.timeout_ms / 1000.0)
+            _, err = proc.communicate(timeout=timeout_ms / 1000.0)
         except BaseException as e:
             # kill the whole session so timed-out children cannot linger;
             # an interrupt never reaches a target in its own session, so
@@ -237,10 +232,10 @@ def _execute_external(
             _, err = proc.communicate()
             if not isinstance(e, subprocess.TimeoutExpired):
                 raise
-            outcome = ExecOutcome(OutcomeKind.TIMEOUT)
+            returncode = None  # killed: a timeout
         else:
-            elapsed_ms = (time.monotonic() - started) * 1000.0
-            outcome = classify_outcome(proc.returncode, elapsed_ms, spec.timeout_ms)
+            returncode = proc.returncode
+        elapsed_ms = (time.monotonic() - started) * 1000.0
     finally:
         Path(path).unlink(missing_ok=True)
     err = err or b""
@@ -250,12 +245,9 @@ def _execute_external(
         if line.startswith(BRANCH_PREFIX)
     )
     excerpt = err[:STDERR_EXCERPT_BYTES].decode("utf-8", "replace")
-    return ExecOutcome(outcome.kind, outcome.code, excerpt), branches
+    return classify_outcome(returncode, elapsed_ms, timeout_ms, excerpt), branches
 
 
 def execute(spec: TargetSpec, input_text: str) -> tuple[ExecOutcome, frozenset[str]]:
     """Run the target once on ``input_text``: its outcome and branch set."""
-    fn = lookup_builtin(spec)
-    if fn is not None:
-        return fn(input_text)
-    return _execute_external(spec, input_text)
+    return spec.run(input_text)

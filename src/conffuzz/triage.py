@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque, namedtuple
+from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
 
 from . import gnb_validator
 from .cache import keep
@@ -66,10 +66,11 @@ class NonReproducibleError(Exception):
 
 
 # each (crash code, branch set) pair keyed so far and its key; see the
-# module docstring.  Pooled campaign workers may key on threads, so a
-# store takes the lock that keeps the bound; a read needs none.
+# module docstring.  Only a campaign's coordinator keys in the package,
+# but a caller of the public ``dedup_key`` may key from several threads,
+# so a store takes the lock that keeps the bound; a read needs none.
 _KEYS = 1024
-_keys: dict[tuple[Optional[int], frozenset[str]], str] = {}
+_keys: dict[tuple[int | None, frozenset[str]], str] = {}
 _keys_lock = threading.Lock()
 
 
@@ -110,9 +111,7 @@ def _bfs_paths(
 def minimize(
     tree: DerivationTree,
     g: Grammar,
-    target: Union[
-        TargetSpec, Callable[[str], tuple[ExecOutcome, frozenset[str]]]
-    ],
+    target: TargetSpec | Callable[[str], tuple[ExecOutcome, frozenset[str]]],
     key: str,
 ) -> DerivationTree:
     """Shrink a crashing tree while its dedup key is preserved.
@@ -278,7 +277,7 @@ ParamTable = namedtuple("ParamTable", "paths columns")
 
 
 def _column_values(
-    doc: Optional[ConfigDocument], watch: Sequence[ParamPath]
+    doc: ConfigDocument | None, watch: Sequence[ParamPath]
 ) -> tuple[str, ...]:
     cells = []
     for path in watch:
@@ -294,8 +293,8 @@ def _column_values(
 
 def extract_param_table(
     reports: Sequence[CrashReport],
-    watch: Optional[Sequence[ParamPath]] = None,
-    names: Optional[Sequence[str]] = None,
+    watch: Sequence[ParamPath] | None = None,
+    names: Sequence[str] | None = None,
 ) -> ParamTable:
     """Watched parameters of the initial config and each crash, columnwise.
 

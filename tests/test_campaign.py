@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -120,8 +121,8 @@ class TestOutDir:
         # refused before anything is written, so a corrected run can use
         # the same out dir
         out = tmp_path / "out"
-        typo = TargetSpec.parse("builtin:gnb-validatr")
         with pytest.raises(ValueError) as refused:
+            typo = TargetSpec.parse("builtin:gnb-validatr")
             run_campaign(CampaignConfig(gnb_grammar_path, typo, out, max_execs=20))
         assert str(refused.value) == "unknown builtin target: 'gnb-validatr'"
         assert not out.exists()
@@ -370,6 +371,36 @@ class TestProgressCallback:
         run_campaign(cfg)
         # called after every consume; the caller decides how often to print
         assert seen == list(range(1, 513))
+
+    def test_reads_no_clock_per_exec(self, gnb_grammar_path, tmp_path, monkeypatch):
+        # the campaign works out its rate once, at the end, however long
+        # it runs and whether or not a progress callback is installed
+        import types
+
+        from conffuzz import campaign
+
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return time.monotonic()
+
+        clock = types.SimpleNamespace(monotonic=monotonic, time=time.time)
+        monkeypatch.setattr(campaign, "time", clock)
+        counts = []
+        for max_execs in (20, 2000):
+            del reads[:]
+            cfg = CampaignConfig(
+                gnb_grammar_path,
+                VALIDATOR,
+                tmp_path / str(max_execs),
+                seed=1,
+                max_execs=max_execs,
+                progress=lambda s: None,
+            )
+            assert run_campaign(cfg).execs == max_execs
+            counts.append(len(reads))
+        assert counts[0] == counts[1] <= 2
 
 
 class TestInterrupt:

@@ -8,6 +8,7 @@ process of its own, since it has to send that process SIGTERM.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -414,6 +415,24 @@ class TestFuzz:
         # the corrected run is not refused
         assert main(argv + ["--target", "builtin:gnb-validator"]) == 0
         assert json.loads((out / "stats.json").read_text())["execs"] == 20
+
+    def test_progress_lines_show_a_rising_count_and_a_rate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from conffuzz import cli
+
+        monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 0)
+        argv = ["fuzz", "--grammar", str(GRAMMAR_PATH), "--out", str(tmp_path / "r")]
+        assert main(argv + ["--max-execs", "50"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        pattern = re.compile(
+            r"\[fuzz\] execs=(\d+) corpus=\d+ uniques=\d+ execs/s=(\d+\.\d+)"
+        )
+        found = [pattern.fullmatch(line) for line in lines]
+        assert lines and all(found), lines
+        execs = [int(m.group(1)) for m in found]
+        assert execs == sorted(set(execs)) and execs[-1] == 50
+        assert all(float(m.group(2)) > 0 for m in found)
 
     def test_bad_grammar_path(self, tmp_path, capsys):
         rc = main(

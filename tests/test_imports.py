@@ -3,8 +3,9 @@
 A module imports at top level only what every run of it uses.  The
 thread pool serves only pooled runs, the subprocess, temp-file and path
 machinery only ``exec:`` targets, the hash only crash keys, and an HTTP
-client only the HTTP explain backend; each is imported where it is used,
-and no module of the validator's start-up loads ``typing``.  Nothing in
+client only the HTTP explain backend; each is imported where it is used.
+No module of the package imports ``typing``: annotations are never
+evaluated, and the abstract types come from ``collections.abc``.  Nothing in
 the package imports ``uuid``; it stays in ``POOL_AND_SPAWN`` so that a
 start-up path that loads it again fails here.  The records are named
 tuples and plain classes on one base, ``conffuzz.record.Record``, so no
@@ -97,6 +98,21 @@ def test_validator_start_up_loads_no_exec_machinery():
     added = _loaded_by("import conffuzz.gnb_validator", "-S") - _loaded_by("", "-S")
     assert "conffuzz.gnb_validator" in added
     assert sorted(added & EXEC_ONLY) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import conffuzz.cli",
+        "import conffuzz.campaign, conffuzz.triage, conffuzz.gnb_validator",
+    ],
+    ids=["cli", "campaign-triage-validator"],
+)
+def test_start_up_loads_no_typing(code):
+    # under -S, so that no site hook loads it into the bare interpreter
+    added = _loaded_by(code, "-S") - _loaded_by("", "-S")
+    assert "conffuzz" in added
+    assert "typing" not in added
 
 
 def test_single_worker_run_loads_no_pool(bare, tmp_path):

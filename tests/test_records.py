@@ -21,12 +21,24 @@ from conffuzz.configfmt import ConfigDocument, ParamPath
 from conffuzz.explain import ParamInfo, TestCaseRecord
 from conffuzz.gnb_validator import BandSpec
 from conffuzz.grammar import DerivationTree, Grammar, Rule, RuleItem
-from conffuzz.target import ExecOutcome, OutcomeKind, TargetKind, TargetSpec
+from conffuzz.target import (
+    ExecOutcome,
+    OutcomeKind,
+    TargetKind,
+    TargetSpec,
+    register_builtin,
+)
 from conffuzz.triage import CrashReport, ParamTable
 
 
 def _rule(text: str) -> Rule:
     return Rule((RuleItem(text, False),))
+
+
+# a builtin spec resolves its name when it is built, so the names the
+# TargetSpec case builds under either kind are registered
+for _name in ("run {input}", "go {input}"):
+    register_builtin(_name, lambda text: (ExecOutcome(OutcomeKind.OK), frozenset()))
 
 
 # (class, keyword fields, a different value per field, derived attributes
@@ -42,7 +54,7 @@ FROZEN = [
         TargetSpec,
         {"kind": TargetKind.BUILTIN, "command": "run {input}", "timeout_ms": 10},
         {"kind": TargetKind.EXTERNAL, "command": "go {input}", "timeout_ms": 20},
-        (),
+        ("run",),
     ),
     (ConfigDocument, {"root": {"a": 1}}, {"root": {"a": True}}, ()),
     (ParamPath, {"segments": ("a", 0, "b")}, {"segments": ("a", 1, "b")}, ()),

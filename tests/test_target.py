@@ -1,6 +1,7 @@
 """Target execution: outcome classification, branch sets, subprocess control."""
 
 import os
+import shlex
 import signal
 import stat
 import subprocess
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+from conffuzz import target
 from conffuzz.target import (
     ExecOutcome,
     OutcomeKind,
@@ -140,8 +142,16 @@ class TestBuiltinDispatch:
         assert branches == frozenset({"chk:fake"})
 
     def test_unknown_builtin_raises(self):
-        with pytest.raises(ValueError):
-            execute(TargetSpec.parse("builtin:no-such-target"), "x")
+        # refused when the spec is parsed, before any run
+        with pytest.raises(ValueError) as refused:
+            TargetSpec.parse("builtin:unregistered-name")
+        assert str(refused.value) == "unknown builtin target: 'unregistered-name'"
+
+    def test_a_parsed_spec_runs_without_a_lookup(self, monkeypatch):
+        spec = TargetSpec.parse("builtin:gnb-validator")
+        monkeypatch.setattr(target, "_BUILTINS", {})
+        outcome, _ = execute(spec, "not a config")
+        assert outcome.kind is OutcomeKind.REJECT
 
     def test_default_builtin_is_importable(self):
         outcome, _ = execute(TargetSpec.parse("builtin:gnb-validator"), "not a config")
@@ -184,6 +194,20 @@ class TestExternalExecution:
         assert branches == frozenset({"chk:a", "chk:b"})
         assert "hello = 1;" in outcome.stderr_excerpt
         assert "noise line" in outcome.stderr_excerpt
+
+    def test_a_parsed_template_is_not_split_again(self, monkeypatch, sandbox_tmpdir):
+        code = "import sys; sys.exit(len(sys.argv))"
+        spec = TargetSpec.parse(
+            f"exec:{shlex.quote(sys.executable)} -c {shlex.quote(code)} {{input}}"
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the template was split again")
+
+        monkeypatch.setattr(shlex, "split", refuse)
+        outcome, branches = execute(spec, "x")
+        assert outcome == ExecOutcome(OutcomeKind.REJECT, 2)
+        assert branches == frozenset()
 
     def test_reject_exit_code(self, tmp_path, sandbox_tmpdir):
         script = _write_script(tmp_path, "rej.py", "sys.exit(3)")
