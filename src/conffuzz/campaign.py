@@ -3,12 +3,15 @@
 One campaign seeds a corpus from the grammar, then repeatedly picks an
 entry, mutates it, runs the target, and keeps the mutant whenever its
 branch feedback covers something unseen.  Crashes are deduplicated,
-minimized, and stored as they are found.  All randomness flows from the
-campaign seed, so a run's bytes are a function of its seed and worker
-count.  Seeds enter in two places only: ``generate_tree`` seeds the
-corpus's generated entries from ``seed .. seed + SEED_TREES - 1``, and
-the loop keeps one stream ``Random(seed + w)`` per worker ``w``; every
-later draw, the mutation's included, continues one of those streams.
+minimized, and stored as they are found.  A target that gives every
+seed input one answer, not a timeout, and reports no branch label cannot
+see its inputs, and is refused before the loop starts.  All randomness
+flows from the campaign seed, so a run's bytes are a function of its
+seed and worker count.  Seeds enter in two places only:
+``generate_tree`` seeds the corpus's generated entries from
+``seed .. seed + SEED_TREES - 1``, and the loop keeps one stream
+``Random(seed + w)`` per worker ``w``; every later draw, the mutation's
+included, continues one of those streams.
 
 Scheduling is round-robin with an energy budget: each corpus entry gets
 ``energy_per_entry`` consecutive picks per round, and an entry whose round
@@ -299,7 +302,8 @@ class _Run:
             self.cfg.progress(self.stats)
 
 
-def _seed_corpus(run: _Run) -> None:
+def _seed_corpus(run: _Run) -> list[tuple[ExecOutcome, frozenset[str]]]:
+    """Run and retain the seed inputs; the answers they got, in order."""
     cfg = run.cfg
     trees = [
         generate_tree(run.g, s, cfg.max_depth)
@@ -310,11 +314,33 @@ def _seed_corpus(run: _Run) -> None:
     fixture = derive_tree(run.g, gnb_validator.baseline_text())
     if fixture is not None:
         trees.append(fixture)
+    answers = []
     for tree in trees:
         if run.stats.execs >= cfg.max_execs:
             break
         text = unparse(tree, run.g)
-        run.consume(tree, text, *run.answer(text), retain_always=True)
+        answers.append(run.answer(text))
+        run.consume(tree, text, *answers[-1], retain_always=True)
+    return answers
+
+
+def _refuse_blind(answers: list[tuple[ExecOutcome, frozenset[str]]]) -> None:
+    """Raise ``ValueError`` when the seed inputs all got one answer, not a
+    timeout, and none reported a branch label: a target that cannot read
+    its input, or cannot start, answers so, and no feedback could ever
+    tell its inputs apart.  A hang is left to the timeout count."""
+    [(kind, code), *others] = {(outcome.kind, outcome.code) for outcome, _ in answers}
+    if others or kind is _TIMEOUT or any(branches for _, branches in answers):
+        return
+    answer = kind.value if code is None else f"{kind.value} (code {code})"
+    message = f"target answered {answer} to every seed input"
+    message += " and reported no branch labels"
+    # a Python traceback ends with its error
+    excerpt = next((o.stderr_excerpt for o, _ in answers if o.stderr_excerpt), "")
+    lines = [line.strip() for line in excerpt.splitlines() if line.strip()]
+    if lines:
+        message += f"; its stderr ends: {lines[-1]}"
+    raise ValueError(message)
 
 
 def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
@@ -391,7 +417,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     run = _Run(cfg, g, out)
     run.stats.started_unix_ms = int(time.time() * 1000)
     try:
-        _seed_corpus(run)
+        _refuse_blind(_seed_corpus(run))
         _loop(run)
     finally:
         # flush whatever was gathered, even on interruption

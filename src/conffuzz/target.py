@@ -1,6 +1,7 @@
 """Execution of fuzz targets and collection of branch feedback.
 
-Two target flavors share one interface.  Builtin targets are Python
+Two target flavors share one interface, and the scheme of the spec's
+text, ``builtin:`` or ``exec:``, says which.  Builtin targets are Python
 callables registered by name; they run in-process and report branch labels
 directly.  External targets are command templates run as subprocesses; the
 input is written to a temp file, ``{input}`` in the template is replaced
@@ -27,7 +28,6 @@ __all__ = [
     "ExecOutcome",
     "OutcomeKind",
     "SpawnFailureError",
-    "TargetKind",
     "TargetSpec",
     "classify_outcome",
     "execute",
@@ -98,11 +98,6 @@ _set_code = ExecOutcome.code.__set__
 _set_excerpt = ExecOutcome.stderr_excerpt.__set__
 
 
-class TargetKind(enum.Enum):
-    BUILTIN = "builtin"
-    EXTERNAL = "external"
-
-
 class SpawnFailureError(Exception):
     """The external command could not be started at all."""
 
@@ -117,23 +112,28 @@ def register_builtin(name: str, fn: BuiltinFn) -> None:
 
 
 class TargetSpec(Record):
-    """What to run for each input and how long to let it run.  Immutable.
-    ``run``, derived once here, is the function from an input text to the
-    target's answer: a builtin's registered function, or a run of the argv
-    split from an ``exec:`` template."""
+    """What to run for each input and how long to let it run: the text
+    the user wrote, ``builtin:NAME`` or ``exec:TEMPLATE``, and a timeout.
+    Immutable; it pickles and copies by its text.  ``run``, derived once
+    here, is the function from an input text to the target's answer: a
+    builtin's registered function, or a run of the argv split from an
+    ``exec:`` template."""
 
-    _fields = ("kind", "command", "timeout_ms")
+    _fields = ("text", "timeout_ms")
 
     # the class attribute is the default the CLI's --timeout-ms shows
     timeout_ms = DEFAULT_TIMEOUT_MS
 
-    def __init__(
-        self, kind: TargetKind, command: str, timeout_ms: int = timeout_ms
-    ) -> None:
+    def __init__(self, text: str, timeout_ms: int = timeout_ms) -> None:
+        scheme, sep, rest = text.partition(":")
+        if not sep or not rest:
+            raise ValueError(f"malformed target spec: {text!r}")
+        if scheme not in ("builtin", "exec"):
+            raise ValueError(f"unknown target scheme: {scheme!r}")
         if timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
-        if kind is TargetKind.EXTERNAL:
-            if command.count("{input}") != 1:
+        if scheme == "exec":
+            if rest.count("{input}") != 1:
                 raise ValueError(
                     "external command must contain {input} exactly once"
                 )
@@ -141,34 +141,27 @@ class TargetSpec(Record):
             import shlex
 
             try:
-                argv = tuple(shlex.split(command))
+                argv = tuple(shlex.split(rest))
             except ValueError as e:
                 raise ValueError(
-                    f"cannot split external command {command!r}: {e}"
+                    f"cannot split external command {rest!r}: {e}"
                 ) from None
             run = partial(_execute_external, argv, timeout_ms)
         else:
-            if command not in _BUILTINS:
+            if rest not in _BUILTINS:
                 # registration happens at import time
                 from . import gnb_validator  # noqa: F401
-            run = _BUILTINS.get(command)
+            run = _BUILTINS.get(rest)
             if run is None:
-                raise ValueError(f"unknown builtin target: {command!r}")
-        vars(self).update(kind=kind, command=command, timeout_ms=timeout_ms, run=run)
+                raise ValueError(f"unknown builtin target: {rest!r}")
+        vars(self).update(text=text, timeout_ms=timeout_ms, run=run)
 
     @classmethod
     def parse(
         cls, text: str, timeout_ms: int = DEFAULT_TIMEOUT_MS
     ) -> "TargetSpec":
         """Parse a CLI target spec: ``builtin:NAME`` or ``exec:TEMPLATE``."""
-        scheme, sep, rest = text.partition(":")
-        if not sep or not rest:
-            raise ValueError(f"malformed target spec: {text!r}")
-        if scheme == "builtin":
-            return cls(TargetKind.BUILTIN, rest, timeout_ms)
-        if scheme == "exec":
-            return cls(TargetKind.EXTERNAL, rest, timeout_ms)
-        raise ValueError(f"unknown target scheme: {scheme!r}")
+        return cls(text, timeout_ms)
 
 
 def classify_outcome(

@@ -1,6 +1,7 @@
 """Campaign loop: scheduling, novelty retention, crash routing, persistence."""
 
 import json
+import shlex
 import sys
 import time
 from collections import Counter
@@ -15,7 +16,13 @@ from conffuzz.campaign import (
     should_keep,
 )
 from conffuzz.gnb_validator import baseline_text
-from conffuzz.target import OutcomeKind, TargetSpec, execute
+from conffuzz.target import (
+    ExecOutcome,
+    OutcomeKind,
+    TargetSpec,
+    execute,
+    register_builtin,
+)
 
 VALIDATOR = TargetSpec.parse("builtin:gnb-validator")
 
@@ -947,10 +954,81 @@ class TestExternalTargetCleanup:
         work = tmp_path / "inputs"
         monkeypatch.setenv("CONFFUZZ_TMPDIR", str(work))
         script = tmp_path / "ok.py"
-        script.write_text("import sys\nsys.exit(0)\n")
+        script.write_text(
+            "import sys\nprint('##branch:ok', file=sys.stderr)\nsys.exit(0)\n"
+        )
         spec = TargetSpec.parse(f"exec:{sys.executable} {script} {{input}}")
         stats = run_campaign(
             CampaignConfig(gnb_grammar_path, spec, tmp_path / "out", max_execs=3)
         )
         assert stats.execs == 3
         assert list(work.iterdir()) == []
+
+
+class TestBlindTarget:
+    # a target that gives every seed input one answer, and reports no
+    # branch label, is refused once the seed phase has run
+    @pytest.mark.parametrize(
+        "template,ends",
+        [
+            ("/bin/false {input}", "reject (code 1)"),
+            ("true {input}", "ok"),
+            (
+                f'{shlex.quote(sys.executable)} -c "import conffuzz_no_such_module"'
+                " {input}",
+                "reject (code 1)",
+            ),
+        ],
+        ids=["false", "true", "import-error"],
+    )
+    def test_refused_after_the_seed_phase(
+        self, gnb_grammar_path, tmp_path, monkeypatch, template, ends
+    ):
+        monkeypatch.setenv("CONFFUZZ_TMPDIR", str(tmp_path / "inputs"))
+        out = tmp_path / "out"
+        spec = TargetSpec.parse(f"exec:{template}")
+        with pytest.raises(ValueError) as info:
+            run_campaign(CampaignConfig(gnb_grammar_path, spec, out, max_execs=100))
+        message = str(info.value)
+        assert message.startswith(
+            f"target answered {ends} to every seed input"
+            " and reported no branch labels"
+        )
+        if "import" in template:
+            assert message.endswith(
+                "; its stderr ends: ModuleNotFoundError: "
+                "No module named 'conffuzz_no_such_module'"
+            )
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["execs"] == 11
+        assert list((out / "crashes").iterdir()) == []
+
+    def test_one_exec_without_labels_is_refused(self, gnb_grammar_path, tmp_path):
+        register_builtin(
+            "always-ok-unlabelled",
+            lambda text: (ExecOutcome(OutcomeKind.OK), frozenset()),
+        )
+        spec = TargetSpec.parse("builtin:always-ok-unlabelled")
+        with pytest.raises(ValueError, match="no branch labels"):
+            run_campaign(
+                CampaignConfig(gnb_grammar_path, spec, tmp_path / "o", max_execs=1)
+            )
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            (ExecOutcome(OutcomeKind.OK), frozenset({"chk:seen"})),
+            (ExecOutcome(OutcomeKind.TIMEOUT), frozenset()),
+        ],
+        ids=["labelled", "hang"],
+    )
+    def test_one_labelled_or_hung_answer_runs(
+        self, gnb_grammar_path, tmp_path, answer
+    ):
+        name = f"always-{answer[0].kind.value}-{len(answer[1])}"
+        register_builtin(name, lambda text: answer)
+        spec = TargetSpec.parse(f"builtin:{name}")
+        stats = run_campaign(
+            CampaignConfig(gnb_grammar_path, spec, tmp_path / "o", max_execs=20)
+        )
+        assert stats.execs == 20

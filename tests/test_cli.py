@@ -454,6 +454,38 @@ class TestFuzz:
         # no out dir, so no 0-exec stats.json that reads like a campaign
         assert not out.exists()
 
+    def test_a_blind_target_is_refused_with_its_stats(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("CONFFUZZ_TMPDIR", str(tmp_path / "inputs"))
+        out = tmp_path / "run"
+        argv = ["fuzz", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        argv += ["--target", "exec:/bin/false {input}", "--max-execs", "100"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: target answered reject (code 1) to every seed input"
+            " and reported no branch labels\n"
+        )
+        assert captured.out == ""
+        assert '"execs": 11,' in (out / "stats.json").read_text()
+        assert list((out / "crashes").iterdir()) == []
+
+    def test_varying_outcomes_without_labels_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONFFUZZ_TMPDIR", str(tmp_path / "inputs"))
+        script = tmp_path / "srs.py"
+        script.write_text(
+            "import sys\n"
+            "text = open(sys.argv[1], encoding='utf-8').read()\n"
+            "sys.exit(0 if 'do_SRS = 1;' in text else 1)\n"
+        )
+        out = tmp_path / "run"
+        argv = ["fuzz", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        argv += ["--target", f"exec:{sys.executable} {script} {{input}}"]
+        assert main(argv + ["--max-execs", "40"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["execs"] == 40
+
 
 def _alive(pid: int) -> bool:
     # give the kernel a moment to reap

@@ -1,7 +1,9 @@
 """Demo validator: the sample-case fixtures, crash rules, branch labels."""
 
+import itertools
 import subprocess
 import sys
+from collections import Counter
 from functools import reduce
 from operator import getitem
 
@@ -23,8 +25,15 @@ from conffuzz.gnb_validator import (
     run_text,
     validate,
 )
-from conffuzz.grammar import DEFAULT_START, derive_tree, minimal_tree, unparse
+from conffuzz.grammar import (
+    DEFAULT_START,
+    DerivationTree,
+    derive_tree,
+    minimal_tree,
+    unparse,
+)
 from conffuzz.target import OutcomeKind
+from conffuzz.triage import dedup_key
 
 from conftest import TABLE1_DIR
 
@@ -298,6 +307,42 @@ class TestGrammarIntegration:
         for seed in range(20):
             text = unparse(generate_tree(gnb_grammar, seed), gnb_grammar)
             parse_config(text)  # must not raise
+
+    def test_the_whole_input_space(self, gnb_grammar):
+        # one <START> rule over 8 slots, each slot's rules leaves: the
+        # product of the slots' rule indices is every input the grammar
+        # spans, so a change that adds a bucket shows here
+        g = gnb_grammar
+        [start] = g.productions[DEFAULT_START]
+        slots = start.refs
+        assert len(slots) == 8
+        assert not any(rule.refs for slot in slots for rule in g.productions[slot])
+        kinds, codes, branch_sets, crashes = Counter(), Counter(), set(), {}
+        for picks in itertools.product(
+            *(range(len(g.productions[slot])) for slot in slots)
+        ):
+            children = tuple(g.smallest(slot, i) for slot, i in zip(slots, picks))
+            tree = DerivationTree(DEFAULT_START, 0, children)
+            outcome, branches = run_text(unparse(tree, g))
+            kinds[outcome.kind] += 1
+            branch_sets.add(branches)
+            if outcome.kind is OutcomeKind.CRASH:
+                codes[outcome.code] += 1
+                crashes[outcome.code, branches] = outcome
+        assert sum(kinds.values()) == 201_600
+        assert kinds == {
+            OutcomeKind.REJECT: 144_000,
+            OutcomeKind.CRASH: 56_016,
+            OutcomeKind.OK: 1_584,
+        }
+        assert codes == {101: 18_000, 102: 6_840, 103: 1_584, 104: 28_800, 105: 792}
+        assert len(branch_sets) == 10
+        keys = {
+            dedup_key(outcome, branches): code
+            for (code, branches), outcome in crashes.items()
+        }
+        # five keys, one per crash code
+        assert sorted(keys.values()) == [101, 102, 103, 104, 105]
 
 
 class TestStandaloneExecutable:

@@ -24,7 +24,6 @@ from conffuzz.grammar import DerivationTree, Grammar, Rule, RuleItem
 from conffuzz.target import (
     ExecOutcome,
     OutcomeKind,
-    TargetKind,
     TargetSpec,
     register_builtin,
 )
@@ -35,10 +34,9 @@ def _rule(text: str) -> Rule:
     return Rule((RuleItem(text, False),))
 
 
-# a builtin spec resolves its name when it is built, so the names the
-# TargetSpec case builds under either kind are registered
-for _name in ("run {input}", "go {input}"):
-    register_builtin(_name, lambda text: (ExecOutcome(OutcomeKind.OK), frozenset()))
+# a builtin spec resolves its name when it is built, so the name the
+# TargetSpec case builds is registered
+register_builtin("run {input}", lambda text: (ExecOutcome(OutcomeKind.OK), frozenset()))
 
 
 # (class, keyword fields, a different value per field, derived attributes
@@ -52,8 +50,8 @@ FROZEN = [
     ),
     (
         TargetSpec,
-        {"kind": TargetKind.BUILTIN, "command": "run {input}", "timeout_ms": 10},
-        {"kind": TargetKind.EXTERNAL, "command": "go {input}", "timeout_ms": 20},
+        {"text": "builtin:run {input}", "timeout_ms": 10},
+        {"text": "exec:go {input}", "timeout_ms": 20},
         ("run",),
     ),
     (ConfigDocument, {"root": {"a": 1}}, {"root": {"a": True}}, ()),

@@ -1,6 +1,8 @@
 """Target execution: outcome classification, branch sets, subprocess control."""
 
+import copy
 import os
+import pickle
 import shlex
 import signal
 import stat
@@ -15,7 +17,6 @@ from conffuzz.target import (
     ExecOutcome,
     OutcomeKind,
     SpawnFailureError,
-    TargetKind,
     TargetSpec,
     classify_outcome,
     execute,
@@ -91,14 +92,74 @@ class TestClassifyOutcome:
 
 class TestTargetSpec:
     def test_parse_builtin(self):
+        # a spec is the text it was parsed from
         spec = TargetSpec.parse("builtin:gnb-validator")
-        assert spec.kind is TargetKind.BUILTIN
-        assert spec.command == "gnb-validator"
+        assert spec.text == "builtin:gnb-validator"
+        assert repr(spec) == (
+            "TargetSpec(text='builtin:gnb-validator', timeout_ms=10000)"
+        )
+        assert TargetSpec._fields == ("text", "timeout_ms")
 
     def test_parse_external(self):
         spec = TargetSpec.parse("exec:./victim {input}", timeout_ms=500)
-        assert spec.kind is TargetKind.EXTERNAL
+        assert spec.text == "exec:./victim {input}"
         assert spec.timeout_ms == 500
+
+    @pytest.mark.parametrize(
+        "text", ["builtin:gnb-validator", f"exec:{sys.executable} -c pass {{input}}"]
+    )
+    def test_parse_is_the_constructor(self, text):
+        assert TargetSpec.parse(text, 700) == TargetSpec(text, 700)
+        assert TargetSpec.parse(text) == TargetSpec(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "builtin:gnb-validator",
+            f"exec:{shlex.quote(sys.executable)} -m conffuzz.gnb_validator {{input}}",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_a_copy_carries_its_text_and_runs_alike(
+        self, text, clone, table1_dir, sandbox_tmpdir
+    ):
+        spec = TargetSpec.parse(text, 30_000)
+        back = clone(spec)
+        assert back == spec and back.text == text and back.timeout_ms == 30_000
+        config = (table1_dir / "case3.conf").read_text(encoding="utf-8")
+        outcome, branches = execute(spec, config)
+        assert outcome.is_crash
+        assert execute(back, config) == (outcome, branches)
+
+    @pytest.mark.parametrize(
+        "text,timeout_ms,message",
+        [
+            ("bogus", 10, "malformed target spec: 'bogus'"),
+            ("http://host", 10, "unknown target scheme: 'http'"),
+            ("builtin:NAME", 10, "unknown builtin target: 'NAME'"),
+            (
+                "exec:./victim",
+                10,
+                "external command must contain {input} exactly once",
+            ),
+            (
+                "exec:cat '{input}",
+                10,
+                "cannot split external command \"cat '{input}\": "
+                "No closing quotation",
+            ),
+            ("builtin:gnb-validator", 0, "timeout_ms must be positive"),
+        ],
+    )
+    def test_messages_through_either_door(self, text, timeout_ms, message):
+        for build in (TargetSpec, TargetSpec.parse):
+            with pytest.raises(ValueError) as info:
+                build(text, timeout_ms)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "text", ["", "builtin", "builtin:", "ssh:host", "exec:"]
