@@ -5,7 +5,9 @@ entry, mutates it, runs the target, and keeps the mutant whenever its
 branch feedback covers something unseen.  Crashes are deduplicated,
 minimized, and stored as they are found.  A target that gives every
 seed input one answer, not a timeout, and reports no branch label cannot
-see its inputs, and is refused before the loop starts.  All randomness
+see its inputs, and is refused before the loop starts.  The seed phase
+consumes every seed input before it routes any seed crash, so a refused
+campaign has minimized and stored no crash.  All randomness
 flows from the campaign seed, so a run's bytes are a function of its
 seed and worker count.  Seeds enter in two places only:
 ``generate_tree`` seeds the corpus's generated entries from
@@ -21,10 +23,16 @@ One loop drives every run.  The coordinator owns every tree and every
 draw: it schedules an entry, draws the donor and the mutation from a
 per-worker random stream, mutates and unparses in submission order, and
 consumes the results in that same order, so corpus and crash-store
-updates stay with it too.  A worker receives nothing but the target spec
-and the input text, and runs only ``execute``.  One worker executes each
-input inline as it is submitted; more workers keep a window of
-``2 * workers`` executions on a thread pool.
+updates stay with it too.  One worker executes each input inline as it
+is submitted.  More workers keep a window of ``2 * workers`` inputs
+submitted ahead of the consume.  An ``exec:`` target's runs then go to a
+thread pool of ``workers`` threads, each of which receives nothing but
+the target spec and the input text, and runs ``execute``: it spawns the
+child and waits on it.  A ``builtin:`` target's runs stay inline on the
+coordinator, in the same window, since its Python holds the GIL and
+threads would only take turns at it.  So the builtin validator, the
+parser's line cache, the crash keys and the campaign's memos are the
+coordinator's alone, at every worker count.
 
 The target is taken to be deterministic, as ``minimize`` takes it to be:
 the same text always gets the same answer.  So the coordinator keeps a
@@ -214,9 +222,8 @@ class CorpusScheduler:
 class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
     scheduler, stats, the memo of answers, the runs in flight and the
-    memo of edits.  Only
-    the coordinator reads or changes it; no worker thread is ever handed
-    it."""
+    memo of edits.  Only the coordinator reads or changes it; no thread
+    of the pool is ever handed it."""
 
     def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path):
         self.cfg = cfg
@@ -272,7 +279,7 @@ class _Run:
         self.corpus.append(tree)
         self.stats.corpus_size = len(self.corpus)
 
-    def route_crash(self, outcome, branches, tree, text) -> None:
+    def route_crash(self, outcome, branches, tree, text, first_seen: int) -> None:
         key = dedup_key(outcome, branches)
         if key in self.known_keys:
             return
@@ -282,28 +289,35 @@ class _Run:
             minimized = unparse(minimize(tree, self.g, self.answer, key), self.g)
         except NonReproducibleError:
             minimized = text  # flaky target; keep the original witness
-        report = make_crash_report(key, outcome, text, minimized, self.stats.execs)
+        report = make_crash_report(key, outcome, text, minimized, first_seen)
         store_crash_report(self.out / "crashes", report)
 
-    def consume(self, tree, text, outcome, branches, *, retain_always=False) -> None:
+    def consume(self, tree, text, outcome, branches, *, seed=False) -> None:
+        """Count an answer, route its crash and retain a novel input.  A
+        seed input is retained always, and the seed phase routes its crash
+        itself."""
         self.stats.execs += 1
         if outcome.kind is _TIMEOUT:
             self.stats.timeouts += 1
         if outcome.kind is _CRASH:
             self.stats.crashes_total += 1
-            self.route_crash(outcome, branches, tree, text)
+            if not seed:
+                self.route_crash(outcome, branches, tree, text, self.stats.execs)
         novel = should_keep(branches, self.seen)
         if novel:
             self.seen |= branches
             self.scheduler.record_novelty()
-        if novel or retain_always:
+        if novel or seed:
             self.retain(tree, text)
         if self.cfg.progress:
             self.cfg.progress(self.stats)
 
 
-def _seed_corpus(run: _Run) -> list[tuple[ExecOutcome, frozenset[str]]]:
-    """Run and retain the seed inputs; the answers they got, in order."""
+def _seed_corpus(run: _Run) -> None:
+    """Run, consume and retain the seed inputs, then route their crashes,
+    each under the exec that found it.  A target that cannot see them is
+    refused in between (see ``_refuse_blind``), so none of its crashes is
+    minimized or stored."""
     cfg = run.cfg
     trees = [
         generate_tree(run.g, s, cfg.max_depth)
@@ -314,14 +328,16 @@ def _seed_corpus(run: _Run) -> list[tuple[ExecOutcome, frozenset[str]]]:
     fixture = derive_tree(run.g, gnb_validator.baseline_text())
     if fixture is not None:
         trees.append(fixture)
-    answers = []
-    for tree in trees:
-        if run.stats.execs >= cfg.max_execs:
-            break
+    seeds = []
+    for tree in trees[: cfg.max_execs]:
         text = unparse(tree, run.g)
-        answers.append(run.answer(text))
-        run.consume(tree, text, *answers[-1], retain_always=True)
-    return answers
+        seeds.append((tree, text, *run.answer(text)))
+    for seed in seeds:
+        run.consume(*seed, seed=True)
+    _refuse_blind([(outcome, branches) for _, _, outcome, branches in seeds])
+    for execs, (tree, text, outcome, branches) in enumerate(seeds, 1):
+        if outcome.kind is _CRASH:
+            run.route_crash(outcome, branches, tree, text, execs)
 
 
 def _refuse_blind(answers: list[tuple[ExecOutcome, frozenset[str]]]) -> None:
@@ -365,22 +381,26 @@ class _Inline:
 def _loop(run: _Run) -> None:
     # Mutants are drawn and consumed in submission order, mutant ``n``
     # drawing from stream ``n % workers``; one worker is a window of one
-    # run inline, so nothing is drawn ahead of a consume.  The memo is
-    # read at submission by ``ask`` and written at consumption by
-    # ``take``; a text drawn again while its run is still in flight takes
-    # that run's future, which ``in_flight`` holds until it is consumed.
+    # run inline, so nothing is drawn ahead of a consume.  More workers
+    # keep a window of ``2 * workers`` submissions, whether their runs go
+    # to the pool (an ``exec:`` target) or run inline as they are
+    # submitted (a builtin), so a seed and worker count give the same
+    # bytes either way.  The memo is read at submission by ``ask`` and
+    # written at consumption by ``take``; a text drawn again while its run
+    # is still in flight takes that run's future, which ``in_flight``
+    # holds until it is consumed.
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     submitted = run.stats.execs
     pending: deque = deque()
-    if cfg.workers == 1:
-        pool, submit, window = None, _Inline, 1
-    else:
-        # imported here so single-worker runs never load the thread pool
+    pool, submit = None, _Inline
+    window = 1 if cfg.workers == 1 else 2 * cfg.workers
+    if cfg.workers > 1 and cfg.target.text.startswith("exec:"):
+        # imported here so runs that stay inline never load the thread pool
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=cfg.workers)
-        submit, window = pool.submit, 2 * cfg.workers
+        submit = pool.submit
     try:
         while submitted < cfg.max_execs or pending:
             while submitted < cfg.max_execs and len(pending) < window:
@@ -417,7 +437,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     run = _Run(cfg, g, out)
     run.stats.started_unix_ms = int(time.time() * 1000)
     try:
-        _refuse_blind(_seed_corpus(run))
+        _seed_corpus(run)
         _loop(run)
     finally:
         # flush whatever was gathered, even on interruption

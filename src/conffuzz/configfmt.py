@@ -335,9 +335,10 @@ def _located(text: str, lexemes: list[str], failed: int, fail: _Fail) -> ConfigE
 # config are one setting each.  Kept by ``cache.keep`` within
 # ``_LINE_ENTRIES`` lines, and a line longer than ``_LINE_CHARS``
 # characters is not kept, so whatever the input it keeps at most 1024
-# lines of at most 128 characters and at most 128 lexemes each.  Pooled
-# campaign workers parse on threads, so a store takes the lock that keeps
-# the bound; a read needs none.
+# lines of at most 128 characters and at most 128 lexemes each.  A
+# campaign parses on its coordinator only, at every worker count, but a
+# caller of the public ``parse_config`` may parse from threads of its own,
+# so a store takes the lock that keeps the bound; a read needs none.
 _LINE_ENTRIES = 1024
 _LINE_CHARS = 128
 _lines: dict[str, tuple] = {}

@@ -66,9 +66,10 @@ class NonReproducibleError(Exception):
 
 
 # each (crash code, branch set) pair keyed so far and its key; see the
-# module docstring.  Only a campaign's coordinator keys in the package,
-# but a caller of the public ``dedup_key`` may key from several threads,
-# so a store takes the lock that keeps the bound; a read needs none.
+# module docstring.  A campaign keys on its coordinator only, at every
+# worker count, but a caller of the public ``dedup_key`` may key from
+# threads of its own, so a store takes the lock that keeps the bound; a
+# read needs none.
 _KEYS = 1024
 _keys: dict[tuple[int | None, frozenset[str]], str] = {}
 _keys_lock = threading.Lock()

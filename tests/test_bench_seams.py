@@ -147,13 +147,25 @@ def test_campaign_looks_up_its_hot_path_through_its_module(monkeypatch, tmp_path
     assert len(seed_texts) == campaign.SEED_TREES + 1
     drawn = [name for name, _ in loop_plan if name in ("random_mutation", "unparse")]
     assert drawn == ["random_mutation", "unparse"] * (stats.execs - len(seed_texts))
-    # a minimization first asks for the crash just drawn, whose answer
-    # the campaign already holds, so that costs no run
-    for plan in (seed_plan, loop_plan):
-        for i, step in enumerate(plan):
-            if step == ("minimize", None):
-                crash = next(t for n, t in reversed(plan[:i]) if n == "unparse")
-                assert plan[i + 1] == ("ask", crash)
+    # a minimization first asks for the crash it starts from, whose answer
+    # the campaign already holds, so that costs no run.  In the loop that
+    # is the crash just drawn.  The seed phase runs every seed input before
+    # it minimizes any crash, so that a target it refuses keeps none; its
+    # minimizations start from seed inputs, in seed order
+    assert [name for name, _ in seed_plan[: len(seed_texts)]] == (
+        ["unparse"] * len(seed_texts)
+    )
+    firsts = [
+        seed_plan[i + 1] for i, step in enumerate(seed_plan) if step == ("minimize", None)
+    ]
+    assert {name for name, _ in firsts} == {"ask"}
+    seed_crashes = [text for _, text in firsts]
+    assert set(seed_crashes) <= set(seed_texts)
+    assert seed_crashes == sorted(seed_crashes, key=seed_texts.index)
+    for i, step in enumerate(loop_plan):
+        if step == ("minimize", None):
+            crash = next(t for n, t in reversed(loop_plan[:i]) if n == "unparse")
+            assert loop_plan[i + 1] == ("ask", crash)
     assert len(answered) < stats.execs  # some answers were replayed
 
 

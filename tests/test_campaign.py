@@ -1,10 +1,12 @@
 """Campaign loop: scheduling, novelty retention, crash routing, persistence."""
 
 import json
+import os
 import shlex
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -440,7 +442,10 @@ class TestTargetFault:
     # A builtin target that raises, or returns something other than an
     # (outcome, branch set) pair, aborts the campaign (a known gap, see
     # ROADMAP); until it is handled, the exception must reach the caller
-    # and stats.json must still count exactly the results consumed.
+    # and stats.json must still count exactly the results consumed.  A
+    # builtin runs on the coordinator at every worker count, so a raise
+    # surfaces where the run is submitted, and a malformed answer where
+    # it is consumed.
     @staticmethod
     def check_fault_on_50th_call(
         fault, expected, match, grammar_path, out, monkeypatch, workers
@@ -488,6 +493,7 @@ class TestTargetFault:
         assert 0 < at_fault[0] <= stats["execs"] == consumed[0]
         assert consumed[0] <= at_fault[0] + 2 * workers - 1
         assert stats["corpus_size"] == len(list((out / "corpus").iterdir()))
+        return at_fault[0], consumed[0]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_raise_propagates_and_stats_flushed(
@@ -496,10 +502,12 @@ class TestTargetFault:
         def fault(text):
             raise RuntimeError("target fault")
 
-        self.check_fault_on_50th_call(
+        at_fault, consumed = self.check_fault_on_50th_call(
             fault, RuntimeError, "target fault",
             gnb_grammar_path, tmp_path / "out", monkeypatch, workers,
         )
+        # nothing is consumed past the raise, however wide the window
+        assert consumed == at_fault
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_outcome_propagates_and_stats_flushed(
@@ -570,23 +578,26 @@ def record_submissions(monkeypatch):
     from conffuzz import campaign
 
     events = []
-    in_consume = []
+    routing = []
     unparse, consume = campaign.unparse, campaign._Run.consume
-    minimize = campaign.minimize
+    route_crash, minimize = campaign._Run.route_crash, campaign.minimize
 
     def unparsing(tree, g):
         text = unparse(tree, g)
-        if not in_consume:  # a new crash's minimized tree is unparsed there
+        if not routing:  # a new crash's minimized tree is unparsed there
             events.append(("submit", text))
         return text
 
     def consuming(self, tree, text, outcome, branches, **kwargs):
         events.append(("consume", text, outcome.kind))
-        in_consume.append(True)
+        return consume(self, tree, text, outcome, branches, **kwargs)
+
+    def routing_crash(self, *args):
+        routing.append(True)
         try:
-            return consume(self, tree, text, outcome, branches, **kwargs)
+            return route_crash(self, *args)
         finally:
-            in_consume.pop()
+            routing.pop()
 
     def asking(tree, g, target, key):
         def answer(text):
@@ -598,6 +609,7 @@ def record_submissions(monkeypatch):
 
     monkeypatch.setattr(campaign, "unparse", unparsing)
     monkeypatch.setattr(campaign._Run, "consume", consuming)
+    monkeypatch.setattr(campaign._Run, "route_crash", routing_crash)
     monkeypatch.setattr(campaign, "minimize", asking)
     return events
 
@@ -630,17 +642,15 @@ def expected_runs(events, kept=lambda text: True):
 
 def register_counting(name, answer):
     """Register builtin ``name``, which gives ``answer(text)`` and counts
-    each text it runs, minimization's runs included."""
-    import threading
-
+    each text it runs, minimization's runs included.  A builtin runs on
+    the campaign's coordinator at every worker count, so one thread
+    counts."""
     from conffuzz.target import register_builtin
 
     calls = Counter()
-    lock = threading.Lock()  # pool threads and the coordinator both count
 
     def counting(text):
-        with lock:
-            calls[text] += 1
+        calls[text] += 1
         return answer(text)
 
     register_builtin(name, counting)
@@ -888,50 +898,76 @@ class TestMemo:
         assert min(lengths) <= 394 < max(lengths)
 
 
+def validator_child(monkeypatch, tmp_path):
+    """The demo validator as an ``exec:`` target: a child interpreter,
+    started under ``-S``, that imports ``conffuzz`` from where these tests
+    do, and writes its inputs under ``tmp_path``."""
+    import conffuzz
+
+    src = str(Path(conffuzz.__file__).parents[1])
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    monkeypatch.setenv("CONFFUZZ_TMPDIR", str(tmp_path / "inputs"))
+    return TargetSpec.parse(
+        f"exec:{shlex.quote(sys.executable)} -S -m conffuzz.gnb_validator {{input}}"
+    )
+
+
+def record_threads(monkeypatch, names=("random_mutation", "unparse", "execute")):
+    """``(name, on_main, text)`` for each call the campaign makes through
+    ``names``, ``text`` being the one ``execute`` runs."""
+    import threading
+
+    from conffuzz import campaign
+
+    calls = []
+
+    def recorded(kind, fn):
+        def wrapper(*args, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            text = args[1] if kind == "execute" else None
+            calls.append((kind, on_main, text))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(campaign, name, recorded(name, getattr(campaign, name)))
+    return calls
+
+
 class TestThreadOwnership:
     def test_pool_runs_only_execute(self, gnb_grammar_path, tmp_path, monkeypatch):
-        # the coordinator mutates and unparses every input; a pooled
-        # worker is handed the text and runs nothing but execute
-        import threading
-
+        # the coordinator mutates and unparses every input; for an exec:
+        # target, a thread of the pool is handed the text and runs nothing
+        # but execute, which spawns and waits on the child
         from conffuzz import campaign
 
+        spec = validator_child(monkeypatch, tmp_path)
         events = record_submissions(monkeypatch)
-        calls = []
-
-        def recorded(kind, fn):
-            def wrapper(*args, **kwargs):
-                on_main = threading.current_thread() is threading.main_thread()
-                text = args[1] if kind == "execute" else None
-                calls.append((kind, on_main, text))
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("random_mutation", "unparse", "execute"):
-            monkeypatch.setattr(
-                campaign, name, recorded(name, getattr(campaign, name))
-            )
+        calls = record_threads(monkeypatch)
+        max_execs = 40
         stats = run_campaign(
             CampaignConfig(
                 gnb_grammar_path,
-                VALIDATOR,
+                spec,
                 tmp_path / "out",
                 seed=1,
-                max_execs=300,
+                max_execs=max_execs,
                 workers=2,
             )
         )
-        assert stats.execs == 300
+        assert stats.execs == max_execs
         drawn = [e[1] for e in events if e[0] == "submit"]
-        assert len(drawn) == 300
+        assert len(drawn) == max_execs
         assert all(on_main for kind, on_main, _ in calls if kind != "execute")
         # one execute per text: a repeat takes the answer the campaign
         # has, or will have once the run in flight is done, and so does a
         # minimization's ask
         runs = expected_runs(events)
         assert Counter(text for kind, _, text in calls if kind == "execute") == runs
-        assert sum(runs.values()) < 300 and max(runs.values()) == 1
+        assert sum(runs.values()) < max_execs and max(runs.values()) == 1
         # the seed phase and the minimizations run their texts on the
         # coordinator, every other text runs on a pool thread
         first_seen = {}
@@ -947,6 +983,41 @@ class TestThreadOwnership:
                 ran_on[on_main].add(text)
         assert ran_on[True] == seeded | asked_first
         assert ran_on[False] == set(first_seen) - seeded - asked_first
+        assert ran_on[False]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_builtin_runs_on_the_coordinator(
+        self, gnb_grammar_path, tmp_path, monkeypatch, workers
+    ):
+        # a builtin's Python holds the GIL, so its runs stay inline at
+        # every worker count, and no thread pool, nor any thread, is started
+        import concurrent.futures
+        import threading
+
+        pools, threads, before = [], set(), threading.active_count()
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append((args, kwargs))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
+        calls = record_threads(monkeypatch, ("execute",))
+        stats = run_campaign(
+            CampaignConfig(
+                gnb_grammar_path,
+                VALIDATOR,
+                tmp_path / "out",
+                seed=1,
+                max_execs=300,
+                workers=workers,
+                progress=lambda stats: threads.add(threading.active_count()),
+            )
+        )
+        assert stats.execs == 300 and stats.crashes_unique > 0
+        assert calls and all(on_main for _, on_main, _ in calls)
+        assert pools == []
+        assert threads == {before}
 
 
 class TestExternalTargetCleanup:
@@ -967,7 +1038,9 @@ class TestExternalTargetCleanup:
 
 class TestBlindTarget:
     # a target that gives every seed input one answer, and reports no
-    # branch label, is refused once the seed phase has run
+    # branch label, is refused once the seed phase has run, and keeps no
+    # crash: the seed inputs are consumed and retained, but a seed crash
+    # is minimized and stored only once the target is accepted
     @pytest.mark.parametrize(
         "template,ends",
         [
@@ -978,8 +1051,12 @@ class TestBlindTarget:
                 " {input}",
                 "reject (code 1)",
             ),
+            (
+                f'{shlex.quote(sys.executable)} -S -c "import os; os.abort()" {{input}}',
+                "crash (code 6)",
+            ),
         ],
-        ids=["false", "true", "import-error"],
+        ids=["false", "true", "import-error", "abort"],
     )
     def test_refused_after_the_seed_phase(
         self, gnb_grammar_path, tmp_path, monkeypatch, template, ends
@@ -994,14 +1071,17 @@ class TestBlindTarget:
             f"target answered {ends} to every seed input"
             " and reported no branch labels"
         )
-        if "import" in template:
+        if "conffuzz_no_such_module" in template:
             assert message.endswith(
                 "; its stderr ends: ModuleNotFoundError: "
                 "No module named 'conffuzz_no_such_module'"
             )
         stats = json.loads((out / "stats.json").read_text())
         assert stats["execs"] == 11
+        assert stats["crashes_total"] == (11 if "abort" in template else 0)
+        assert stats["crashes_unique"] == 0
         assert list((out / "crashes").iterdir()) == []
+        assert stats["corpus_size"] == 11 == len(list((out / "corpus").iterdir()))
 
     def test_one_exec_without_labels_is_refused(self, gnb_grammar_path, tmp_path):
         register_builtin(

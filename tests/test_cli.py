@@ -471,6 +471,28 @@ class TestFuzz:
         assert '"execs": 11,' in (out / "stats.json").read_text()
         assert list((out / "crashes").iterdir()) == []
 
+    def test_a_blind_target_that_crashes_keeps_no_crash(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every seed input crashes the target; the refusal comes before any
+        # seed crash is minimized or stored
+        monkeypatch.setenv("CONFFUZZ_TMPDIR", str(tmp_path / "inputs"))
+        out = tmp_path / "run"
+        abort = f'{sys.executable} -S -c "import os; os.abort()" {{input}}'
+        argv = ["fuzz", "--grammar", str(GRAMMAR_PATH), "--out", str(out)]
+        argv += ["--target", f"exec:{abort}", "--max-execs", "100"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: target answered crash (code 6) to every seed input"
+            " and reported no branch labels\n"
+        )
+        assert captured.out == ""
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["execs"] == 11 and stats["crashes_unique"] == 0
+        assert list((out / "crashes").iterdir()) == []
+        assert len(list((out / "corpus").iterdir())) == 11
+
     def test_varying_outcomes_without_labels_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONFFUZZ_TMPDIR", str(tmp_path / "inputs"))
         script = tmp_path / "srs.py"

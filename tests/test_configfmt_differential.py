@@ -371,7 +371,7 @@ def test_line_cache_stays_bounded():
 
 
 def test_line_cache_stays_bounded_under_threads():
-    """Pooled campaign workers parse on threads that share the cache."""
+    """A caller's own threads may parse at once and share the cache."""
     entries = configfmt._LINE_ENTRIES
     faults: list[str] = []
 

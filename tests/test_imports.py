@@ -1,9 +1,10 @@
 """Imports: what the package loads, and what its modules export and share.
 
 A module imports at top level only what every run of it uses.  The
-thread pool serves only pooled runs, the subprocess, temp-file and path
-machinery only ``exec:`` targets, the hash only crash keys, and an HTTP
-client only the HTTP explain backend; each is imported where it is used.
+thread pool serves only an ``exec:`` target's runs with more than one
+worker, the subprocess, temp-file and path machinery only ``exec:``
+targets, the hash only crash keys, and an HTTP client only the HTTP
+explain backend; each is imported where it is used.
 No module of the package imports ``typing``: annotations are never
 evaluated, and the abstract types come from ``collections.abc``.  Nothing in
 the package imports ``uuid``; it stays in ``POOL_AND_SPAWN`` so that a

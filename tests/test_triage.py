@@ -196,7 +196,7 @@ class TestKeyMemo:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 3), PAIRS)
     def test_kept_keys_hold_under_threads(self, bound, pairs):
-        # pooled campaign workers may key on threads that share the memo
+        # a caller's own threads may key at once and share the memo
         expected = [_written_out_key(code, labels) for code, labels in pairs]
         faults: list[str] = []
 
