@@ -23,16 +23,19 @@ One loop drives every run.  The coordinator owns every tree and every
 draw: it schedules an entry, draws the donor and the mutation from a
 per-worker random stream, mutates and unparses in submission order, and
 consumes the results in that same order, so corpus and crash-store
-updates stay with it too.  One worker executes each input inline as it
-is submitted.  More workers keep a window of ``2 * workers`` inputs
-submitted ahead of the consume.  An ``exec:`` target's runs then go to a
-thread pool of ``workers`` threads, each of which receives nothing but
-the target spec and the input text, and runs ``execute``: it spawns the
-child and waits on it.  A ``builtin:`` target's runs stay inline on the
-coordinator, in the same window, since its Python holds the GIL and
-threads would only take turns at it.  So the builtin validator, the
-parser's line cache, the crash keys and the campaign's memos are the
-coordinator's alone, at every worker count.
+updates stay with it too.  ``run_campaign`` decides once where a run
+goes.  One worker executes each input inline as it is submitted.  More
+workers keep a window of ``2 * workers`` inputs submitted ahead of the
+consume.  An ``exec:`` target's runs then go to a thread pool of
+``workers`` threads, each of which receives nothing but the target spec
+and the input text, and runs ``execute``: it spawns the child and waits
+on it.  A ``builtin:`` target's runs stay inline on the coordinator, in
+the same window, since its Python holds the GIL and threads would only
+take turns at it.  So the builtin validator, the parser's line cache,
+the crash keys and the campaign's memos are the coordinator's alone, at
+every worker count.  The seed phase submits all its inputs the same way
+before it consumes the first, so an ``exec:`` target's seed inputs run
+on the pool too, and are consumed in seed order.
 
 The target is taken to be deterministic, as ``minimize`` takes it to be:
 the same text always gets the same answer.  So the coordinator keeps a
@@ -44,10 +47,12 @@ that run's answer.  ``minimize`` asks the campaign for its answers too,
 so a crash's first reproduce and every candidate the campaign has seen
 cost no run, and each text it runs is kept for later draws.  The seed
 phase, the loop and ``minimize`` all look an answer up through
-``_Run.ask``: the memo, then the run in flight, then a new run.  A
-timeout is never kept, so a hang runs again when it is drawn after its
-answer was consumed.  A crash's dedup key is kept by ``dedup_key``
-itself, once per distinct (crash code, branch set) pair.
+``_Run.ask``: the memo, then the run in flight, then a new run.  The
+seed phase and the loop submit through ``_Run.submit`` and consume what
+``_Run.settle`` gives back.  A timeout is never kept, so a hang runs
+again when it is drawn after its answer was consumed.  A crash's dedup
+key is kept by ``dedup_key`` itself, once per distinct (crash code,
+branch set) pair.
 
 The coordinator also holds a memo of edits, which it hands to
 ``random_mutation``: a mutation that makes the same edit to the same
@@ -223,12 +228,14 @@ class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
     scheduler, stats, the memo of answers, the runs in flight and the
     memo of edits.  Only the coordinator reads or changes it; no thread
-    of the pool is ever handed it."""
+    of the pool is ever handed it.  ``start`` starts a submitted run:
+    ``_Inline``, or a thread pool's ``submit``."""
 
-    def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path):
+    def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path, start):
         self.cfg = cfg
         self.g = g
         self.out = out
+        self.start = start
         self.corpus: list[DerivationTree] = []
         self.seen: set[str] = set()
         self.known_keys: set[str] = set()
@@ -246,15 +253,34 @@ class _Run:
         # the mutants built so far, by their edit; see ``random_mutation``
         self.edits: dict = {}
 
-    def ask(self, text: str, submit) -> tuple:
+    def ask(self, text: str, start) -> tuple:
         """``text``'s answer from the memo and ``None``, or else ``None``
         and a future of it: its run in flight, or else a new run from
-        ``submit``, called as ``submit(execute, target, text)``."""
+        ``start``, called as ``start(execute, target, text)``."""
         known = self.memo.get(text)
         if known is not None:
             return known, None
         running = self.in_flight.get(text)
-        return None, running or submit(execute, self.cfg.target, text)
+        return None, running or start(execute, self.cfg.target, text)
+
+    def submit(self, text: str) -> tuple:
+        """``ask`` with a new run started by ``start``; a run stays in
+        ``in_flight`` until ``settle``, so a text drawn again meanwhile
+        takes its answer."""
+        known, running = self.ask(text, self.start)
+        if running is not None:
+            self.in_flight[text] = running
+        return known, running
+
+    def settle(self, text: str, known, running) -> tuple[ExecOutcome, frozenset[str]]:
+        """The answer of ``submit``'s ``known, running`` for ``text``: the
+        known one, or else the run's, through ``take``, once its
+        ``in_flight`` entry is cleared."""
+        if running is None:
+            return known
+        if self.in_flight.get(text) is running:
+            del self.in_flight[text]
+        return self.take(text, running)
 
     def take(self, text: str, running) -> tuple[ExecOutcome, frozenset[str]]:
         """The answer of ``running``, a future of ``text``'s answer from
@@ -268,7 +294,7 @@ class _Run:
 
     def answer(self, text: str) -> tuple[ExecOutcome, frozenset[str]]:
         """``text``'s answer through ``ask``, a new run running inline:
-        the seed phase's and ``minimize``'s way to an answer."""
+        ``minimize``'s way to an answer."""
         known, running = self.ask(text, _Inline)
         return known if running is None else self.take(text, running)
 
@@ -314,10 +340,10 @@ class _Run:
 
 
 def _seed_corpus(run: _Run) -> None:
-    """Run, consume and retain the seed inputs, then route their crashes,
-    each under the exec that found it.  A target that cannot see them is
-    refused in between (see ``_refuse_blind``), so none of its crashes is
-    minimized or stored."""
+    """Submit all the seed inputs, then consume and retain them in seed
+    order, then route their crashes, each under the exec that found it.
+    A target that cannot see them is refused in between (see
+    ``_refuse_blind``), so none of its crashes is minimized or stored."""
     cfg = run.cfg
     trees = [
         generate_tree(run.g, s, cfg.max_depth)
@@ -328,10 +354,14 @@ def _seed_corpus(run: _Run) -> None:
     fixture = derive_tree(run.g, gnb_validator.baseline_text())
     if fixture is not None:
         trees.append(fixture)
-    seeds = []
+    submitted = []
     for tree in trees[: cfg.max_execs]:
         text = unparse(tree, run.g)
-        seeds.append((tree, text, *run.answer(text)))
+        submitted.append((tree, text, *run.submit(text)))
+    seeds = [
+        (tree, text, *run.settle(text, known, running))
+        for tree, text, known, running in submitted
+    ]
     for seed in seeds:
         run.consume(*seed, seed=True)
     _refuse_blind([(outcome, branches) for _, _, outcome, branches in seeds])
@@ -393,33 +423,14 @@ def _loop(run: _Run) -> None:
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     submitted = run.stats.execs
     pending: deque = deque()
-    pool, submit = None, _Inline
     window = 1 if cfg.workers == 1 else 2 * cfg.workers
-    if cfg.workers > 1 and cfg.target.text.startswith("exec:"):
-        # imported here so runs that stay inline never load the thread pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=cfg.workers)
-        submit = pool.submit
-    try:
-        while submitted < cfg.max_execs or pending:
-            while submitted < cfg.max_execs and len(pending) < window:
-                tree, text = _mutant(run, streams[submitted % cfg.workers])
-                known, running = run.ask(text, submit)
-                if running is not None:
-                    run.in_flight[text] = running
-                pending.append((tree, text, known, running))
-                submitted += 1
-            tree, text, answer, running = pending.popleft()
-            if running is not None:
-                if run.in_flight.get(text) is running:
-                    del run.in_flight[text]
-                answer = run.take(text, running)
-            run.consume(tree, text, *answer)
-    finally:
-        if pool is not None:
-            # an interrupted run drops the executions it will not consume
-            pool.shutdown(cancel_futures=True)
+    while submitted < cfg.max_execs or pending:
+        while submitted < cfg.max_execs and len(pending) < window:
+            tree, text = _mutant(run, streams[submitted % cfg.workers])
+            pending.append((tree, text, *run.submit(text)))
+            submitted += 1
+        tree, text, known, running = pending.popleft()
+        run.consume(tree, text, *run.settle(text, known, running))
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
@@ -434,12 +445,22 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     (out / "crashes").mkdir(parents=True, exist_ok=True)
 
-    run = _Run(cfg, g, out)
+    pool, start = None, _Inline
+    if cfg.workers > 1 and cfg.target.text.startswith("exec:"):
+        # imported here so runs that stay inline never load the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=cfg.workers)
+        start = pool.submit
+    run = _Run(cfg, g, out, start)
     run.stats.started_unix_ms = int(time.time() * 1000)
     try:
         _seed_corpus(run)
         _loop(run)
     finally:
+        if pool is not None:
+            # an interrupted run drops the executions it will not consume
+            pool.shutdown(cancel_futures=True)
         # flush whatever was gathered, even on interruption
         run.stats.finished_unix_ms = int(time.time() * 1000)
         elapsed = max(time.monotonic() - run.t0, 1e-9)

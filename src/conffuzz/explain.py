@@ -44,6 +44,7 @@ VALUELESS = "1"
 SNIPPET_LIMIT = 500
 
 TOKEN_ENV_VAR = "CONFFUZZ_LLM_TOKEN"
+HTTP_TIMEOUT_S = 30.0
 PROMPT_TEMPLATE = (
     "Explain the variable {name} in the context of 5G gNB software: {context}"
 )
@@ -264,13 +265,13 @@ class HttpLLMBackend:
     """One-shot prompt per variable against a JSON endpoint.
 
     Sends ``{"prompt": ...}`` and expects ``{"text": ...}`` back.  The
-    bearer token is taken from CONFFUZZ_LLM_TOKEN when set.  No retries;
-    a failure must surface rather than degrade into made-up text.
+    bearer token is taken from CONFFUZZ_LLM_TOKEN when set, and a request
+    gives up after ``HTTP_TIMEOUT_S`` seconds.  No retries; a failure
+    must surface rather than degrade into made-up text.
     """
 
-    def __init__(self, url: str, timeout_s: float = 30.0):
+    def __init__(self, url: str):
         self.url = url
-        self.timeout_s = timeout_s
 
     def explain(self, var_name: str, context: str) -> str:
         # imported here so only a run that posts pays for an HTTP client
@@ -289,7 +290,7 @@ class HttpLLMBackend:
             method="POST",
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
                 status, body = resp.status, resp.read()
         except urllib.error.HTTPError as e:
             e.close()

@@ -7,32 +7,32 @@ language.  Operators draw all randomness from the generator they are
 handed, never seed one of their own, and yield no edit when no applicable
 mutation site exists, which leaves the input unchanged.
 
-``random_mutation`` picks one operator by configurable weight and applies
-it, which is the per-iteration step of a fuzzing campaign; a single-entry
-weight dict such as ``{MutationKind.SPLICE: 1}`` forces one operator.  A
-campaign hands it one worker's stream, so successive mutations continue
-that stream instead of reseeding.  A campaign also hands it a memo of
-the edits made so far, keyed by the tree, the path and the subtree, so an
-edit it repeats costs only its draws.  ``random_mutation`` alone decides
-what the memo keeps.  A kept mutant is unparsed and keeps its text, so
-one whose text is longer than ``_EDIT_CHARS`` (1024) characters is not
-kept, and neither is a freshly sampled subtree's, which cannot repeat.
-``cache.keep`` keeps the memo within ``_EDIT_ENTRIES`` (4096) edits: on
-``gnb.json`` an entry, its new root and its text included, is about
-1 KiB, so at most ~4.2 MiB.  A deeper grammar's entry also holds one new
-node per level of its edit's path.
+``random_mutation`` picks one operator by the fixed ``DEFAULT_WEIGHTS``
+and applies it, which is the per-iteration step of a fuzzing campaign.
+A campaign hands it one worker's stream, so successive mutations continue
+that stream instead of reseeding, and the corpus entry that splicing
+grafts from.  It also hands it a memo of the edits made so far, keyed by
+the tree, the path and the subtree, so an edit it repeats costs only its
+draws.  ``random_mutation`` alone decides what the memo keeps.  A kept
+mutant is unparsed and keeps its text, so one whose text is longer than
+``_EDIT_CHARS`` (1024) characters is not kept, and neither is a freshly
+sampled subtree's, which cannot repeat.  ``cache.keep`` keeps the memo
+within ``_EDIT_ENTRIES`` (4096) edits: on ``gnb.json`` an entry, its new
+root and its text included, is about 1 KiB, so at most ~4.2 MiB.  A
+deeper grammar's entry also holds one new node per level of its edit's
+path.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
+from itertools import accumulate
 from random import Random
 from types import MappingProxyType
 
 from .cache import keep
 from .grammar import (
-    DEFAULT_MAX_DEPTH,
     DerivationTree,
     Grammar,
     grammar_slot,
@@ -42,7 +42,6 @@ from .grammar import (
 )
 
 __all__ = [
-    "AllZeroWeightsError",
     "DEFAULT_WEIGHTS",
     "MutationKind",
     "random_mutation",
@@ -74,31 +73,13 @@ _EDIT_ENTRIES = 4096
 _EDIT_CHARS = 1024
 
 
-class AllZeroWeightsError(ValueError):
-    pass
-
-
-def _draw_table(
-    weights: Mapping[MutationKind, float],
-) -> tuple[float, tuple[tuple[float, MutationKind], ...]]:
-    """The weights' total and their running sums in ``MutationKind`` order:
-    a draw below a running sum, and not below the one before it, picks
-    that sum's kind."""
-    for kind, w in weights.items():
-        if w < 0:
-            raise ValueError(f"negative weight for {kind.value}: {w}")
-    total = sum(weights.get(kind, 0) for kind in _KINDS)
-    if total <= 0:
-        raise AllZeroWeightsError("all mutation weights are zero")
-    steps = []
-    acc = 0.0
-    for kind in _KINDS:
-        acc += weights.get(kind, 0)
-        steps.append((acc, kind))
-    return total, tuple(steps)
-
-
-_DEFAULT_DRAW = _draw_table(DEFAULT_WEIGHTS)
+# the weights' total and their running sums in ``MutationKind`` order: a
+# draw below a running sum, and not below the one before it, picks that
+# sum's kind
+_DEFAULT_DRAW = (
+    sum(DEFAULT_WEIGHTS.values()),
+    tuple(zip(accumulate(float(DEFAULT_WEIGHTS[kind]) for kind in _KINDS), _KINDS)),
+)
 
 # what an operator returns: the path of the node it replaces, and the
 # subtree that takes its place
@@ -165,25 +146,21 @@ def random_mutation(
     t: DerivationTree,
     g: Grammar,
     rng: Random,
-    weights: Mapping[MutationKind, float] | None = None,
     *,
-    donor: DerivationTree | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    memo: dict | None = None,
+    donor: DerivationTree,
+    max_depth: int,
+    memo: dict,
 ) -> tuple[DerivationTree, MutationKind]:
-    """Apply one weighted-random operator drawn from ``rng``; returns the
-    tree and the kind.
+    """Apply one operator, drawn from ``rng`` by ``DEFAULT_WEIGHTS``;
+    returns the tree and the kind.
 
-    A kind missing from ``weights`` gets weight zero, so passing a
-    single-entry dict forces that operator.  Splicing uses ``donor`` as
-    the source of grafts and falls back to the input tree itself.
-
-    With a ``memo``, held by the caller, an edit made to the same tree
-    before returns the mutant it built then, which keeps its text: the
-    draws are the same, and only ``replace_subtree`` and ``unparse`` are
-    skipped.
+    Splicing grafts from ``donor``, and regeneration samples within
+    ``max_depth``.  An edit made to the same tree before, found in
+    ``memo``, which the caller holds, returns the mutant it built then,
+    which keeps its text: the draws are the same, and only
+    ``replace_subtree`` and ``unparse`` are skipped.
     """
-    total, steps = _DEFAULT_DRAW if weights is None else _draw_table(weights)
+    total, steps = _DEFAULT_DRAW
     x = rng.random() * total
     chosen = MutationKind.SCALAR_TWEAK
     for acc, kind in steps:
@@ -196,14 +173,12 @@ def random_mutation(
     elif chosen is MutationKind.RULE_SWAP:
         edit = _rule_swap(t, g, rng)
     elif chosen is MutationKind.SPLICE:
-        edit = _splice(t, donor if donor is not None else t, g, rng)
+        edit = _splice(t, donor, g, rng)
     else:
         edit = _scalar_tweak(t, g, rng)
     if edit is None:
         return t, chosen
     path, subtree = edit
-    if memo is None:
-        return replace_subtree(t, path, subtree), chosen
     # An entry holds the tree and the mutant, and the mutant holds the
     # subtree, so neither id is reused while the entry stands.
     key = (id(t), path, id(subtree))

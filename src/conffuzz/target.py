@@ -165,7 +165,7 @@ class TargetSpec(Record):
 
 
 def classify_outcome(
-    returncode: int | None, elapsed_ms: float, timeout_ms: int, excerpt: str = ""
+    returncode: int | None, elapsed_ms: float, timeout_ms: int, excerpt: str
 ) -> ExecOutcome:
     """Map a subprocess exit to an outcome carrying ``excerpt``.
 

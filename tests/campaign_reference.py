@@ -25,7 +25,7 @@ def _mutate(run: _Run, rng: Random):
     tree = run.scheduler.schedule_next(run.corpus)
     donor = run.corpus[rng.randrange(len(run.corpus))]
     mutated, _ = campaign.random_mutation(
-        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth
+        tree, run.g, rng, donor=donor, max_depth=run.cfg.max_depth, memo={}
     )
     return mutated, campaign.unparse(mutated, run.g)
 

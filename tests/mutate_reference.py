@@ -20,7 +20,12 @@ from conffuzz.grammar import (
     Grammar,
     replace_subtree,
 )
-from conffuzz.mutate import AllZeroWeightsError, MutationKind
+from conffuzz.mutate import MutationKind
+
+
+class AllZeroWeightsError(ValueError):
+    pass
+
 
 DEFAULT_WEIGHTS: dict[MutationKind, int] = {
     MutationKind.REGENERATE: 4,

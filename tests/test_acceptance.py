@@ -22,6 +22,7 @@ from conffuzz.campaign import CampaignConfig, run_campaign
 from conffuzz.cli import main
 from conffuzz.configfmt import parse_config
 from conffuzz.grammar import (
+    DEFAULT_MAX_DEPTH,
     DEFAULT_START,
     derive_tree,
     generate_tree,
@@ -159,7 +160,14 @@ def test_criterion_06_mutation_closure(gnb_grammar, capfd):
     tree = minimal_tree(gnb_grammar, DEFAULT_START)
     t0 = time.monotonic()
     for seed in range(10_000):
-        tree, _ = random_mutation(tree, gnb_grammar, Random(seed))
+        tree, _ = random_mutation(
+            tree,
+            gnb_grammar,
+            Random(seed),
+            donor=tree,
+            max_depth=DEFAULT_MAX_DEPTH,
+            memo={},
+        )
         unparse(tree, gnb_grammar)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

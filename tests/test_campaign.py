@@ -353,7 +353,7 @@ class TestCorpusReproducibility:
         (out / "crashes").mkdir(parents=True)
         cfg = CampaignConfig(gnb_grammar_path, VALIDATOR, out, seed=2, max_execs=400)
         g = parse_grammar(Path(gnb_grammar_path).read_text())
-        run = _Run(cfg, g, out)
+        run = _Run(cfg, g, out, campaign._Inline)
         _seed_corpus(run)
         _loop(run)
         assert len(run.corpus) > 11  # novelty retention happened
@@ -760,6 +760,7 @@ class TestMemo:
             CampaignConfig(gnb_grammar_path, VALIDATOR, tmp_path, workers=2),
             gnb_grammar,
             tmp_path,
+            campaign._Inline,
         )
         text = baseline_text()
         running = Future()
@@ -937,6 +938,11 @@ def record_threads(monkeypatch, names=("random_mutation", "unparse", "execute"))
     return calls
 
 
+# ``artifact_digest`` of the seed-1, 2-worker campaign of 11 execs on the
+# validator child, the seed phase alone, with its two minimized crashes
+SEED_PHASE_DIGEST = "2b27d5bf76cbe39ac3cba704d9ae5b8814ca9ae3df11f096f33cd1d59fe47efc"
+
+
 class TestThreadOwnership:
     def test_pool_runs_only_execute(self, gnb_grammar_path, tmp_path, monkeypatch):
         # the coordinator mutates and unparses every input; for an exec:
@@ -968,8 +974,8 @@ class TestThreadOwnership:
         runs = expected_runs(events)
         assert Counter(text for kind, _, text in calls if kind == "execute") == runs
         assert sum(runs.values()) < max_execs and max(runs.values()) == 1
-        # the seed phase and the minimizations run their texts on the
-        # coordinator, every other text runs on a pool thread
+        # the minimizations run their texts on the coordinator, every
+        # other text, the seed phase's included, runs on a pool thread
         first_seen = {}
         for kind, text, *_ in events:
             if kind != "consume":
@@ -981,9 +987,38 @@ class TestThreadOwnership:
         for kind, on_main, text in calls:
             if kind == "execute":
                 ran_on[on_main].add(text)
-        assert ran_on[True] == seeded | asked_first
-        assert ran_on[False] == set(first_seen) - seeded - asked_first
-        assert ran_on[False]
+        assert ran_on[True] == asked_first
+        assert ran_on[False] == set(first_seen) - asked_first
+        assert seeded <= ran_on[False]
+
+    def test_seed_inputs_run_on_the_pool(
+        self, gnb_grammar_path, tmp_path, monkeypatch
+    ):
+        # the seed phase alone, with 2 workers: every seed input is
+        # submitted before the first is consumed, runs on a pool thread,
+        # and is consumed in seed order, to the bytes the seed phase wrote
+        # when it ran its inputs one at a time on the coordinator
+        from test_campaign_bytes import artifact_digest
+
+        from conffuzz import campaign
+
+        spec = validator_child(monkeypatch, tmp_path)
+        events = record_submissions(monkeypatch)
+        calls = record_threads(monkeypatch, ("execute",))
+        out = tmp_path / "out"
+        seeds = campaign.SEED_TREES + 1
+        stats = run_campaign(
+            CampaignConfig(
+                gnb_grammar_path, spec, out, seed=1, max_execs=seeds, workers=2
+            )
+        )
+        assert stats.execs == seeds and stats.crashes_unique > 0
+        submitted = [e[1] for e in events[:seeds] if e[0] == "submit"]
+        consumed = [e[1] for e in events[seeds : 2 * seeds] if e[0] == "consume"]
+        assert len(set(submitted)) == seeds and consumed == submitted
+        ran_on_pool = {text for _, on_main, text in calls if not on_main}
+        assert ran_on_pool == set(submitted)
+        assert artifact_digest(out) == SEED_PHASE_DIGEST
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_a_builtin_runs_on_the_coordinator(

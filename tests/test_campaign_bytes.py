@@ -24,7 +24,7 @@ import pytest
 
 from conffuzz import mutate
 from conffuzz.campaign import CampaignConfig, run_campaign
-from conffuzz.grammar import generate_tree
+from conffuzz.grammar import DEFAULT_MAX_DEPTH, generate_tree
 from conffuzz.target import TargetSpec
 
 from conftest import GRAMMAR_PATH
@@ -92,7 +92,9 @@ def test_mutation_draws_only_from_the_callers_generator(
 ):
     monkeypatch.setattr(mutate, "Random", _no_generator)
     tree = generate_tree(gnb_grammar, 1)
-    mutated, _ = mutate.random_mutation(tree, gnb_grammar, Random(1), donor=tree)
+    mutated, _ = mutate.random_mutation(
+        tree, gnb_grammar, Random(1), donor=tree, max_depth=DEFAULT_MAX_DEPTH, memo={}
+    )
     assert mutated.token == tree.token
     stats = run_campaign(
         CampaignConfig(GRAMMAR_PATH, VALIDATOR, tmp_path / "out", max_execs=60)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conffuzz import explain
 from conffuzz.explain import (
     NO_SOURCE_MATCH,
     UNKNOWN,
@@ -406,7 +407,7 @@ class TestHttpBackend:
         }
         assert headers["Content-Type"] == "application/json"
         assert "Authorization" not in headers
-        assert backend.timeout_s == 30.0
+        assert explain.HTTP_TIMEOUT_S == 30.0
 
     def test_bearer_token_from_env(self, monkeypatch, llm_server):
         monkeypatch.setenv("CONFFUZZ_LLM_TOKEN", "sekrit")
@@ -437,9 +438,10 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="llm request failed"):
             HttpLLMBackend(url).explain("v", "")
 
-    def test_timeout_raises(self, llm_server):
+    def test_timeout_raises(self, llm_server, monkeypatch):
         llm_server.release = threading.Event()
-        backend = HttpLLMBackend(llm_server.url, timeout_s=0.2)
+        monkeypatch.setattr(explain, "HTTP_TIMEOUT_S", 0.2)
+        backend = HttpLLMBackend(llm_server.url)
         with pytest.raises(BackendError, match="llm request failed"):
             backend.explain("v", "")
 

@@ -35,7 +35,9 @@ from conffuzz.grammar import (
     parse_grammar,
     unparse,
 )
-from conffuzz.mutate import MutationKind, random_mutation
+from conffuzz.mutate import MutationKind
+
+from conftest import mutation
 
 TOKENS = [f"<T{i}>" for i in range(5)]
 # referenced but never defined, which ``Grammar`` rejects, as it rejects
@@ -146,8 +148,8 @@ def loaded(draw):
 def test_every_operator_is_closed_over_random_grammars(case, seed):
     g, depth, tree, donor = case
     for kind in MutationKind:
-        out, picked = random_mutation(
-            tree, g, Random(seed), {kind: 1}, donor=donor, max_depth=depth
+        out, picked = mutation(
+            tree, g, Random(seed), kind, donor=donor, max_depth=depth
         )
         assert picked is kind
         unparse(out, g)

@@ -1,5 +1,6 @@
 """Mutation operators: closure, determinism, weighting, site selection."""
 
+import inspect
 import json
 import pickle
 from collections import Counter
@@ -18,17 +19,14 @@ from conffuzz.grammar import (
     parse_grammar,
     unparse,
 )
-from conffuzz.mutate import (
-    DEFAULT_WEIGHTS,
-    AllZeroWeightsError,
-    MutationKind,
-    random_mutation,
-)
+from conffuzz.mutate import DEFAULT_WEIGHTS, MutationKind, random_mutation
 
-REGENERATE = {MutationKind.REGENERATE: 1}
-RULE_SWAP = {MutationKind.RULE_SWAP: 1}
-SPLICE = {MutationKind.SPLICE: 1}
-SCALAR_TWEAK = {MutationKind.SCALAR_TWEAK: 1}
+from conftest import mutation
+
+REGENERATE = MutationKind.REGENERATE
+RULE_SWAP = MutationKind.RULE_SWAP
+SPLICE = MutationKind.SPLICE
+SCALAR_TWEAK = MutationKind.SCALAR_TWEAK
 
 BIT = parse_grammar(
     json.dumps({"<START>": [["v = ", "<BIT>", ";"]], "<BIT>": [["0"], ["1"]]})
@@ -56,7 +54,7 @@ class TestClosure:
     def test_random_mutation_stays_in_language(self, gnb_grammar):
         tree = minimal_tree(gnb_grammar, DEFAULT_START)
         for seed in range(300):
-            tree, _ = random_mutation(tree, gnb_grammar, Random(seed))
+            tree, _ = mutation(tree, gnb_grammar, Random(seed))
             unparse(tree, gnb_grammar)
             parse_config(unparse(tree, gnb_grammar))  # must stay well-formed
 
@@ -65,12 +63,12 @@ class TestClosure:
         donor = generate_tree(gnb_grammar, seed=8)
         for seed in range(50):
             for out in (
-                random_mutation(base, gnb_grammar, Random(seed), REGENERATE)[0],
-                random_mutation(base, gnb_grammar, Random(seed), RULE_SWAP)[0],
-                random_mutation(
+                mutation(base, gnb_grammar, Random(seed), REGENERATE)[0],
+                mutation(base, gnb_grammar, Random(seed), RULE_SWAP)[0],
+                mutation(
                     base, gnb_grammar, Random(seed), SPLICE, donor=donor
                 )[0],
-                random_mutation(base, gnb_grammar, Random(seed), SCALAR_TWEAK)[0],
+                mutation(base, gnb_grammar, Random(seed), SCALAR_TWEAK)[0],
             ):
                 unparse(out, gnb_grammar)
 
@@ -100,8 +98,8 @@ class TestWalkCache:
         fresh = DerivationTree(t.token, t.rule_index, t.children)
         t.paths
         text = unparse(t, DIGITS)
-        random_mutation(t, DIGITS, Random(1), RULE_SWAP)
-        random_mutation(t, DIGITS, Random(1), SCALAR_TWEAK)
+        mutation(t, DIGITS, Random(1), RULE_SWAP)
+        mutation(t, DIGITS, Random(1), SCALAR_TWEAK)
         assert {"paths", "_text", "_swap_sites", "_tweak_sites"} <= set(vars(t))
         assert fresh == t and hash(fresh) == hash(t)
         shown = repr(t)
@@ -125,11 +123,11 @@ class TestWalkCache:
             )
         )
         t = generate_tree(one, seed=1)
-        for weights in (RULE_SWAP, SCALAR_TWEAK):
+        for kind in (RULE_SWAP, SCALAR_TWEAK):
             for g, text in ((one, "15"), (other, "06"), (one, "15")):
-                mutant, _ = random_mutation(t, g, Random(3), weights)
+                mutant, _ = mutation(t, g, Random(3), kind)
                 fresh = DerivationTree(t.token, t.rule_index, t.children)
-                assert mutant == random_mutation(fresh, g, Random(3), weights)[0]
+                assert mutant == mutation(fresh, g, Random(3), kind)[0]
                 assert unparse(mutant, g) == text
 
     @settings(max_examples=25, deadline=None)
@@ -140,12 +138,12 @@ class TestWalkCache:
         base = generate_tree(DIGITS, seed, max_depth)
         for s in range(8):
             for out in (
-                random_mutation(
+                mutation(
                     base, DIGITS, Random(s), REGENERATE, max_depth=max_depth
                 )[0],
-                random_mutation(base, DIGITS, Random(s), RULE_SWAP)[0],
-                random_mutation(base, DIGITS, Random(s), SPLICE, donor=base)[0],
-                random_mutation(base, DIGITS, Random(s), SCALAR_TWEAK)[0],
+                mutation(base, DIGITS, Random(s), RULE_SWAP)[0],
+                mutation(base, DIGITS, Random(s), SPLICE, donor=base)[0],
+                mutation(base, DIGITS, Random(s), SCALAR_TWEAK)[0],
             ):
                 unparse(out, DIGITS)
 
@@ -155,13 +153,13 @@ class TestDeterminism:
         base = generate_tree(gnb_grammar, seed=3)
         donor = generate_tree(gnb_grammar, seed=4)
         for seed in (0, 1, 99):
-            assert random_mutation(
+            assert mutation(
                 base, gnb_grammar, Random(seed), REGENERATE
-            ) == random_mutation(base, gnb_grammar, Random(seed), REGENERATE)
-            assert random_mutation(
+            ) == mutation(base, gnb_grammar, Random(seed), REGENERATE)
+            assert mutation(
                 base, gnb_grammar, Random(seed), SPLICE, donor=donor
-            ) == random_mutation(base, gnb_grammar, Random(seed), SPLICE, donor=donor)
-            assert random_mutation(base, gnb_grammar, Random(seed)) == random_mutation(
+            ) == mutation(base, gnb_grammar, Random(seed), SPLICE, donor=donor)
+            assert mutation(base, gnb_grammar, Random(seed)) == mutation(
                 base, gnb_grammar, Random(seed)
             )
 
@@ -170,14 +168,14 @@ class TestRegenerate:
     def test_respects_depth_budget(self):
         t = minimal_tree(DIGITS, "<START>")
         for seed in range(100):
-            out = random_mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=3)[0]
+            out = mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=3)[0]
             assert depth(out) <= 3
             assert len(unparse(out, DIGITS)) == 1
 
     def test_can_grow_within_budget(self):
         t = minimal_tree(DIGITS, "<START>")
         outs = [
-            random_mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=16)[0]
+            mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=16)[0]
             for seed in range(50)
         ]
         assert any(len(unparse(out, DIGITS)) > 1 for out in outs)
@@ -186,7 +184,7 @@ class TestRegenerate:
         # budget never starves a node below its own minimal depth
         t = generate_tree(DIGITS, seed=5, max_depth=30)
         for seed in range(50):
-            out = random_mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=2)[0]
+            out = mutation(t, DIGITS, Random(seed), REGENERATE, max_depth=2)[0]
             unparse(out, DIGITS)
 
 
@@ -195,18 +193,18 @@ class TestRuleSwap:
         t = minimal_tree(BIT, "<START>")
         assert unparse(t, BIT) == "v = 0;"
         for seed in range(20):
-            out = random_mutation(t, BIT, Random(seed), RULE_SWAP)[0]
+            out = mutation(t, BIT, Random(seed), RULE_SWAP)[0]
             assert unparse(out, BIT) == "v = 1;"
 
     def test_identity_when_no_alternatives(self):
         t = minimal_tree(FIXED, "<START>")
-        assert random_mutation(t, FIXED, Random(0), RULE_SWAP)[0] is t
+        assert mutation(t, FIXED, Random(0), RULE_SWAP)[0] is t
 
     def test_new_children_are_minimal(self):
         t = minimal_tree(DIGITS, "<DIGITS>")
         swapped = False
         for seed in range(50):
-            out = random_mutation(t, DIGITS, Random(seed), RULE_SWAP)[0]
+            out = mutation(t, DIGITS, Random(seed), RULE_SWAP)[0]
             unparse(out, DIGITS)
             # the two-child rule fills the recursive slot minimally
             if out.token == "<DIGITS>" and out.rule_index == 1:
@@ -218,10 +216,10 @@ class TestRuleSwap:
 class TestSplice:
     def test_moves_donor_material(self):
         t = minimal_tree(BIT, "<START>")  # v = 0;
-        donor = random_mutation(t, BIT, Random(0), RULE_SWAP)[0]  # v = 1;
+        donor = mutation(t, BIT, Random(0), RULE_SWAP)[0]  # v = 1;
         # every donor subtree carries the 1, so any graft site flips it
         seen = {
-            unparse(random_mutation(t, BIT, Random(s), SPLICE, donor=donor)[0], BIT)
+            unparse(mutation(t, BIT, Random(s), SPLICE, donor=donor)[0], BIT)
             for s in range(40)
         }
         assert seen == {"v = 1;"}
@@ -237,7 +235,7 @@ class TestSplice:
         assert sum(a != b for a, b in zip(base.children, donor.children)) >= 2
         outputs = {
             unparse(
-                random_mutation(base, gnb_grammar, Random(s), SPLICE, donor=donor)[0],
+                mutation(base, gnb_grammar, Random(s), SPLICE, donor=donor)[0],
                 gnb_grammar,
             )
             for s in range(60)
@@ -252,7 +250,7 @@ class TestSplice:
     def test_self_splice_is_identity_on_unique_slots(self, gnb_grammar):
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         for seed in range(20):
-            out = random_mutation(t, gnb_grammar, Random(seed), SPLICE, donor=t)[0]
+            out = mutation(t, gnb_grammar, Random(seed), SPLICE, donor=t)[0]
             assert unparse(out, gnb_grammar) == unparse(t, gnb_grammar)
 
     def test_identity_when_tokens_disjoint(self):
@@ -260,7 +258,7 @@ class TestSplice:
         donor_grammar = parse_grammar(json.dumps({"<START>": [["other"]]}))
         donor = minimal_tree(donor_grammar, "<START>")
         # same token name, so the root is swappable; different name is not
-        out = random_mutation(t, FIXED, Random(0), SPLICE, donor=donor)[0]
+        out = mutation(t, FIXED, Random(0), SPLICE, donor=donor)[0]
         assert out.token == "<START>"
 
 
@@ -272,7 +270,7 @@ class TestScalarTweak:
         t = minimal_tree(NUM, "<START>")
         assert self.leaf_value(t) == "5"
         seen = {
-            self.leaf_value(random_mutation(t, NUM, Random(s), SCALAR_TWEAK)[0])
+            self.leaf_value(mutation(t, NUM, Random(s), SCALAR_TWEAK)[0])
             for s in range(200)
         }
         # nearest above, nearest below, zero, min, max
@@ -282,14 +280,14 @@ class TestScalarTweak:
         zero = DerivationTree("<START>", 0, (DerivationTree("<N>", 3),))
         assert self.leaf_value(zero) == "0"
         seen = {
-            self.leaf_value(random_mutation(zero, NUM, Random(s), SCALAR_TWEAK)[0])
+            self.leaf_value(mutation(zero, NUM, Random(s), SCALAR_TWEAK)[0])
             for s in range(200)
         }
         assert seen == {"1", "9"}
 
     def test_identity_without_numeric_leaves(self):
         t = minimal_tree(FIXED, "<START>")
-        assert random_mutation(t, FIXED, Random(0), SCALAR_TWEAK)[0] is t
+        assert mutation(t, FIXED, Random(0), SCALAR_TWEAK)[0] is t
 
     def test_gnb_bandwidth_steps(self, gnb_grammar):
         # <BW_RB> alternatives are 106, 25, 24, 273, 5; from 106 a tweak
@@ -297,7 +295,7 @@ class TestScalarTweak:
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         values = set()
         for seed in range(500):
-            out = random_mutation(t, gnb_grammar, Random(seed), SCALAR_TWEAK)[0]
+            out = mutation(t, gnb_grammar, Random(seed), SCALAR_TWEAK)[0]
             text = unparse(out, gnb_grammar)
             for line in text.splitlines():
                 if "dl_carrierBandwidth" in line:
@@ -306,11 +304,17 @@ class TestScalarTweak:
 
 
 class TestRandomMutation:
+    def test_takes_only_what_the_campaign_passes(self):
+        params = inspect.signature(random_mutation).parameters.values()
+        names = ["t", "g", "rng", "donor", "max_depth", "memo"]
+        assert [p.name for p in params] == names
+        assert all(p.default is inspect.Parameter.empty for p in params)
+
     def test_default_weight_frequencies(self, gnb_grammar):
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         n = 100_000
         counts = Counter(
-            random_mutation(t, gnb_grammar, Random(seed))[1] for seed in range(n)
+            mutation(t, gnb_grammar, Random(seed))[1] for seed in range(n)
         )
         total_weight = sum(DEFAULT_WEIGHTS.values())
         for kind, w in DEFAULT_WEIGHTS.items():
@@ -320,28 +324,16 @@ class TestRandomMutation:
         t = minimal_tree(gnb_grammar, DEFAULT_START)
         for kind in MutationKind:
             for seed in range(10):
-                _, chosen = random_mutation(t, gnb_grammar, Random(seed), {kind: 1})
+                _, chosen = mutation(t, gnb_grammar, Random(seed), kind)
                 assert chosen is kind
-
-    def test_zero_weights_rejected(self, gnb_grammar):
-        t = minimal_tree(gnb_grammar, DEFAULT_START)
-        with pytest.raises(AllZeroWeightsError):
-            random_mutation(t, gnb_grammar, Random(0), {})
-        with pytest.raises(AllZeroWeightsError):
-            random_mutation(t, gnb_grammar, Random(0), {MutationKind.SPLICE: 0})
-
-    def test_negative_weight_rejected(self, gnb_grammar):
-        t = minimal_tree(gnb_grammar, DEFAULT_START)
-        with pytest.raises(ValueError):
-            random_mutation(t, gnb_grammar, Random(0), {MutationKind.SPLICE: -1})
 
     def test_explicit_donor_used_for_splice(self):
         t = minimal_tree(BIT, "<START>")
-        donor = random_mutation(t, BIT, Random(0), RULE_SWAP)[0]
+        donor = mutation(t, BIT, Random(0), RULE_SWAP)[0]
         seen = set()
         for seed in range(40):
-            out, kind = random_mutation(
-                t, BIT, Random(seed), {MutationKind.SPLICE: 1}, donor=donor
+            out, kind = mutation(
+                t, BIT, Random(seed), MutationKind.SPLICE, donor=donor
             )
             assert kind is MutationKind.SPLICE
             seen.add(unparse(out, BIT))
@@ -349,6 +341,6 @@ class TestRandomMutation:
 
     def test_identity_fallback_still_reports_kind(self):
         t = minimal_tree(FIXED, "<START>")
-        out, kind = random_mutation(t, FIXED, Random(0), {MutationKind.RULE_SWAP: 1})
+        out, kind = mutation(t, FIXED, Random(0), MutationKind.RULE_SWAP)
         assert out is t
         assert kind is MutationKind.RULE_SWAP

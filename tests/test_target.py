@@ -83,11 +83,12 @@ class TestClassifyOutcome:
         ],
     )
     def test_table(self, rc, elapsed, expected):
-        assert classify_outcome(rc, elapsed, 1000) == expected
+        assert classify_outcome(rc, elapsed, 1000, "") == expected
 
     def test_budget_boundary_is_inclusive(self):
-        assert classify_outcome(0, 1000, 1000) == ExecOutcome(OutcomeKind.OK)
-        assert classify_outcome(0, 1000.1, 1000) == ExecOutcome(OutcomeKind.TIMEOUT)
+        assert classify_outcome(0, 1000, 1000, "") == ExecOutcome(OutcomeKind.OK)
+        timed_out = classify_outcome(0, 1000.1, 1000, "")
+        assert timed_out == ExecOutcome(OutcomeKind.TIMEOUT)
 
 
 class TestTargetSpec:
