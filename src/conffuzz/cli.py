@@ -105,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grammar-check", help="parse and sanity-check a grammar")
     p.add_argument("grammar")
-    p.add_argument(
-        "--lax",
-        action="store_true",
-        help="treat undefined token references as literals",
-    )
     p.set_defaults(func=cmd_grammar_check)
 
     p = sub.add_parser("gen", help="generate sample configs deterministically")
@@ -160,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_grammar_check(args) -> int:
-    g = parse_grammar(_read(args.grammar), strict=not args.lax)
+    g = parse_grammar(_read(args.grammar))
     rules = sum(len(r) for r in g.productions.values())
     print(f"tokens: {len(g.productions)}")
     print(f"rules: {rules}")

@@ -1,8 +1,11 @@
 """Grammar files, derivation trees, and deterministic tree sampling.
 
 A grammar file is a JSON object mapping token names (``"<NAME>"``) to lists
-of rules, where every rule is an array of strings.  A string that exactly
-names a defined token is a reference to it; every other string is a literal.
+of rules, where every rule is an array of strings.  A string shaped like a
+token name is a reference and must name a defined token; every other string
+is a literal.  A ``Grammar`` checks what its productions mean when it is
+built, so every grammar defines ``<START>`` and every token derives a finite
+tree.
 Inputs are represented as derivation trees that record the rule chosen at
 each node, which lets mutation stay structure-aware without reparsing text.
 
@@ -196,7 +199,12 @@ _set_children = DerivationTree.children.__set__
 class Grammar(Record):
     """A grammar's productions, read-only, and the tables built from them.
     Immutable: every table is built from the productions once, so neither
-    they nor the tables may be rebound afterwards."""
+    they nor the tables may be rebound afterwards.
+
+    Raises, in this order, ``UndefinedTokenRefError`` on a reference to a
+    token it does not define, ``MissingStartError`` unless it defines
+    ``<START>``, and ``NoFiniteDerivationError`` on a token with no finite
+    derivation."""
 
     _fields = ("productions",)
     # unhashable, like the read-only mapping that holds its productions
@@ -212,6 +220,8 @@ class Grammar(Record):
                         raise UndefinedTokenRefError(
                             f"rule for {token!r} references undefined token {ref!r}"
                         )
+        if DEFAULT_START not in productions:
+            raise MissingStartError(f"grammar does not define {DEFAULT_START!r}")
         min_depth, rule_depths = _cost_tables(productions, max)
         min_size, rule_sizes = _cost_tables(productions, operator.add)
         numeric_steps = _numeric_step_table(productions)
@@ -241,7 +251,6 @@ class Grammar(Record):
             productions=productions,
             _min_depth=min_depth,
             _rule_depths=rule_depths,
-            _rule_sizes=rule_sizes,
             _numeric_steps=numeric_steps,
             swappable=frozenset(t for t, r in productions.items() if len(r) > 1),
             # every rule fits a budget of at least this, so none is filtered
@@ -267,9 +276,6 @@ class Grammar(Record):
 
     def rule_depths(self, token: str) -> tuple[float, ...]:
         return self._rule_depths[token]
-
-    def rule_sizes(self, token: str) -> tuple[float, ...]:
-        return self._rule_sizes[token]
 
     def numeric_steps(self, token: str, rule_index: int) -> tuple[int, ...]:
         """Rule indices an integer-literal rule may step to, nearest first.
@@ -346,14 +352,20 @@ def _numeric_step_table(
     return table
 
 
-def parse_grammar(text: str, strict: bool = True) -> Grammar:
-    """Load a grammar from its JSON text.
+def _refuse_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    # ``json.loads`` alone keeps a repeated key's last value and drops the rest
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise MalformedJsonError(f"{key!r} is defined more than once")
+        out[key] = value
+    return out
 
-    With ``strict`` set, every ``<...>``-shaped rule item must name a defined
-    token; otherwise such items silently degrade to literals.
-    """
+
+def parse_grammar(text: str) -> Grammar:
+    """Load a grammar from its JSON text; ``Grammar`` checks what it means."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
     except ValueError as exc:
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -369,29 +381,14 @@ def parse_grammar(text: str, strict: bool = True) -> Grammar:
     for name in raw:
         if not _TOKEN_NAME_RE.fullmatch(name):
             raise BadTokenNameError(f"bad token name: {name!r}")
-
-    defined = set(raw)
+    # a token-shaped string is a reference, which ``Grammar`` checks
     productions: dict[str, tuple[Rule, ...]] = {}
     for name, rules in raw.items():
         built = []
         for rule in rules:
-            items = []
-            for s in rule:
-                if s in defined:
-                    items.append(RuleItem(s, True))
-                elif _TOKEN_NAME_RE.fullmatch(s):
-                    if strict:
-                        raise UndefinedTokenRefError(
-                            f"rule for {name!r} references undefined token {s!r}"
-                        )
-                    items.append(RuleItem(s, False))
-                else:
-                    items.append(RuleItem(s, False))
-            built.append(Rule(tuple(items)))
+            is_ref = (_TOKEN_NAME_RE.fullmatch(s) is not None for s in rule)
+            built.append(Rule(tuple(map(RuleItem, rule, is_ref))))
         productions[name] = tuple(built)
-
-    if DEFAULT_START not in productions:
-        raise MissingStartError(f"grammar does not define {DEFAULT_START!r}")
     return Grammar(productions)
 
 
@@ -426,8 +423,6 @@ def generate_tree(
     g: Grammar, seed: int, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> DerivationTree:
     """Deterministically sample a tree rooted at the start token."""
-    if DEFAULT_START not in g.productions:
-        raise MissingStartError(f"grammar does not define {DEFAULT_START!r}")
     check_max_depth(g, max_depth)
     return sample_tree(g, DEFAULT_START, max_depth, Random(seed))
 
@@ -576,8 +571,6 @@ def derive_tree(g: Grammar, text: str) -> DerivationTree | None:
                 for tail_end, rest in match_items(items, i + 1, end, depth + 1):
                     yield tail_end, (sub,) + rest
 
-    if DEFAULT_START not in productions:
-        return None
     try:
         for end, tree in derive(DEFAULT_START, 0, 0):
             if end == len(text):

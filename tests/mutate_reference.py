@@ -13,6 +13,8 @@ from __future__ import annotations
 from random import Random
 from typing import Optional
 
+from grammar_reference import _size_tables
+
 from conffuzz.grammar import (
     DEFAULT_MAX_DEPTH,
     DepthInfeasibleError,
@@ -42,7 +44,10 @@ def minimal_tree(g: Grammar, token: str) -> DerivationTree:
     cached = cache.get(token)
     if cached is not None:
         return cached
-    sizes = g.rule_sizes(token)
+    # and its own rule sizes, from the size fixpoint of ``grammar_reference``
+    if "_reference_rule_sizes" not in g.__dict__:
+        _, g.__dict__["_reference_rule_sizes"] = _size_tables(g.productions)
+    sizes = g.__dict__["_reference_rule_sizes"][token]
     best = min(range(len(sizes)), key=sizes.__getitem__)
     rule = g.productions[token][best]
     tree = DerivationTree(

@@ -62,12 +62,26 @@ class TestGrammarCheck:
         assert main(["grammar-check", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_lax_allows_undefined_refs(self, tmp_path, capsys):
-        path = tmp_path / "g.json"
-        path.write_text('{"<START>": [["<GHOST>"]]}')
-        assert main(["grammar-check", str(path)]) == 1
-        capsys.readouterr()
-        assert main(["grammar-check", "--lax", str(path)]) == 0
+
+class TestOneDoorIntoAGrammar:
+    def test_every_command_refuses_it_alike(self, tmp_path, capsys):
+        # no command, and no flag, gives a grammar a second verdict
+        ghost = tmp_path / "ghost.json"
+        ghost.write_text('{"<START>": [["a"], ["<GHOST>"]]}')
+        refusal = "error: rule for '<START>' references undefined token '<GHOST>'\n"
+        out = tmp_path / "out"
+        case3 = TABLE1_DIR / "case3.conf"
+        for argv in (
+            ["grammar-check", ghost],
+            ["gen", "--grammar", ghost, "--out", out],
+            ["fuzz", "--grammar", ghost, "--out", out],
+            ["minimize", case3, "--grammar", ghost],
+        ):
+            assert main(list(map(str, argv))) == EXIT_USAGE, argv
+            assert capsys.readouterr() == ("", refusal), argv
+            assert not out.exists(), argv
+        assert main(["grammar-check", "--lax", str(ghost)]) == EXIT_USAGE
+        assert "unrecognized arguments: --lax" in capsys.readouterr().err
 
 
 class TestGen:

@@ -54,6 +54,11 @@ class TestParseGrammar:
         items = g.productions["<START>"][0].items
         assert [i.is_ref for i in items] == [False, True, False]
         assert g.productions["<START>"][0].refs == ("<BIT>",)
+        # only a whole token-shaped string is a reference
+        g = parse_grammar('{"<START>": [["a<B>", "<B", "<B>"]], "<B>": [["b"]]}')
+        items = g.productions["<START>"][0].items
+        assert [i.is_ref for i in items] == [False, False, True]
+        assert unparse(generate_tree(g, 0), g) == "a<B><Bb"
 
     def test_self_recursive_token_rejected(self):
         with pytest.raises(NoFiniteDerivationError):
@@ -80,13 +85,15 @@ class TestParseGrammar:
 
     def test_undefined_ref_strict(self):
         with pytest.raises(UndefinedTokenRefError):
-            parse_grammar('{"<START>": [["x", "<GONE>"]]}', strict=True)
+            parse_grammar('{"<START>": [["x", "<GONE>"]]}')
 
-    def test_undefined_ref_lax_becomes_literal(self):
-        g = parse_grammar('{"<START>": [["x", "<GONE>"]]}', strict=False)
-        item = g.productions["<START>"][0].items[1]
-        assert not item.is_ref
-        assert unparse(generate_tree(g, 0), g) == "x<GONE>"
+    def test_repeated_token_rejected(self):
+        # json.loads alone keeps the last <START>, and drops the first
+        # one's two rules without a word
+        text = '{"<START>": [["a"], ["<N>"]], "<N>": [["1"]], "<START>": [["b"]]}'
+        with pytest.raises(MalformedJsonError) as err:
+            parse_grammar(text)
+        assert str(err.value) == "'<START>' is defined more than once"
 
     def test_direct_construction_rejects_undefined_ref(self):
         # <START> has another, finite rule, so only the reference check
@@ -109,6 +116,19 @@ class TestParseGrammar:
             parse_grammar("{}")
         with pytest.raises(MissingStartError):
             parse_grammar('{"<A>": [["a"]]}')
+
+    def test_direct_construction_requires_start(self):
+        # every Grammar has a start token, so nothing that samples or
+        # derives from one checks for it again; an undefined reference is
+        # reported first, and a dead token only after the start
+        a = (Rule((RuleItem("a", False),)),)
+        with pytest.raises(MissingStartError) as err:
+            Grammar({"<A>": a})
+        assert str(err.value) == "grammar does not define '<START>'"
+        with pytest.raises(MissingStartError):
+            Grammar({"<A>": (Rule((RuleItem("<A>", True),)),)})
+        with pytest.raises(UndefinedTokenRefError):
+            Grammar({"<A>": (Rule((RuleItem("<GHOST>", True),)),)})
 
     @pytest.mark.parametrize(
         "text",

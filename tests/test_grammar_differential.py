@@ -4,9 +4,11 @@ properties over random grammars.
 ``grammar_reference`` computes the depth table (combine by max) and the
 size table (combine by sum) as two separate fixpoints.  Over small random
 grammars, dead tokens included, the merged fixpoint must give the same
-``min_depth``, ``rule_depths`` and ``rule_sizes``.  ``Grammar`` must
-reject exactly the grammars with a reference to an undefined token, and
-of the rest exactly those with a token that has no finite derivation.
+``min_depth`` and ``rule_depths``, and each token's ``minimal_tree`` the
+size the size fixpoint gives it.  ``Grammar`` must reject exactly the
+grammars with a reference to an undefined token, and of the rest exactly
+those with a token that has no finite derivation.  The first token of
+every random grammar is ``<START>``, so none lacks its start token.
 
 The same random grammars, each given the rules that make it load, must
 also keep every mutation operator closed over the grammar and every tree
@@ -32,37 +34,46 @@ from conffuzz.grammar import (
     UndefinedTokenRefError,
     derive_tree,
     generate_tree,
+    minimal_tree,
     parse_grammar,
+    tree_size,
     unparse,
 )
 from conffuzz.mutate import MutationKind
 
 from conftest import mutation
 
-TOKENS = [f"<T{i}>" for i in range(5)]
+TOKENS = [DEFAULT_START] + [f"<T{i}>" for i in range(1, 5)]
 # referenced but never defined, which ``Grammar`` rejects, as it rejects
 # a reference to a token past the ones a grammar defines
 UNDEFINED = "<GHOST>"
 
 # integer literals give scalar-tweak its sites
 LITERALS = st.sampled_from(["a", "b", "", "0", "7"]).map(lambda s: RuleItem(s, False))
-ITEMS = st.one_of(
-    st.sampled_from(TOKENS + [UNDEFINED]).map(lambda t: RuleItem(t, True)), LITERALS
-)
-RULES = st.lists(ITEMS, max_size=4).map(lambda items: Rule(tuple(items)))
+
+
+def rules(refs: list[str]):
+    """Rules of up to four items, each a literal or a reference to one of
+    ``refs``."""
+    items = LITERALS
+    if refs:
+        items = st.one_of(st.sampled_from(refs).map(lambda t: RuleItem(t, True)), items)
+    return st.lists(items, max_size=4).map(lambda items: Rule(tuple(items)))
 
 
 @st.composite
-def productions(draw):
+def productions(draw, closed=False):
+    """The first one to five ``TOKENS``, each with up to three rules.  A
+    reference names any of ``TOKENS`` or ``UNDEFINED``, or with ``closed``
+    set only a token the grammar defines."""
     count = draw(st.integers(1, len(TOKENS)))
-    return {
-        token: tuple(draw(st.lists(RULES, max_size=3)))
-        for token in TOKENS[:count]
-    }
+    defined = TOKENS[:count]
+    rule = rules(defined if closed else TOKENS + [UNDEFINED])
+    return {token: tuple(draw(st.lists(rule, max_size=3))) for token in defined}
 
 
-LIVE = {"<T0>": (Rule((RuleItem("a", False),)),)}
-DEAD = {"<T0>": (Rule((RuleItem("<T0>", True),)),), "<T1>": ()}
+LIVE = {DEFAULT_START: (Rule((RuleItem("a", False),)),)}
+DEAD = {DEFAULT_START: (Rule((RuleItem(DEFAULT_START, True),)),), "<T1>": ()}
 
 
 # most random grammars hold an undefined reference, so this draws enough
@@ -85,7 +96,7 @@ def test_one_fixpoint_matches_depth_and_size_fixpoints(prods):
         assert str(err.value).endswith(f"undefined token {undefined[0]!r}")
         return
     depth, rule_depths = grammar_reference._depth_tables(prods)
-    _, rule_sizes = grammar_reference._size_tables(prods)
+    size, _ = grammar_reference._size_tables(prods)
     dead = grammar_reference.dead_tokens(prods)
     if dead:
         with pytest.raises(NoFiniteDerivationError) as err:
@@ -96,20 +107,15 @@ def test_one_fixpoint_matches_depth_and_size_fixpoints(prods):
     for token in prods:
         assert g.min_depth(token) == depth[token]
         assert g.rule_depths(token) == rule_depths[token]
-        assert g.rule_sizes(token) == rule_sizes[token]
-
+        assert tree_size(minimal_tree(g, token)) == size[token]
 
 
 def _grammar_json(prods) -> str:
-    """``prods`` as grammar JSON text, ``<T0>`` being the start token."""
-
-    def name(text: str) -> str:
-        return DEFAULT_START if text == TOKENS[0] else text
-
+    """``prods`` as grammar JSON text."""
     return json.dumps(
         {
-            name(token): [[name(item.text) for item in rule.items] for rule in rules]
-            for token, rules in prods.items()
+            token: [[item.text for item in rule.items] for rule in alternatives]
+            for token, alternatives in prods.items()
         }
     )
 
@@ -118,24 +124,21 @@ def _grammar_json(prods) -> str:
 def loaded(draw):
     """A random grammar that loads, a depth bound it fits, and two trees.
 
-    Lax loading turns a reference to an undefined token into a literal,
-    as it does for a grammar file.  Each token of the random productions
+    The random productions refer only to tokens they define.  Each token
     gets one more rule, put among its others, that refers only to the
     tokens after it, so the last token's holds only literals and every
     token derives a finite tree: the grammar always loads, and no draw is
     thrown away.  The depth bound stays within two levels of the minimum
     so that a branching grammar keeps its trees small.
     """
-    prods = draw(productions())
+    prods = draw(productions(closed=True))
     tokens = list(prods)
     for i, token in enumerate(tokens):
-        later = st.sampled_from(tokens[i + 1 :] + [UNDEFINED])
-        items = st.one_of(later.map(lambda t: RuleItem(t, True)), LITERALS)
-        grounded = Rule(tuple(draw(st.lists(items, max_size=4))))
-        rules = prods[token]
-        at = draw(st.integers(0, len(rules)))
-        prods[token] = rules[:at] + (grounded,) + rules[at:]
-    g = parse_grammar(_grammar_json(prods), strict=False)
+        grounded = draw(rules(tokens[i + 1 :]))
+        own = prods[token]
+        at = draw(st.integers(0, len(own)))
+        prods[token] = own[:at] + (grounded,) + own[at:]
+    g = parse_grammar(_grammar_json(prods))
     depth = g.min_depth(DEFAULT_START) + draw(st.integers(0, 2))
     seeds = st.integers(0, 2**32)
     tree = generate_tree(g, draw(seeds), depth)

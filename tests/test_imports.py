@@ -22,8 +22,9 @@ record's ``__setattr__``, ``__delattr__``, ``__repr__`` and
 ``__reduce__``.  Every bounded cache stores through ``cache.keep``, the
 one place that empties a cache.
 
-Every name a module lists in ``__all__`` must exist and be read by the
-system itself (the package or the benchmark), and no module of the
+Every name a module lists in ``__all__``, and every public method or
+property of a package class, must exist and be read by the system itself
+(the package or the benchmark), and no module of the
 package imports an underscore-prefixed name from a sibling: what modules
 share is public.  Each module reads every name its top-level imports
 bind.
@@ -38,6 +39,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,10 +289,15 @@ def _names_read(tree: ast.Module, skip: set[ast.AST]) -> set[str]:
     return out
 
 
+def _system() -> dict[Path, ast.Module]:
+    """The package's and the benchmark's modules, parsed."""
+    files = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+
+
 def test_every_exported_name_is_read_by_the_system():
     # a public name that only tests use is a second surface to keep up
-    files = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    trees = _system()
     exports = {p.stem: _exports(t) for p, t in trees.items() if p.parent == PACKAGE}
     listed = {node for nodes in exports.values() for node in nodes}
     read = set().union(*(_names_read(t, listed) for t in trees.values()))
@@ -301,3 +308,29 @@ def test_every_exported_name_is_read_by_the_system():
         if node.value not in read
     }
     assert sorted(dead - _entry_points()) == []
+
+
+def test_every_public_method_is_read_by_the_system():
+    # the same holds for a class's public methods and properties, which the
+    # system reads as attributes or, as the benchmark does, by name
+    trees = _system()
+    listed = {node for t in trees.values() for node in _exports(t)}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and node not in listed:
+                read.add(str(node.value))
+    dead = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert dead == []
