@@ -42,17 +42,27 @@ the same text always gets the same answer.  So the coordinator keeps a
 memo of the answer each text it ran got, and a text drawn again is
 answered from the memo instead of running the target; the replayed
 answer is consumed, and counted as an exec, exactly as a second run's
-would be.  A text drawn again while its run is still in flight takes
-that run's answer.  ``minimize`` asks the campaign for its answers too,
-so a crash's first reproduce and every candidate the campaign has seen
-cost no run, and each text it runs is kept for later draws.  The seed
-phase, the loop and ``minimize`` all look an answer up through
-``_Run.ask``: the memo, then the run in flight, then a new run.  The
-seed phase and the loop submit through ``_Run.submit`` and consume what
-``_Run.settle`` gives back.  A timeout is never kept, so a hang runs
-again when it is drawn after its answer was consumed.  A crash's dedup
-key is kept by ``dedup_key`` itself, once per distinct (crash code,
-branch set) pair.
+would be.  ``minimize`` asks the campaign for its answers too, so a
+crash's first reproduce and every candidate the campaign has seen cost
+no run, and each text it runs is kept for later draws.  The seed phase,
+the loop and ``minimize`` all get an answer through ``_Run.submit`` and
+``_Run.settle``, and ``_Run.take`` alone keeps one.  ``submit`` looks in
+the memo, then among the runs in flight, and else starts a new run: on
+the pool, where it is in flight until ``settle`` waits for it, or with
+no pool inline on the spot, where its answer is kept as it is made.
+
+Only a run on the pool is ever in flight, and a text drawn again while
+its run is in flight takes that run's answer.  So, with a builtin at any
+worker count, an answer the memo does not keep (a timeout, or a text
+longer than ``_MEMO_CHARS``) runs again at each draw, even within one
+window; the memo's bound may empty a kept answer before it is consumed,
+which is consumed all the same and runs again only if drawn again; and
+``minimize``'s ask for a text in flight on the pool clears that entry,
+so a later draw of a text the memo does not keep runs again.  No byte
+depends on any of these, since the target is deterministic.  A timeout
+is never kept, so a hang runs again whenever it is drawn and not in
+flight.  A crash's dedup key is kept by ``dedup_key`` itself, once per
+distinct (crash code, branch set) pair.
 
 The coordinator also holds a memo of edits, which it hands to
 ``random_mutation``: a mutation that makes the same edit to the same
@@ -228,14 +238,14 @@ class _Run:
     """Mutable campaign state: corpus, seen branches, known crash keys,
     scheduler, stats, the memo of answers, the runs in flight and the
     memo of edits.  Only the coordinator reads or changes it; no thread
-    of the pool is ever handed it.  ``start`` starts a submitted run:
-    ``_Inline``, or a thread pool's ``submit``."""
+    of the pool is ever handed it.  ``pool`` runs an ``exec:`` target's
+    inputs, or is ``None`` for runs made inline."""
 
-    def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path, start):
+    def __init__(self, cfg: CampaignConfig, g: Grammar, out: Path, pool=None):
         self.cfg = cfg
         self.g = g
         self.out = out
-        self.start = start
+        self.pool = pool
         self.corpus: list[DerivationTree] = []
         self.seen: set[str] = set()
         self.known_keys: set[str] = set()
@@ -247,56 +257,48 @@ class _Run:
         # one object per distinct set
         self.memo: dict[str, tuple[ExecOutcome, frozenset[str]]] = {}
         self.branch_sets: dict[frozenset[str], frozenset[str]] = {}
-        # each text submitted to run whose answer is not consumed yet,
-        # and the future that will give it
+        # each text submitted to the pool whose answer is not settled
+        # yet, and the future that will give it
         self.in_flight: dict = {}
         # the mutants built so far, by their edit; see ``random_mutation``
         self.edits: dict = {}
 
-    def ask(self, text: str, start) -> tuple:
-        """``text``'s answer from the memo and ``None``, or else ``None``
-        and a future of it: its run in flight, or else a new run from
-        ``start``, called as ``start(execute, target, text)``."""
-        known = self.memo.get(text)
+    def submit(self, text: str, pool):
+        """``text``'s answer from the memo, or else a future of it: its
+        run in flight, or a new run on ``pool``, in flight until
+        ``settle``; with no pool, the answer of a new run made inline."""
+        known = self.memo.get(text) or self.in_flight.get(text)
         if known is not None:
-            return known, None
-        running = self.in_flight.get(text)
-        return None, running or start(execute, self.cfg.target, text)
-
-    def submit(self, text: str) -> tuple:
-        """``ask`` with a new run started by ``start``; a run stays in
-        ``in_flight`` until ``settle``, so a text drawn again meanwhile
-        takes its answer."""
-        known, running = self.ask(text, self.start)
-        if running is not None:
-            self.in_flight[text] = running
-        return known, running
-
-    def settle(self, text: str, known, running) -> tuple[ExecOutcome, frozenset[str]]:
-        """The answer of ``submit``'s ``known, running`` for ``text``: the
-        known one, or else the run's, through ``take``, once its
-        ``in_flight`` entry is cleared."""
-        if running is None:
             return known
-        if self.in_flight.get(text) is running:
-            del self.in_flight[text]
-        return self.take(text, running)
+        if pool is None:
+            return self.take(text, execute(self.cfg.target, text))
+        running = self.in_flight[text] = pool.submit(execute, self.cfg.target, text)
+        return running
 
-    def take(self, text: str, running) -> tuple[ExecOutcome, frozenset[str]]:
-        """The answer of ``running``, a future of ``text``'s answer from
-        ``ask``, kept in the memo; the answer returned is the one kept.  A
-        timeout is not kept, so a hang is always run again."""
-        outcome, branches = answer = running.result()
+    def settle(self, text: str, submitted) -> tuple[ExecOutcome, frozenset[str]]:
+        """The answer of ``submit``'s ``submitted`` for ``text``: itself
+        when it is one, or else its run's, through ``take``, once its
+        ``in_flight`` entry is cleared."""
+        if isinstance(submitted, tuple):
+            return submitted
+        if self.in_flight.get(text) is submitted:
+            del self.in_flight[text]
+        return self.take(text, submitted.result())
+
+    def take(self, text: str, answer) -> tuple[ExecOutcome, frozenset[str]]:
+        """``answer``, ``text``'s ``(outcome, branch set)`` from a run, kept
+        in the memo; the answer returned is the one kept, or else the pair
+        itself.  A timeout is not kept, so a hang is run again."""
+        outcome, branches = answer
         if outcome.kind is _TIMEOUT or len(text) > _MEMO_CHARS:
-            return answer
+            return outcome, branches
         branches = keep(self.branch_sets, branches, branches, _BRANCH_SETS)
         return keep(self.memo, text, (outcome, branches), _MEMO_ENTRIES)
 
     def answer(self, text: str) -> tuple[ExecOutcome, frozenset[str]]:
-        """``text``'s answer through ``ask``, a new run running inline:
-        ``minimize``'s way to an answer."""
-        known, running = self.ask(text, _Inline)
-        return known if running is None else self.take(text, running)
+        """``text``'s answer, a new run running inline: ``minimize``'s way
+        to an answer."""
+        return self.settle(text, self.submit(text, None))
 
     def retain(self, tree: DerivationTree, text: str) -> None:
         (self.out / "corpus" / f"{len(self.corpus)}.conf").write_text(
@@ -357,10 +359,9 @@ def _seed_corpus(run: _Run) -> None:
     submitted = []
     for tree in trees[: cfg.max_execs]:
         text = unparse(tree, run.g)
-        submitted.append((tree, text, *run.submit(text)))
+        submitted.append((tree, text, run.submit(text, run.pool)))
     seeds = [
-        (tree, text, *run.settle(text, known, running))
-        for tree, text, known, running in submitted
+        (tree, text, *run.settle(text, answer)) for tree, text, answer in submitted
     ]
     for seed in seeds:
         run.consume(*seed, seed=True)
@@ -398,16 +399,6 @@ def _mutant(run: _Run, rng: Random) -> tuple[DerivationTree, str]:
     return mutated, unparse(mutated, run.g)
 
 
-class _Inline:
-    """An execution run on the spot, read back like a finished future."""
-
-    def __init__(self, fn, *args):
-        self._value = fn(*args)
-
-    def result(self):
-        return self._value
-
-
 def _loop(run: _Run) -> None:
     # Mutants are drawn and consumed in submission order, mutant ``n``
     # drawing from stream ``n % workers``; one worker is a window of one
@@ -415,10 +406,10 @@ def _loop(run: _Run) -> None:
     # keep a window of ``2 * workers`` submissions, whether their runs go
     # to the pool (an ``exec:`` target) or run inline as they are
     # submitted (a builtin), so a seed and worker count give the same
-    # bytes either way.  The memo is read at submission by ``ask`` and
-    # written at consumption by ``take``; a text drawn again while its run
-    # is still in flight takes that run's future, which ``in_flight``
-    # holds until it is consumed.
+    # bytes either way.  ``submit`` reads the memo, and ``take`` writes
+    # it: at submission for an inline run, at consumption for a pool run,
+    # whose future ``in_flight`` holds until then, so that a text drawn
+    # again meanwhile takes it.
     cfg = run.cfg
     streams = [Random(cfg.seed + w) for w in range(cfg.workers)]
     submitted = run.stats.execs
@@ -427,10 +418,10 @@ def _loop(run: _Run) -> None:
     while submitted < cfg.max_execs or pending:
         while submitted < cfg.max_execs and len(pending) < window:
             tree, text = _mutant(run, streams[submitted % cfg.workers])
-            pending.append((tree, text, *run.submit(text)))
+            pending.append((tree, text, run.submit(text, run.pool)))
             submitted += 1
-        tree, text, known, running = pending.popleft()
-        run.consume(tree, text, *run.settle(text, known, running))
+        tree, text, answer = pending.popleft()
+        run.consume(tree, text, *run.settle(text, answer))
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignStats:
@@ -445,14 +436,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignStats:
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     (out / "crashes").mkdir(parents=True, exist_ok=True)
 
-    pool, start = None, _Inline
+    pool = None
     if cfg.workers > 1 and cfg.target.text.startswith("exec:"):
         # imported here so runs that stay inline never load the thread pool
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=cfg.workers)
-        start = pool.submit
-    run = _Run(cfg, g, out, start)
+    run = _Run(cfg, g, out, pool)
     run.stats.started_unix_ms = int(time.time() * 1000)
     try:
         _seed_corpus(run)

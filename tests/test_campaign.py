@@ -353,7 +353,7 @@ class TestCorpusReproducibility:
         (out / "crashes").mkdir(parents=True)
         cfg = CampaignConfig(gnb_grammar_path, VALIDATOR, out, seed=2, max_execs=400)
         g = parse_grammar(Path(gnb_grammar_path).read_text())
-        run = _Run(cfg, g, out, campaign._Inline)
+        run = _Run(cfg, g, out)
         _seed_corpus(run)
         _loop(run)
         assert len(run.corpus) > 11  # novelty retention happened
@@ -443,9 +443,9 @@ class TestTargetFault:
     # (outcome, branch set) pair, aborts the campaign (a known gap, see
     # ROADMAP); until it is handled, the exception must reach the caller
     # and stats.json must still count exactly the results consumed.  A
-    # builtin runs on the coordinator at every worker count, so a raise
-    # surfaces where the run is submitted, and a malformed answer where
-    # it is consumed.
+    # builtin runs on the coordinator at every worker count, and its
+    # answer is unpacked as it is made, so both faults surface where the
+    # run is submitted.
     @staticmethod
     def check_fault_on_50th_call(
         fault, expected, match, grammar_path, out, monkeypatch, workers
@@ -487,9 +487,10 @@ class TestTargetFault:
         stats = json.loads((out / "stats.json").read_text())
         # A text drawn again is answered from the campaign's memo, so the
         # calls do not keep step with the execs.  The results consumed are
-        # those submitted ahead of the faulting call: none past the count
-        # at the call inline, and at most 2 * workers - 1 past it with the
-        # pool's window of 2 * workers.
+        # those submitted ahead of the faulting call: at most
+        # 2 * workers - 1 past the count at the call, with a window of
+        # 2 * workers, and none past it when the fault surfaces at
+        # submission, as both tests below pin.
         assert 0 < at_fault[0] <= stats["execs"] == consumed[0]
         assert consumed[0] <= at_fault[0] + 2 * workers - 1
         assert stats["corpus_size"] == len(list((out / "corpus").iterdir()))
@@ -518,10 +519,12 @@ class TestTargetFault:
         def fault(text):
             return run_text(text)[0]  # the outcome without its branch set
 
-        self.check_fault_on_50th_call(
+        at_fault, consumed = self.check_fault_on_50th_call(
             fault, TypeError, "cannot unpack",
             gnb_grammar_path, tmp_path / "out", monkeypatch, workers,
         )
+        # nothing is consumed past the malformed answer either
+        assert consumed == at_fault
 
 
 class TestWorkers:
@@ -614,28 +617,37 @@ def record_submissions(monkeypatch):
     return events
 
 
-def expected_runs(events, kept=lambda text: True):
+def expected_runs(events, kept=lambda text: True, pooled=False):
     """How often each text reaches the target: once per submission or ask
-    that finds it neither answered nor in flight.  A text is in flight
-    from the submission that runs it to that submission's consume, and
-    answered once consumed or asked for, unless it timed out or ``kept``
-    says the memo does not keep it."""
+    that finds it neither answered nor in flight.  A text's outcome is the
+    one its consume or ask events give.  Inline, a text is answered from
+    the submission or ask that runs it, unless it timed out or ``kept``
+    says the memo does not keep it, and is never in flight.  With
+    ``pooled``, a text is in flight from the submission that runs it to
+    that submission's consume or an ask for it, and answered, on the same
+    terms, once consumed or asked for."""
+    timed_out = {
+        e[1] for e in events if e[0] != "submit" and e[2] is OutcomeKind.TIMEOUT
+    }
     answered, in_flight, runs = set(), {}, Counter()
     submitted = consumed = 0
-    for kind, text, *outcome_kind in events:
-        if kind == "submit":
-            if text not in answered and text not in in_flight:
-                runs[text] += 1
-                in_flight[text] = submitted
-            submitted += 1
-            continue
+    for kind, text, *_ in events:
         if kind == "consume":
             if in_flight.get(text) == consumed:
                 del in_flight[text]
             consumed += 1
-        elif text not in answered and text not in in_flight:
-            runs[text] += 1
-        if outcome_kind != [OutcomeKind.TIMEOUT] and kept(text):
+        elif text not in answered:
+            if text not in in_flight:
+                runs[text] += 1
+                if pooled and kind == "submit":
+                    in_flight[text] = submitted
+            elif kind == "ask":
+                del in_flight[text]  # the ask takes that run's answer
+        if kind == "submit":
+            submitted += 1
+            if pooled:
+                continue
+        if text not in timed_out and kept(text):
             answered.add(text)
     return runs
 
@@ -658,9 +670,11 @@ def register_counting(name, answer):
 
 
 class TestMemo:
-    # A text the campaign has answered already, or is running, is
-    # answered from its memo of answers instead of running the target
-    # again; a minimization asks the campaign for its answers too.
+    # A text the campaign has answered already, or is running on its
+    # pool, is answered from its memo of answers instead of running the
+    # target again; a minimization asks the campaign for its answers too.
+    # A builtin runs inline at every worker count, so its answer is kept
+    # as it is made, and one the memo does not keep runs at each draw.
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_text_runs_once_and_the_bytes_hold(
         self, gnb_grammar_path, tmp_path, monkeypatch, workers
@@ -685,8 +699,8 @@ class TestMemo:
         drawn = {e[1] for e in events if e[0] == "submit"}
         assert asked - drawn and asked & drawn
         # every text drawn or asked for by a minimization reaches the
-        # target once only, whether it is drawn again, drawn while its run
-        # is in flight, or asked for by a minimization
+        # target once only, whether it is drawn again, drawn within the
+        # window it ran in, or asked for by a minimization
         assert set(calls) == asked | drawn
         assert calls == expected_runs(events)
         assert set(calls.values()) == {1}
@@ -697,9 +711,8 @@ class TestMemo:
         monkeypatch.setattr(campaign, "_MEMO_CHARS", -1)
         run(tmp_path / "none")
         assert calls == expected_runs(events, kept=lambda text: False)
-        if workers == 1:
-            asks = sum(e[0] == "ask" for e in events)
-            assert sum(calls.values()) == stats.execs + asks
+        asks = sum(e[0] == "ask" for e in events)
+        assert sum(calls.values()) == stats.execs + asks
         with_memo, without = snapshot(tmp_path / "memo"), snapshot(tmp_path / "none")
         for key in WALL_CLOCK_KEYS:
             with_memo[0].pop(key), without[0].pop(key)
@@ -732,12 +745,7 @@ class TestMemo:
             e[1] for e in events if e[0] != "submit" and e[2] is OutcomeKind.TIMEOUT
         }
         assert max(consumed[text] for text in timed_out) > 1
-        if workers == 1:
-            assert all(
-                calls[text] == consumed[text] + asked[text] for text in timed_out
-            )
-        # with more workers, a repeat drawn while its run is in flight
-        # takes that run's answer, a timeout too
+        assert all(calls[text] == consumed[text] + asked[text] for text in timed_out)
         assert calls == expected_runs(events)
         assert stats.timeouts == sum(consumed[text] for text in timed_out)
         stored = json.loads((tmp_path / "out" / "stats.json").read_text())
@@ -760,7 +768,6 @@ class TestMemo:
             CampaignConfig(gnb_grammar_path, VALIDATOR, tmp_path, workers=2),
             gnb_grammar,
             tmp_path,
-            campaign._Inline,
         )
         text = baseline_text()
         running = Future()
@@ -769,6 +776,7 @@ class TestMemo:
         monkeypatch.setattr(campaign, "execute", elsewhere)
         assert run.answer(text) == running.result()
         assert run.memo[text] == running.result()
+        assert text not in run.in_flight
 
     def test_a_flaky_crash_keeps_its_original_witness(
         self, gnb_grammar_path, tmp_path, monkeypatch
@@ -826,8 +834,8 @@ class TestMemo:
         sizes, kept = [], set()
         take = campaign._Run.take
 
-        def watching(self, text, running):
-            answer = take(self, text, running)
+        def watching(self, text, answer):
+            answer = take(self, text, answer)
             sizes.append({name: len(getattr(self, name)) for name in bounds})
             sizes[-1]["keys"] = len(triage._keys)
             kept.update(self.memo)
@@ -971,7 +979,7 @@ class TestThreadOwnership:
         # one execute per text: a repeat takes the answer the campaign
         # has, or will have once the run in flight is done, and so does a
         # minimization's ask
-        runs = expected_runs(events)
+        runs = expected_runs(events, pooled=True)
         assert Counter(text for kind, _, text in calls if kind == "execute") == runs
         assert sum(runs.values()) < max_execs and max(runs.values()) == 1
         # the minimizations run their texts on the coordinator, every
@@ -1053,6 +1061,36 @@ class TestThreadOwnership:
         assert calls and all(on_main for _, on_main, _ in calls)
         assert pools == []
         assert threads == {before}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_pool_and_the_inline_window_give_the_same_bytes(
+        self, gnb_grammar_path, tmp_path, monkeypatch, workers
+    ):
+        # the validator as a child runs on the pool at 2 workers, and as a
+        # builtin inline at every worker count; both keep the same corpus
+        # and the same counts.  Their crash directories differ by design:
+        # the child aborts with SIGABRT, the builtin answers codes 101-105
+        from conffuzz import campaign
+
+        spec = validator_child(monkeypatch, tmp_path)
+        calls = record_threads(monkeypatch, ("execute",))
+
+        def run(target, out):
+            stats = run_campaign(
+                CampaignConfig(
+                    gnb_grammar_path, target, out, seed=1, max_execs=150,
+                    workers=workers,
+                )
+            )
+            corpus = {p.name: p.read_bytes() for p in (out / "corpus").iterdir()}
+            names = ("execs", "crashes_total", "timeouts", "corpus_size")
+            return {name: getattr(stats, name) for name in names}, corpus
+
+        child = run(spec, tmp_path / "child")
+        assert any(not on_main for _, on_main, _ in calls) == (workers > 1)
+        assert child == run(VALIDATOR, tmp_path / "builtin")
+        assert child[0]["crashes_total"] > 0
+        assert child[0]["corpus_size"] > campaign.SEED_TREES + 1
 
 
 class TestExternalTargetCleanup:
